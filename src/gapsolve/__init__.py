@@ -25,6 +25,7 @@ from .encoding import (
     kappa_inv,
     true_value,
 )
+from .instances import generate_instance
 from .meta import MetaResult, run_meta
 from .poly import SolutionPolynomial, poly_add, poly_mul, select_optimum
 from .solvers import (
@@ -58,6 +59,7 @@ __all__ = [
     "ewclique_algebraic",
     "gap_cover_search",
     "gap_enumerate",
+    "generate_instance",
     "get_gap_coordinates",
     "hfold",
     "kappa",

@@ -7,6 +7,7 @@ instance, 4 verification mismatch.
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .additive import (
     DEFAULT_ENUM_BUDGET,
@@ -47,11 +48,7 @@ def _read_instance(path):
 
 
 def cmd_gen(args):
-    try:
-        gap = parse_gap_spec(args.gap)
-    except (ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    gap = parse_gap_spec(args.gap)
     try:
         inst = generate_instance(
             args.kind, args.n, gap, args.seed, density=args.density,
@@ -130,12 +127,16 @@ def _report(inst, res, args):
             print("sequence          " + " ".join(str(v) for v in report["sequence"]))
 
 
-def cmd_solve(args):
+def _file_instance(args):
+    """The instance in args.path, with its cover replaced by --gap if given."""
     inst, _ = _read_instance(args.path)
     if args.gap:
-        from dataclasses import replace
-
         inst = replace(inst, gap=parse_gap_spec(args.gap))
+    return inst
+
+
+def cmd_solve(args):
+    inst = _file_instance(args)
     try:
         res = _solve(inst, args)
     except NoCoverFound as exc:
@@ -199,7 +200,10 @@ def cmd_verify(args):
             if status == "fail":
                 failures += 1
         return 4 if failures else 0
-    inst, _ = _read_instance(args.path)
+    if args.path is None:
+        print("error: verify needs an instance file or --sweep", file=sys.stderr)
+        return 1
+    inst = _file_instance(args)
     try:
         status, msg = _verify_one(inst, args)
     except (TooLarge, NoCoverFound) as exc:
@@ -289,6 +293,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ParseError as exc:  # a malformed --gap value
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except GapsolveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

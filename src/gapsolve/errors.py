@@ -61,5 +61,9 @@ class BoundExceeded(GapsolveError):
     """Encoded value bound too large for the dense convolution."""
 
 
+class InvariantViolated(GapsolveError):
+    """An internal consistency check failed; the result cannot be trusted."""
+
+
 class ParseError(GapsolveError):
     """Instance file does not conform to the expected format."""

@@ -45,15 +45,17 @@ def parse_gap_spec(spec):
     try:
         gens = [parse_int(t) for t in fields["x"].split(",")]
         bounds = [parse_int(t) for t in fields["L"].split(",")]
+        if "d" in fields and parse_int(fields["d"]) != len(gens):
+            raise ParseError("gap spec dimension disagrees with generators")
+        offset = parse_int(fields.get("offset", "0"))
+        if offset > 0:
+            gens = [offset] + gens
+            bounds = [1] + bounds
+        return Gap(tuple(gens), tuple(bounds))
     except KeyError as exc:
         raise ParseError(f"gap spec missing {exc}") from exc
-    if "d" in fields and parse_int(fields["d"]) != len(gens):
-        raise ParseError("gap spec dimension disagrees with generators")
-    offset = parse_int(fields.get("offset", "0"))
-    if offset > 0:
-        gens = [offset] + gens
-        bounds = [1] + bounds
-    return Gap(tuple(gens), tuple(bounds))
+    except ValueError as exc:  # a bad integer, or an invalid Gap
+        raise ParseError(f"bad gap spec {spec!r}: {exc}") from exc
 
 
 def parse_instance(text):

@@ -18,7 +18,7 @@ from .additive import (
     get_gap_coordinates,
 )
 from .encoding import kappa, kappa_inv, true_value, enlarge
-from .errors import EmptyPolynomial, InfeasibleInstance
+from .errors import EmptyPolynomial, InfeasibleInstance, InvariantViolated
 from .poly import select_optimum
 from .solvers import (
     SOLVER_SPECS,
@@ -45,7 +45,7 @@ def _check_exponents(exponents, egap):
     bound = egap.range_bound
     for e in exponents:
         if not 0 <= e < bound:
-            raise AssertionError(f"exponent {e} escapes encoded range [0, {bound})")
+            raise InvariantViolated(f"exponent {e} escapes encoded range [0, {bound})")
 
 
 def run_meta(inst, *, modulus=None, max_dim=3,
@@ -68,7 +68,8 @@ def run_meta(inst, *, modulus=None, max_dim=3,
 
     # Eq-style size chain: the encoded range never exceeds lambda^d * |G|
     gprime_bound = egap.range_bound
-    assert gprime_bound <= lam ** gap.dim * gap.volume
+    if gprime_bound > lam ** gap.dim * gap.volume:
+        raise InvariantViolated(f"encoded range {gprime_bound} exceeds lambda^d * |G|")
 
     stats = {
         "weight_count": len(weights),
@@ -106,7 +107,8 @@ def run_meta(inst, *, modulus=None, max_dim=3,
         raise InfeasibleInstance(str(exc)) from exc
     coords_opt = kappa_inv(egap, best)
     optimum = sum(x * l for x, l in zip(egap.generators, coords_opt))
-    assert optimum == true_value(egap, best)
+    if optimum != true_value(egap, best):
+        raise InvariantViolated(f"exponent {best} decodes inconsistently")
     stats["solution_terms"] = len(poly.terms)
     # distinct coordinate tuples can share a true value, so the count of
     # optimal solutions sums coefficients over every such exponent

@@ -22,7 +22,7 @@ from itertools import combinations
 from math import comb
 
 from .additive import Gap, WeightSet
-from .errors import BoundExceeded, Disconnected, KNotDivisibleBy3
+from .errors import BoundExceeded, Disconnected, InvariantViolated, KNotDivisibleBy3
 from .poly import SolutionPolynomial
 
 KINDS = ("tsp", "maxcut", "ewclique", "steiner", "minplusconv")
@@ -388,37 +388,50 @@ def steiner_algebraic(inst, enc, tv, modulus=None):
     return SolutionPolynomial.monomial(ans[1], 1, modulus)
 
 
-def _selfconv_counts(seq, bound, budget):
-    """Exact self-convolution counts as a (2n-1, 2*bound) uint16 array.
+def _fft_len(m):
+    """Smallest 2^a * 3^b that is >= m: a fast pocketfft length."""
+    best = 1 << (m - 1).bit_length()
+    p3 = 3
+    while p3 < best:
+        p = p3
+        while p < m:
+            p *= 2
+        best = min(best, p)
+        p3 *= 3
+    return best
 
-    Packs the presence vector of each position into one big integer with
-    one 16-bit slot per value in [0, 2*bound) and squares it; counts
-    (<= len(seq)) never overflow a slot, so the integer square is an
-    exact convolution.  Row k holds, for positions i + j = k, how many
-    pairs attain each encoded value sum.
+
+def _selfconv_support(seq, bound, budget):
+    """Attainable (position sum, value sum) pairs as a (2n-1, 2*bound) bool array.
+
+    Entry [k, s] is True iff some i + j = k has seq[i] + seq[j] = s.  The
+    0/1 indicator ind[i, seq[i]] is convolved with itself by a 2-D real
+    FFT, padded to 2^a * 3^b lengths so no wrap-around occurs.  Counts are
+    at most n and the float64 rounding error of the transform is far below
+    0.5 at any size the budget admits, so thresholding at 0.5 is exact.
     """
     import numpy as np
 
     n = len(seq)
     if any(not 0 <= v < bound for v in seq):
         raise BoundExceeded("encoded value outside [0, bound)")
-    if n >= 2**16:
-        raise BoundExceeded("sequence too long for 16-bit count slots")
     block = 2 * bound
     if n * block > budget:
         raise BoundExceeded(f"dense vector of {n * block} slots exceeds budget")
-    packed = bytearray(2 * n * block)
-    for i, v in enumerate(seq):
-        packed[2 * (i * block + v)] = 1
-    try:
-        from gmpy2 import mpz
-    except ImportError:  # pragma: no cover
-        mpz = int
-    squared = mpz(int.from_bytes(bytes(packed), "little")) ** 2
-    nbytes = 2 * (2 * n - 1) * block
-    raw = int(squared).to_bytes(nbytes + 2, "little")
-    digits = np.frombuffer(raw, dtype="<u2")[: (2 * n - 1) * block]
-    return digits.reshape(2 * n - 1, block)
+    rows, cols = 2 * n - 1, 2 * bound - 1
+    shape = (_fft_len(rows), _fft_len(cols))
+    ind = np.zeros((n, bound))
+    ind[np.arange(n), seq] = 1.0
+    spec = np.fft.rfft2(ind, shape)
+    del ind
+    spec *= spec
+    # invert the row axis first, so only the 2n-1 needed rows go through
+    # the column transform; the full spectrum is freed before that
+    half = np.fft.ifft(spec, axis=0)[:rows]
+    del spec
+    support = np.zeros((rows, block), dtype=bool)
+    support[:, :cols] = np.fft.irfft(half, shape[1], axis=1)[:, :cols] > 0.5
+    return support
 
 
 def minplus_selfconv(seq, bound, budget=5 * 10**7):
@@ -429,8 +442,8 @@ def minplus_selfconv(seq, bound, budget=5 * 10**7):
     """
     import numpy as np
 
-    counts = _selfconv_counts(seq, bound, budget)
-    return [[int(s) for s in np.nonzero(row)[0]] for row in counts]
+    support = _selfconv_support(seq, bound, budget)
+    return [np.flatnonzero(row).tolist() for row in support]
 
 
 def minplus_selfconv_min(seq, bound, key=None, budget=5 * 10**7):
@@ -438,36 +451,22 @@ def minplus_selfconv_min(seq, bound, key=None, budget=5 * 10**7):
 
     `key(e)` defaults to the identity; pass a true-value key to restore
     the original order of encoded sums.  Ties break toward the smaller
-    encoded value.
+    encoded value.  Keys may be arbitrarily large Python ints: the
+    attainable sums are ranked once by (key(e), e) in Python, and each
+    row's minimum is its attainable sum of lowest rank.
     """
     import numpy as np
 
-    counts = _selfconv_counts(seq, bound, budget)
-    block = counts.shape[1]
-    nonzero = counts > 0
-    if key is None:
-        # first attainable value per row is the minimum
-        idx = nonzero.argmax(axis=1)
-        assert nonzero[np.arange(len(idx)), idx].all()
-        return [int(e) for e in idx]
+    support = _selfconv_support(seq, bound, budget)
     # only attainable sums are guaranteed to be decodable, so evaluate
     # the key just on columns that occur somewhere
-    cols = np.nonzero(nonzero.any(axis=0))[0]
-    vals = {int(e): key(int(e)) for e in cols}
-    if max(vals.values(), default=0) < 2**62:
-        tvs = np.zeros(block, dtype=np.int64)
-        big = max(vals.values(), default=0) + 1
-        tvs[:] = big
-        for e, tv in vals.items():
-            tvs[e] = tv
-        masked = np.where(nonzero, tvs[None, :], big)
-        idx = masked.argmin(axis=1)  # argmin takes the first index on ties
-        assert (masked[np.arange(len(idx)), idx] != big).all()
-        return [int(e) for e in idx]
-    # key values too large for int64: per-row python scan
-    out = []
-    for row in counts:
-        attain = np.nonzero(row)[0]
-        out.append(min((int(e) for e in attain),
-                       key=lambda e: (vals[int(e)], e)))
-    return out
+    cols = np.flatnonzero(support.any(axis=0)).tolist()
+    if key is not None:
+        cols.sort(key=lambda e: (key(e), e))
+    # columns in rank order: the first attainable one in a row has the
+    # lowest rank among that row's sums
+    ranked = support[:, cols]
+    first = ranked.argmax(axis=1)
+    if not ranked[np.arange(len(first)), first].all():
+        raise InvariantViolated("a self-convolution index has no attainable sum")
+    return [cols[i] for i in first.tolist()]

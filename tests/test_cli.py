@@ -3,7 +3,7 @@ import json
 import pytest
 
 from gapsolve.cli import main
-from gapsolve.instances import parse_instance, serialize_instance
+from gapsolve.instances import parse_gap_spec, parse_instance, serialize_instance
 
 
 def run(argv, capsys):
@@ -68,6 +68,48 @@ def test_solve_parse_error(tmp_path, capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("spec", ["d=2 x=zz L=1", "d=2 x=3 L=1", "x=3,5 L=1"])
+def test_solve_and_gen_bad_gap_flag_exit_1(tmp_path, capsys, spec):
+    path = tmp_path / "inst.txt"
+    run(GEN_ARGS + ["-o", str(path)], capsys)
+    for argv in (["solve", str(path), "--gap", spec],
+                 ["gen", "tsp", "--n", "4", "--gap", spec]):
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert out == ""
+
+
+@pytest.mark.parametrize("spec", ["d=2 x=zz L=1", "d=2 x=3 L=1"])
+def test_verify_bad_gap_exit_1(tmp_path, capsys, spec):
+    path = tmp_path / "inst.txt"
+    run(GEN_ARGS + ["-o", str(path)], capsys)
+    for argv in (["verify", "--sweep", "1", "--gap", spec],
+                 ["verify", str(path), "--gap", spec]):
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert err.startswith("error: ")
+        assert out == ""
+
+
+def test_verify_file_uses_gap_flag(tmp_path, capsys):
+    path = tmp_path / "inst.txt"
+    run(GEN_ARGS + ["-o", str(path)], capsys)
+    # a valid cover other than the file's own: same verdict
+    code, out, _ = run(["verify", str(path), "--gap", "d=2 x=10^12,7 L=1,20"],
+                       capsys)
+    assert code == 0 and out.startswith("PASS")
+    # a cover that misses the weights is used, and fails
+    code, _, err = run(["verify", str(path), "--gap", "d=1 x=5 L=3"], capsys)
+    assert code == 2 and "not covered" in err
+
+
+def test_verify_without_file_or_sweep_exit_1(capsys):
+    code, out, err = run(["verify"], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and out == ""
+
+
 def test_solve_no_cover_exit_2(tmp_path, capsys):
     import random
 
@@ -130,6 +172,15 @@ def test_analyze_sidon_doubling(tmp_path, capsys):
     code, out, _ = run(["analyze", str(path)], capsys)
     assert code == 0
     assert "C(A)       5/2" in out
+
+
+@pytest.mark.parametrize("spec", ["d=2 x=zz L=1", "d=2 x=3 L=1", "x=3,5 L=1",
+                                  "x=3 L=-1", "x=3", "x=3 L=1 offset=q"])
+def test_parse_gap_spec_errors(spec):
+    from gapsolve.errors import ParseError
+
+    with pytest.raises(ParseError):
+        parse_gap_spec(spec)
 
 
 def test_unknown_section_rejected():

@@ -1,10 +1,21 @@
 import random
+from pathlib import Path
 
 import pytest
 
-from gapsolve import Gap, ProblemInstance, run_meta, true_value, enlarge
-from gapsolve.errors import InfeasibleInstance, NoCoverFound
+from gapsolve import (
+    Gap,
+    ProblemInstance,
+    enlarge,
+    get_gap_coordinates,
+    kappa,
+    minplus_selfconv_min,
+    run_meta,
+    true_value,
+)
+from gapsolve.errors import InfeasibleInstance, InvariantViolated, NoCoverFound
 from gapsolve.instances import generate_instance, parse_gap_spec
+from gapsolve.meta import _check_exponents
 from gapsolve.oracle import maxcut_bf, minplus_naive, steiner_bf, tsp_bf
 
 
@@ -111,3 +122,44 @@ def test_meta_reconstruction_consistency():
     egap = enlarge(res.gap_used, res.lam)
     assert true_value(egap, res.encoded_optimum) == res.optimum
     assert sum(x * l for x, l in zip(res.gap_used.generators, res.coords)) == res.optimum
+
+
+def test_check_exponents_raises_typed_error():
+    # a typed error, not an assert, so the check survives `python -O`
+    egap = enlarge(Gap((3, 10**12), (2, 1)), 2)
+    _check_exponents([0, egap.range_bound - 1], egap)
+    with pytest.raises(InvariantViolated):
+        _check_exponents([egap.range_bound], egap)
+
+
+def test_meta_minplus_2_63_generators():
+    # the 2^63-scale family of the benchmark: true values exceed int64
+    gap = Gap((2**63 + 29, 2**61 + 3), (3, 12))
+    inst = generate_instance("minplusconv", 80, gap, seed=5)
+    res = run_meta(inst)
+    assert max(res.stats["sequence"]) >= 2**64
+    assert res.stats["sequence"] == minplus_naive(list(inst.sequence))
+    assert res.optimum == min(res.stats["sequence"])
+
+
+def test_meta_minplus_kappa_order_differs_from_true_order():
+    # dimension 1 is most significant in kappa but has the small generator,
+    # so the smallest encoded sum is often not the smallest true sum
+    gap = Gap((1, 10), (5, 5))
+    inst = generate_instance("minplusconv", 60, gap, seed=8)
+    res = run_meta(inst)
+    naive = minplus_naive(list(inst.sequence))
+    assert res.stats["sequence"] == naive
+    egap = enlarge(gap, res.lam)
+    enc = {w: kappa(egap, c) for w, c in
+           zip(inst.weights, get_gap_coordinates(inst.weights, gap))}
+    by_code = minplus_selfconv_min([enc[v] for v in inst.sequence], egap.range_bound)
+    assert [true_value(egap, e) for e in by_code] != naive
+
+
+def test_readme_library_example(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "from gapsolve import Gap, generate_instance, run_meta" in example
+    exec(compile(example, "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()

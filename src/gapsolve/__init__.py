@@ -24,6 +24,7 @@ from .encoding import (
     kappa,
     kappa_inv,
     true_value,
+    value_rank,
 )
 from .instances import generate_instance
 from .meta import MetaResult, run_meta
@@ -75,6 +76,7 @@ __all__ = [
     "sumset",
     "true_value",
     "tsp_algebraic",
+    "value_rank",
 ]
 
 __version__ = "0.1.0"

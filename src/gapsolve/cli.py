@@ -7,6 +7,7 @@ instance, 4 verification mismatch.
 import argparse
 import json
 import sys
+import time
 from dataclasses import replace
 
 from .additive import (
@@ -16,7 +17,7 @@ from .additive import (
     hfold,
     sumset,
 )
-from .encoding import DEFAULT_PERM_BUDGET, build_permutation, enlarge
+from .encoding import DEFAULT_PERM_BUDGET, enlarge, value_rank
 from .errors import (
     BudgetExceeded,
     Disconnected,
@@ -85,7 +86,20 @@ def _pick_modulus(args):
     return sympy.nextprime(random.Random(args.seed).getrandbits(62))
 
 
-def _report(inst, res, args):
+def _rank_fields(res, args):
+    """permutation_size and optimum_rank, or a null size above --perm-budget."""
+    if not args.perm_budget:
+        return {}
+    egap = enlarge(res.gap_used, res.lam)
+    if egap.range_bound > args.perm_budget:
+        return {"permutation_size": None}
+    return {"permutation_size": egap.range_bound,
+            "optimum_rank": value_rank(egap, res.encoded_optimum)}
+
+
+def _report(inst, res, args, t0):
+    """Print the report; wall_time is the time since t0, the command's start."""
+    rank = _rank_fields(res, args)
     report = {
         "schema_version": SCHEMA_VERSION,
         "kind": inst.kind,
@@ -99,19 +113,12 @@ def _report(inst, res, args):
         "lambda": res.lam,
         "doubling_constant": str(res.stats["doubling_constant"]),
         "encoded_range_bound": res.stats["encoded_range_bound"],
-        "wall_time": res.stats["wall_time"],
+        "wall_time": time.perf_counter() - t0,
     }
     if "sequence" in res.stats:
         report["sequence"] = res.stats["sequence"]
-    if getattr(args, "perm_budget", 0):
-        try:
-            table = build_permutation(enlarge(res.gap_used, res.lam),
-                                      budget=args.perm_budget)
-            report["permutation_size"] = len(table.sorted_entries)
-            report["optimum_rank"] = table.rank(res.encoded_optimum)
-        except BudgetExceeded:
-            report["permutation_size"] = None
-    if getattr(args, "json", False):
+    report.update(rank)
+    if args.json:
         print(json.dumps(report))
     else:
         print(f"kind              {report['kind']}")
@@ -136,6 +143,7 @@ def _file_instance(args):
 
 
 def cmd_solve(args):
+    t0 = time.perf_counter()
     inst = _file_instance(args)
     try:
         res = _solve(inst, args)
@@ -145,7 +153,7 @@ def cmd_solve(args):
     except (InfeasibleInstance, Disconnected) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    _report(inst, res, args)
+    _report(inst, res, args, t0)
     return 0
 
 
@@ -248,8 +256,16 @@ def _add_common_solve_flags(p):
     p.add_argument("--json", action="store_true")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, the parse-error code, not argparse's 2 (no cover)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gapsolve",
         description="Solve small-doubling weighted instances via GAP encoding.",
     )

@@ -5,8 +5,9 @@ radices <B_i + 1> (dimension 1 most significant), where B_i are the
 lambda-enlarged bounds.  It is additive on tuples that stay inside the
 enlarged box and strictly monotone w.r.t. lexicographic tuple order, which
 makes it injective.  Because encoded order differs from true-value order
-in general, a rank table (or direct decode-and-evaluate comparison)
-restores the order of the represented values.
+in general, ranks by (true value, encoding) restore the order of the
+represented values: `value_rank` counts one rank directly, and
+`build_permutation` materializes them all as a reference.
 """
 
 from dataclasses import dataclass, field
@@ -84,6 +85,45 @@ def true_value(g, e):
     return sum(x * l for x, l in zip(g.generators, coords))
 
 
+def value_rank(g, e):
+    """Position of `e` in [0, range_bound) ordered by (true value, encoding).
+
+    Equals build_permutation(g).rank(e) without enumerating the range.  With
+    T = true_value(g, e), the rank counts the tuples of the enlarged box whose
+    value is below T, plus those on value T with a smaller encoding (kappa
+    is lexicographic, so that is the tie order).  For each tuple over every
+    dimension but the widest one j, the t_j below T form a prefix of
+    [0, B_j] whose length is one floor division, and at most one t_j lies
+    on T.  That is range_bound / (B_j + 1) steps.
+    """
+    target = true_value(g, e)
+    bounds = g.enlarged_bounds
+    j = max(range(g.dim), key=bounds.__getitem__)
+    # kappa(t) = sum(t_i * place[i]), mixed radix, dimension 1 most significant
+    place = [1] * g.dim
+    for i in range(g.dim - 2, -1, -1):
+        place[i] = place[i + 1] * (bounds[i + 1] + 1)
+    # (true value, encoding) of every tuple over the dimensions other than j
+    partial = [(0, 0)]
+    for i, (x, b) in enumerate(zip(g.generators, bounds)):
+        if i != j:
+            w = place[i]
+            partial = [(s + x * l, k + w * l) for s, k in partial for l in range(b + 1)]
+    xj, wj, bj = g.generators[j], place[j], bounds[j]
+    rank = 0
+    for s, k in partial:
+        q, r = divmod(target - s, xj)
+        if q < 0:  # every t_j is above T
+            continue
+        if r:  # t_j = 0..q are below T, none on it
+            rank += min(q + 1, bj + 1)
+        elif q > bj:
+            rank += bj + 1
+        else:  # t_j = 0..q-1 are below T; t_j = q ties and counts if lex-smaller
+            rank += q + (k + wj * q < e)
+    return rank
+
+
 @dataclass(frozen=True)
 class PermutationTable:
     """Rank table over all encodable values, sorted by (true value, encoding)."""
@@ -99,8 +139,8 @@ def build_permutation(g, budget=DEFAULT_PERM_BUDGET):
     """Materialize the rank-restoring permutation over [0, range_bound).
 
     Ties on true value break by encoded value ascending.  Raises
-    BudgetExceeded above `budget`; callers then fall back to comparing
-    decoded true values directly, which induces the same total order.
+    BudgetExceeded above `budget`.  This is the reference `value_rank` is
+    tested against; it sorts the whole range, so nothing else builds it.
     """
     n = g.range_bound
     if n > budget:

@@ -112,9 +112,11 @@ def run_meta(inst, *, modulus=None, max_dim=3,
     stats["solution_terms"] = len(poly.terms)
     # distinct coordinate tuples can share a true value, so the count of
     # optimal solutions sums coefficients over every such exponent
-    stats["optimal_count"] = sum(
-        c for e, c in poly.terms.items() if true_value(egap, e) == optimum)
-    if modulus is not None:
-        stats["optimal_count"] %= modulus
+    count = None  # unless the solver's coefficients count the optima
+    if spec.counts:
+        count = sum(c for e, c in poly.terms.items() if true_value(egap, e) == optimum)
+        if modulus is not None:
+            count %= modulus
+    stats["optimal_count"] = count
     stats["wall_time"] = time.perf_counter() - t0
     return MetaResult(optimum, best, tuple(coords_opt), gap, lam, stats)

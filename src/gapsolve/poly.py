@@ -76,8 +76,8 @@ def poly_mul(p, q):
 def select_optimum(p, g, sense):
     """Exponent whose decoded true value is minimal/maximal.
 
-    Comparison is decode-and-evaluate: (true_value, encoding) pairs, so the
-    order agrees with the materialized permutation table.  Raises
+    Comparison is decode-and-evaluate: (true_value, encoding) pairs, the
+    order `encoding.value_rank` counts positions in.  Raises
     EmptyPolynomial for the zero polynomial (infeasible instance).
     """
     if p.is_zero():

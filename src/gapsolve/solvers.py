@@ -73,11 +73,16 @@ class ProblemInstance:
 
 @dataclass(frozen=True)
 class SolverSpec:
-    """Optimization sense and lambda bound for one problem kind."""
+    """Optimization sense and lambda bound for one problem kind.
+
+    `counts` is False where the solver keeps one optimal solution, so its
+    polynomial's coefficients do not count the optima.
+    """
 
     kind: str
     sense: str
     lambda_bound: callable = field(repr=False)
+    counts: bool = True
 
 
 def _lambda_tsp(inst):
@@ -100,7 +105,7 @@ SOLVER_SPECS = {
     "tsp": SolverSpec("tsp", "min", _lambda_tsp),
     "maxcut": SolverSpec("maxcut", "max", _lambda_maxcut),
     "ewclique": SolverSpec("ewclique", "max", _lambda_ewclique),
-    "steiner": SolverSpec("steiner", "min", _lambda_steiner),
+    "steiner": SolverSpec("steiner", "min", _lambda_steiner, counts=False),
     "minplusconv": SolverSpec("minplusconv", "min", lambda inst: 2),
 }
 
@@ -293,14 +298,17 @@ def ewclique_algebraic(inst, enc, k, modulus=None):
             if l <= j or l not in nbr[i]:
                 continue
             total = wij + wjl + nbr[i][l]
-            assert total % 2 == 0
+            if total % 2:
+                raise InvariantViolated(f"triangle weight {total} is odd")
             e = total // 2
             terms[e] = terms.get(e, 0) + 1
     kk = k // 3
     per_clique = comb(k, kk) * comb(k - kk, kk) // 6
     if modulus is None:
         for e in terms:
-            assert terms[e] % per_clique == 0
+            if terms[e] % per_clique:
+                raise InvariantViolated(
+                    f"{terms[e]} triangles at exponent {e} are not a multiple of {per_clique}")
             terms[e] //= per_clique
     else:
         inv = pow(per_clique, -1, modulus)

@@ -1,6 +1,10 @@
 import json
+import time
 
 import pytest
+
+from gapsolve import build_permutation, enlarge
+import gapsolve.cli as cli
 
 from gapsolve.cli import main
 from gapsolve.instances import parse_gap_spec, parse_instance, serialize_instance
@@ -188,3 +192,48 @@ def test_unknown_section_rejected():
 
     with pytest.raises(ParseError):
         parse_instance("problem\nkind tsp\nn 3\nmystery\nx y z\n")
+
+
+def test_solve_json_rank_matches_permutation_table(tmp_path, capsys):
+    path = tmp_path / "inst.txt"
+    run(["gen", "maxcut", "--n", "6", "--gap", "d=2 x=10^12,7 L=1,4",
+         "--seed", "3", "-o", str(path)], capsys)
+    code, out, _ = run(["solve", str(path), "--json"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    egap = enlarge(parse_gap_spec("d=2 x=10^12,7 L=1,4"), report["lambda"])
+    assert report["permutation_size"] == report["encoded_range_bound"] == egap.range_bound
+    assert report["optimum_rank"] == build_permutation(egap).rank(report["encoded_optimum"])
+    # above --perm-budget: no rank, a null size
+    code, out, _ = run(["solve", str(path), "--json", "--perm-budget",
+                        str(egap.range_bound - 1)], capsys)
+    report = json.loads(out)
+    assert report["permutation_size"] is None and "optimum_rank" not in report
+
+
+def test_solve_wall_time_covers_parse(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "inst.txt"
+    run(GEN_ARGS + ["-o", str(path)], capsys)
+    parse = cli.parse_instance
+
+    def slow_parse(text):
+        time.sleep(0.2)
+        return parse(text)
+
+    monkeypatch.setattr(cli, "parse_instance", slow_parse)
+    code, out, _ = run(["solve", str(path), "--json"], capsys)
+    assert code == 0
+    assert json.loads(out)["wall_time"] >= 0.2
+    code, out, _ = run(["solve", str(path)], capsys)
+    wall = next(ln for ln in out.splitlines() if ln.startswith("wall time"))
+    assert float(wall.split()[-1].rstrip("s")) >= 0.2
+
+
+@pytest.mark.parametrize("argv", [["solve", "f.txt", "--bogus"], ["frobnicate"],
+                                  ["solve"], ["gen", "tsp", "--n", "x", "--gap", "x=1 L=1"]])
+def test_usage_error_exit_1(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "usage: gapsolve" in err and "error: " in err

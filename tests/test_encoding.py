@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from gapsolve import (
     kappa,
     kappa_inv,
     true_value,
+    value_rank,
 )
 from gapsolve.errors import BudgetExceeded, OutOfBounds, OutOfRange
 
@@ -170,3 +173,44 @@ def test_permutation_agrees_with_decode_and_evaluate(data):
     lhs = table.rank(e1) < table.rank(e2)
     rhs = (true_value(g, e1), e1) < (true_value(g, e2), e2)
     assert lhs == rhs
+
+
+def _seeded_egaps():
+    """Enlarged gaps for d = 1..4: bounds with 0, 2^63-scale generators, ties."""
+    rng = random.Random(31)
+    fixed = [Gap((2, 3), (6, 4)), Gap((1,), (0,)), Gap((5, 5), (3, 0)),
+             Gap((2**63 + 1, 7), (3, 5)), Gap((2**63, 2**63 - 1, 1), (2, 2, 0))]
+    gaps = [enlarge(g, lam) for g in fixed for lam in (1, 2)]
+    while len(gaps) < 80:
+        dim = 1 + len(gaps) % 4
+        gens = tuple(rng.choice([rng.randint(1, 6), rng.randint(1, 10**12),
+                                 2**63 + rng.randint(0, 99)]) for _ in range(dim))
+        bounds = tuple(rng.randint(0, 5) for _ in range(dim))
+        g = enlarge(Gap(gens, bounds), rng.randint(1, 2))
+        if g.range_bound <= 3000:
+            gaps.append(g)
+    return gaps
+
+
+def test_value_rank_equals_permutation_table_exhaustively():
+    gaps = _seeded_egaps()
+    assert {g.dim for g in gaps} == {1, 2, 3, 4}
+    for g in gaps:
+        table = build_permutation(g)
+        for e in range(g.range_bound):
+            assert value_rank(g, e) == table.rank(e), (g, e)
+    assert sum(g.range_bound for g in gaps) > 10000
+
+
+def test_value_rank_breaks_ties_by_encoding():
+    # 2*3 + 3*0 == 2*0 + 3*2: equal true values rank in encoding order
+    g = egap_of([2, 3], [6, 4])
+    a, b = kappa(g, CoordTuple((0, 2))), kappa(g, CoordTuple((3, 0)))
+    assert true_value(g, a) == true_value(g, b) and a < b
+    assert value_rank(g, b) == value_rank(g, a) + 1
+
+
+def test_value_rank_out_of_range():
+    g = egap_of([3, 10], [2, 2])
+    with pytest.raises(OutOfRange):
+        value_rank(g, g.range_bound)

@@ -163,3 +163,12 @@ def test_readme_library_example(capsys):
     assert "from gapsolve import Gap, generate_instance, run_meta" in example
     exec(compile(example, "README.md", "exec"), {})
     assert capsys.readouterr().out.strip()
+
+
+def test_steiner_optimal_count_is_none():
+    # the Dreyfus-Wagner DP keeps one tree, so it cannot count optima
+    inst = generate_instance("steiner", n=7, gap=Gap((5,), (10,)), seed=2,
+                             n_terminals=3)
+    res = run_meta(inst)
+    assert res.optimum == steiner_bf(inst).optimum
+    assert res.stats["optimal_count"] is None

@@ -1,4 +1,9 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -302,3 +307,32 @@ def test_minplus_bound_errors():
 def test_minplus_attainable_sets():
     out = minplus_selfconv([1, 3], 8)
     assert out == [[2], [4], [6]]
+
+
+def test_ewclique_invariant_holds_under_python_O():
+    # -O strips assert statements; the triangle-evenness check must survive it
+    script = textwrap.dedent("""
+        import sys
+        import gapsolve.solvers as solvers
+        from gapsolve import Gap, generate_instance, run_meta
+        from gapsolve.errors import InvariantViolated
+
+        build = solvers.build_auxiliary_graph
+
+        def odd_edges(*args):
+            nodes, internal, hedges = build(*args)
+            return nodes, internal, {ij: w + 1 for ij, w in hedges.items()}
+
+        solvers.build_auxiliary_graph = odd_edges
+        inst = generate_instance("ewclique", n=6, gap=Gap((3,), (9,)), seed=1, k=3)
+        try:
+            run_meta(inst)
+        except InvariantViolated as exc:
+            print(sys.flags.optimize, type(exc).__name__, exc)
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("1 InvariantViolated triangle weight"), out.stdout

@@ -8,6 +8,7 @@ Freiman decomposition, limited to d <= 3 (plus an optional translation
 dimension).
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -114,8 +115,14 @@ def hfold(a, h):
 
 
 def doubling_constant(a):
-    """Exact |A+A| / |A| as a Fraction."""
-    return Fraction(len(sumset(a, a)), len(a))
+    """Exact |A+A| / |A| as a Fraction.
+
+    A+A is counted from the sums x_i + x_j with i <= j, which are all of
+    its elements since addition commutes.
+    """
+    e = a.elements
+    sums = {x + y for i, x in enumerate(e) for y in e[i:]}
+    return Fraction(len(sums), len(e))
 
 
 def gap_enumerate(g, budget=DEFAULT_ENUM_BUDGET):
@@ -176,39 +183,47 @@ def _candidate_diffs(shifted, cap=64):
     return sorted(diffs)
 
 
-def _solve_two_gen(w, x1, x2):
-    """Largest-l1 solution of w = x1*l1 + x2*l2 with l1, l2 >= 0, or None.
+def _prefix_gcds(values):
+    """pg[i] = gcd(values[:i]), so pg[0] = 0."""
+    pg = [0]
+    for v in values:
+        pg.append(gcd(pg[-1], v))
+    return pg
 
-    l1 is maximized so l2 stays small; the congruence x1*l1 = w (mod x2)
-    is solved directly instead of scanning.
+
+def _two_gen_bounds(values, x1, x2, cap):
+    """Bounds (b1, b2) of the coordinates of every value over (x1, x2), or None.
+
+    Each w in `values` gets the largest-l1 solution of w = x1*l1 + x2*l2
+    with l1, l2 >= 0, so l2 stays small; the congruence x1*l1 = w (mod x2)
+    is solved with an inverse taken once per pair.  Returns None as soon as
+    a value has no solution or (b1+1)*(b2+1) exceeds `cap`; the running
+    maxima only grow, so the pair cannot fit later.  The failing value is
+    then swapped to the front of the list `values`, so the next pair tests
+    it first; the order of `values` does not change any result.
     """
-    if w == 0:
-        return (0, 0)
     g = gcd(x1, x2)
-    if w % g:
-        return None
     m = x2 // g
-    # base solution of (x1/g)*l1 = (w/g) (mod m)
-    base = ((w // g) * pow(x1 // g, -1, m)) % m if m > 1 else 0
-    top = w // x1
-    if top < base:
-        return None
-    l1 = base + ((top - base) // m) * m
-    l2, rem = divmod(w - x1 * l1, x2)
-    if rem:
-        return None
-    return (l1, l2)
-
-
-def _solve_all_two_gen(values, x1, x2):
-    """Coordinates of every value over (x1, x2), or None on first failure."""
-    coords = []
-    for w in values:
-        c = _solve_two_gen(w, x1, x2)
-        if c is None:
-            return None
-        coords.append(c)
-    return coords
+    inv = pow(x1 // g, -1, m)
+    b1 = b2 = 0
+    for i, w in enumerate(values):
+        if w % g:
+            break
+        base = w // g * inv % m
+        top = w // x1
+        if top < base:
+            break
+        l1 = top - (top - base) % m
+        l2 = (w - x1 * l1) // x2
+        if l1 > b1 or l2 > b2:
+            b1 = max(b1, l1)
+            b2 = max(b2, l2)
+            if (b1 + 1) * (b2 + 1) > cap:
+                break
+    else:
+        return b1, b2
+    values[0], values[i] = values[i], values[0]
+    return None
 
 
 def gap_cover_search(a, max_dim=3, volume_budget=DEFAULT_ENUM_BUDGET):
@@ -220,6 +235,25 @@ def gap_cover_search(a, max_dim=3, volume_budget=DEFAULT_ENUM_BUDGET):
     translation is folded in as an extra dimension with generator min(a)
     and bound 1, so downstream encoding stays uniform.  Deterministic for
     a fixed budget and candidate order.
+
+    Three prunings make a rejected candidate cheap without changing which
+    candidates are visited, in which order, or which cover is accepted:
+
+    - Divisibility: a value w < x1 has l1 = 0 in every solution, so x2
+      must divide w.  x2 is skipped unless it divides the gcd of the values
+      below x1 (taken from prefix gcds, so x2 > that gcd is skipped too).
+      The 3-dim search applies the same rule to x3 and the residues
+      w mod x1 below x2.
+    - Budget: the volume is the extra (translation) volume times
+      (b1+1)(b2+1) (times (b3+1) for d=3), and the running maxima only
+      grow as values are solved, so a pair is dropped as soon as that
+      product passes the budget; it would fail the final budget test.
+      In the 3-dim search b1 = max(a) // x1 is known before any residue
+      is solved, and an x1 whose b1 alone passes the budget is skipped.
+    - Hoisting: gcd(x1, x2) and the modular inverse are taken once per
+      pair, and the value that rejected the previous pair is tried first.
+      Neither changes any coordinate, and the maxima do not depend on the
+      order of the values.
     """
     if not 1 <= max_dim <= 3:
         raise ValueError("max_dim must be in [1, 3]")
@@ -255,37 +289,48 @@ def gap_cover_search(a, max_dim=3, volume_budget=DEFAULT_ENUM_BUDGET):
         for db in cands[i + 1:40]:
             small.add(gcd(da, db))
     small = sorted(small)
+    # each extra (translation) dimension has bound 1, so its volume is 2
     if max_dim >= 2:
         for values, extra in variants:
+            cap = volume_budget // 2 ** len(extra)
+            pg = _prefix_gcds(values)
+            work = list(values)
             for x1 in reversed(cands):
-                for x2 in small:
-                    if x2 >= x1:
-                        break
-                    coords = _solve_all_two_gen(values, x1, x2)
-                    if coords is None:
+                below = pg[bisect_left(values, x1)]
+                hi = min(x1, below + 1) if below else x1
+                for x2 in small[:bisect_left(small, hi)]:
+                    if below % x2:
                         continue
-                    b1 = max(c[0] for c in coords)
-                    b2 = max(c[1] for c in coords)
-                    gap = assemble_with(extra, [(x1, b1), (x2, b2)])
+                    bounds = _two_gen_bounds(work, x1, x2, cap)
+                    if bounds is None:
+                        continue
+                    gap = assemble_with(extra, [(x1, bounds[0]), (x2, bounds[1])])
                     if gap is not None:
                         return gap
     if max_dim >= 3:
         for values, extra in variants:
             for x1 in reversed(cands[-200:]):
-                resid = [(w % x1, w // x1) for w in values]
+                b1 = values[-1] // x1
+                cap = volume_budget // (2 ** len(extra) * (b1 + 1))
+                if not cap:
+                    continue
+                resid = sorted({w % x1 for w in values})
+                pg = _prefix_gcds(resid)
+                work = list(resid)
                 for x2 in reversed(small[-24:]):
                     if x2 >= x1:
                         continue
+                    below = pg[bisect_left(resid, x2)]
                     for x3 in small[:24]:
                         if x3 >= x2:
                             break
-                        coords = _solve_all_two_gen([r for r, _ in resid], x2, x3)
-                        if coords is None:
+                        if below % x3:
                             continue
-                        b1 = max(t for _, t in resid)
-                        b2 = max(c[0] for c in coords)
-                        b3 = max(c[1] for c in coords)
-                        gap = assemble_with(extra, [(x1, b1), (x2, b2), (x3, b3)])
+                        bounds = _two_gen_bounds(work, x2, x3, cap)
+                        if bounds is None:
+                            continue
+                        gap = assemble_with(
+                            extra, [(x1, b1), (x2, bounds[0]), (x3, bounds[1])])
                         if gap is not None:
                             return gap
     raise NoCoverFound(

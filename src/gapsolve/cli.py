@@ -1,7 +1,8 @@
 """Command-line front end: gen / solve / verify / analyze.
 
-Exit codes: 0 ok, 1 parse error, 2 no GAP cover found, 3 infeasible
-instance, 4 verification mismatch.
+Exit codes: 0 ok, 1 parse error or a given GAP that misses a weight, 2 no
+GAP cover found, 3 infeasible instance, 4 verification mismatch, 5
+internal fault (an invariant check failed).
 """
 
 import argparse
@@ -9,21 +10,18 @@ import json
 import sys
 import time
 from dataclasses import replace
+from fractions import Fraction
 
-from .additive import (
-    DEFAULT_ENUM_BUDGET,
-    doubling_constant,
-    gap_cover_search,
-    hfold,
-    sumset,
-)
+from .additive import DEFAULT_ENUM_BUDGET, gap_cover_search, sumset
 from .encoding import DEFAULT_PERM_BUDGET, enlarge, value_rank
 from .errors import (
     BudgetExceeded,
     Disconnected,
     GapsolveError,
     InfeasibleInstance,
+    InvariantViolated,
     NoCoverFound,
+    NotCovered,
     ParseError,
     TooLarge,
 )
@@ -224,12 +222,14 @@ def cmd_verify(args):
 def cmd_analyze(args):
     inst, _ = _read_instance(args.path)
     a = inst.weights
-    aa = sumset(a, a)
+    folds = [a]  # folds[h - 1] is hA = (h-1)A + A
+    for _ in range(3):
+        folds.append(sumset(folds[-1], a))
     print(f"|A|        {len(a)}")
-    print(f"|A+A|      {len(aa)}")
-    print(f"C(A)       {doubling_constant(a)}")
-    for h in range(1, 5):
-        print(f"|{h}A|{' ' * (7 - len(str(h)))}{len(hfold(a, h))}")
+    print(f"|A+A|      {len(folds[1])}")
+    print(f"C(A)       {Fraction(len(folds[1]), len(a))}")
+    for h, ha in enumerate(folds, 1):
+        print(f"|{h}A|{' ' * (7 - len(str(h)))}{len(ha)}")
     gap = inst.gap
     if gap is None:
         try:
@@ -309,9 +309,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:  # a malformed --gap value
+    except (ParseError, NotCovered) as exc:  # a bad --gap or in-file GAP
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InvariantViolated as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 5
     except GapsolveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -417,6 +417,12 @@ def _selfconv_support(seq, bound, budget):
     FFT, padded to 2^a * 3^b lengths so no wrap-around occurs.  Counts are
     at most n and the float64 rounding error of the transform is far below
     0.5 at any size the budget admits, so thresholding at 0.5 is exact.
+
+    `budget` caps the slots of the padded grid, checked before anything is
+    allocated.  Peak memory is about 21 bytes per padded slot (the
+    complex128 spectra and the float64 inverse; 17-21 bytes measured with
+    tracemalloc at n = 600..4096, bound = 256..2000), so the default 5*10^7
+    slots allow about 1 GB.
     """
     import numpy as np
 
@@ -424,10 +430,11 @@ def _selfconv_support(seq, bound, budget):
     if any(not 0 <= v < bound for v in seq):
         raise BoundExceeded("encoded value outside [0, bound)")
     block = 2 * bound
-    if n * block > budget:
-        raise BoundExceeded(f"dense vector of {n * block} slots exceeds budget")
     rows, cols = 2 * n - 1, 2 * bound - 1
     shape = (_fft_len(rows), _fft_len(cols))
+    if shape[0] * shape[1] > budget:
+        raise BoundExceeded(
+            f"FFT grid of {shape[0]}x{shape[1]} slots exceeds budget {budget}")
     ind = np.zeros((n, bound))
     ind[np.arange(n), seq] = 1.0
     spec = np.fft.rfft2(ind, shape)

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from gapsolve import (
     hfold,
     sumset,
 )
+from gapsolve.additive import _candidate_diffs
 from gapsolve.errors import BudgetExceeded, NoCoverFound, NotCovered
 
 weight_sets = st.sets(st.integers(0, 200), min_size=1, max_size=12).map(WeightSet.of)
@@ -179,3 +182,156 @@ def test_gap_invariants():
         Gap((0,), (3,))
     with pytest.raises(ValueError):
         Gap((1,), (-1,))
+
+
+# Reference for gap_cover_search: the unpruned search, which solves every
+# candidate pair in full and leaves the budget test to the end.  The pruned
+# search must visit the same candidates in the same order and so return the
+# same cover, or raise NoCoverFound on the same inputs.
+
+def _ref_solve_two_gen(w, x1, x2):
+    if w == 0:
+        return (0, 0)
+    g = gcd(x1, x2)
+    if w % g:
+        return None
+    m = x2 // g
+    # base solution of (x1/g)*l1 = (w/g) (mod m)
+    base = ((w // g) * pow(x1 // g, -1, m)) % m if m > 1 else 0
+    top = w // x1
+    if top < base:
+        return None
+    l1 = base + ((top - base) // m) * m
+    l2, rem = divmod(w - x1 * l1, x2)
+    if rem:
+        return None
+    return (l1, l2)
+
+
+def _ref_solve_all_two_gen(values, x1, x2):
+    coords = []
+    for w in values:
+        c = _ref_solve_two_gen(w, x1, x2)
+        if c is None:
+            return None
+        coords.append(c)
+    return coords
+
+
+def _ref_gap_cover_search(a, max_dim=3, volume_budget=10**7):
+    if not 1 <= max_dim <= 3:
+        raise ValueError("max_dim must be in [1, 3]")
+    lo = a.elements[0]
+    shifted = [e - lo for e in a.elements]
+    offset = [(lo, 1)] if lo > 0 else []
+
+    def assemble_with(extra, core):
+        dims = extra + [d for d in core if d[1] > 0]
+        if not dims:
+            dims = [(1, 0)]
+        gap = Gap(tuple(g for g, _ in dims), tuple(b for _, b in dims))
+        return gap if gap.volume <= volume_budget else None
+
+    # d = 1: GCD of differences anchored at min(a)
+    g = 0
+    for e in shifted:
+        g = gcd(g, e)
+    core = [] if g == 0 else [(g, shifted[-1] // g)]
+    gap = assemble_with(offset, core)
+    if gap is not None:
+        return gap
+
+    variants = [(list(a.elements), [])] if lo == 0 else \
+        [(list(a.elements), []), (shifted, offset)]
+    cands = _candidate_diffs(shifted)
+    small = set(cands[:64])
+    for i, da in enumerate(cands[:40]):
+        for db in cands[i + 1:40]:
+            small.add(gcd(da, db))
+    small = sorted(small)
+    if max_dim >= 2:
+        for values, extra in variants:
+            for x1 in reversed(cands):
+                for x2 in small:
+                    if x2 >= x1:
+                        break
+                    coords = _ref_solve_all_two_gen(values, x1, x2)
+                    if coords is None:
+                        continue
+                    b1 = max(c[0] for c in coords)
+                    b2 = max(c[1] for c in coords)
+                    gap = assemble_with(extra, [(x1, b1), (x2, b2)])
+                    if gap is not None:
+                        return gap
+    if max_dim >= 3:
+        for values, extra in variants:
+            for x1 in reversed(cands[-200:]):
+                resid = [(w % x1, w // x1) for w in values]
+                for x2 in reversed(small[-24:]):
+                    if x2 >= x1:
+                        continue
+                    for x3 in small[:24]:
+                        if x3 >= x2:
+                            break
+                        coords = _ref_solve_all_two_gen([r for r, _ in resid], x2, x3)
+                        if coords is None:
+                            continue
+                        b1 = max(t for _, t in resid)
+                        b2 = max(c[0] for c in coords)
+                        b3 = max(c[1] for c in coords)
+                        gap = assemble_with(extra, [(x1, b1), (x2, b2), (x3, b3)])
+                        if gap is not None:
+                            return gap
+    raise NoCoverFound(
+        f"no GAP of dimension <= {max_dim} with volume <= {volume_budget} found"
+    )
+
+
+def _points(gens, bounds):
+    return sorted({sum(x * l for x, l in zip(gens, t))
+                   for t in product(*(range(b + 1) for b in bounds))})
+
+
+def _search_outcome(search, a, max_dim=3, volume_budget=10**7):
+    try:
+        return search(a, max_dim, volume_budget)
+    except NoCoverFound:
+        return NoCoverFound
+
+
+def test_cover_search_equals_unpruned_reference():
+    rng = random.Random(404)
+    budgets = (10**2, 10**4, 10**7)
+    seen = set()
+    for i in range(324):
+        d, max_dim, budget = 1 + i % 3, 1 + i // 3 % 3, budgets[i // 9 % 3]
+        gens = [rng.randint(1, 2 ** rng.choice((3, 8, 20, 40, 64))) for _ in range(d)]
+        pts = _points(gens, [rng.randint(0, 6) for _ in range(d)])
+        shift = rng.choice((0, 0, rng.randint(1, 2 ** rng.choice((10, 40, 70)))))
+        a = WeightSet.of(shift + p for p in rng.sample(pts, rng.randint(1, min(len(pts), 12))))
+        want = _search_outcome(_ref_gap_cover_search, a, max_dim, budget)
+        seen.add(want if want is NoCoverFound else want.dim)
+        # a found cover's own volume, and one less, are budgets at the edge
+        edge = [] if want is NoCoverFound else [want.volume, want.volume - 1]
+        for b in edge:
+            want_b = _search_outcome(_ref_gap_cover_search, a, max_dim, b)
+            assert _search_outcome(gap_cover_search, a, max_dim, b) == want_b, \
+                (a, max_dim, b)
+        assert _search_outcome(gap_cover_search, a, max_dim, budget) == want, \
+            (a, max_dim, budget)
+    assert seen == {NoCoverFound, 1, 2, 3, 4}
+
+
+def test_cover_search_planted_two_dim_675_points():
+    planted = Gap((10**9 + 7, 1000003), (26, 24))
+    a = WeightSet.of(_points(planted.generators, planted.bounds))
+    assert len(a) == 675
+    assert gap_cover_search(a) == planted == _ref_gap_cover_search(a)
+
+
+def test_cover_search_planted_three_dim_sample_fails():
+    pts = _points((10**9 + 7, 1000003, 13), (8, 8, 8))
+    a = WeightSet.of(random.Random("3-dim").sample(pts, 91))
+    for search in (gap_cover_search, _ref_gap_cover_search):
+        with pytest.raises(NoCoverFound):
+            search(a)

@@ -105,13 +105,49 @@ def test_verify_file_uses_gap_flag(tmp_path, capsys):
     assert code == 0 and out.startswith("PASS")
     # a cover that misses the weights is used, and fails
     code, _, err = run(["verify", str(path), "--gap", "d=1 x=5 L=3"], capsys)
-    assert code == 2 and "not covered" in err
+    assert code == 1 and "not covered" in err
 
 
 def test_verify_without_file_or_sweep_exit_1(capsys):
     code, out, err = run(["verify"], capsys)
     assert code == 1
     assert err.startswith("error: ") and out == ""
+
+
+SEVENS = ("problem\nkind tsp\nn 4\nedges\n"
+          "0 1 7\n0 2 14\n0 3 21\n1 2 28\n1 3 35\n2 3 42\n")
+
+
+def test_given_gap_missing_a_weight_exit_1(tmp_path, capsys):
+    # weights 7, 14, ..., 42; L=5 leaves out 42 alone
+    bare = tmp_path / "bare.txt"
+    bare.write_text(SEVENS)
+    in_file = tmp_path / "in_file.txt"
+    in_file.write_text(SEVENS + "gap\n1\n7\n5\n")
+    for argv in (["solve", str(bare), "--gap", "d=1 x=7 L=5"],
+                 ["verify", str(bare), "--gap", "d=1 x=7 L=5"],
+                 ["solve", str(in_file)]):
+        code, out, err = run(argv, capsys)
+        assert code == 1, argv
+        assert err == "error: weight 42 is not covered by the GAP\n" and out == ""
+
+
+def test_invariant_violated_exit_5(tmp_path, capsys, monkeypatch):
+    import gapsolve.solvers as solvers
+
+    path = tmp_path / "clique.txt"
+    run(["gen", "ewclique", "--n", "6", "--gap", "d=1 x=3 L=9", "--k", "3",
+         "--seed", "1", "-o", str(path)], capsys)
+    build = solvers.build_auxiliary_graph
+
+    def odd_edges(*args):
+        nodes, internal, hedges = build(*args)
+        return nodes, internal, {ij: w + 1 for ij, w in hedges.items()}
+
+    monkeypatch.setattr(solvers, "build_auxiliary_graph", odd_edges)
+    code, out, err = run(["solve", str(path)], capsys)
+    assert code == 5
+    assert err.startswith("internal error: triangle weight") and out == ""
 
 
 def test_solve_no_cover_exit_2(tmp_path, capsys):

@@ -304,6 +304,14 @@ def test_minplus_bound_errors():
         minplus_selfconv([1] * 100, 10**7, budget=10**6)
 
 
+def test_minplus_budget_counts_padded_grid():
+    # 3 * 2 * 5 = 30 slots fit a budget of 40, but the FFT grid is padded to
+    # _fft_len(5) * _fft_len(9) = 6 * 9 = 54 slots
+    with pytest.raises(BoundExceeded):
+        minplus_selfconv([0, 1, 4], 5, budget=40)
+    assert minplus_selfconv([0, 1, 4], 5, budget=54) == [[0], [1], [2, 4], [5], [8]]
+
+
 def test_minplus_attainable_sets():
     out = minplus_selfconv([1, 3], 8)
     assert out == [[2], [4], [6]]

@@ -28,7 +28,7 @@ from .encoding import (
 )
 from .instances import generate_instance
 from .meta import MetaResult, run_meta
-from .poly import SolutionPolynomial, poly_add, poly_mul, select_optimum
+from .poly import SolutionPolynomial, select_optimum
 from .solvers import (
     SOLVER_SPECS,
     ProblemInstance,
@@ -68,8 +68,6 @@ __all__ = [
     "maxcut_algebraic",
     "minplus_selfconv",
     "minplus_selfconv_min",
-    "poly_add",
-    "poly_mul",
     "run_meta",
     "select_optimum",
     "steiner_algebraic",

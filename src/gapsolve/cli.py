@@ -1,8 +1,13 @@
 """Command-line front end: gen / solve / verify / analyze.
 
-Exit codes: 0 ok, 1 parse error or a given GAP that misses a weight, 2 no
-GAP cover found, 3 infeasible instance, 4 verification mismatch, 5
-internal fault (an invariant check failed).
+Exit codes (`EXIT_CODES` maps each error to its code):
+  0  ok
+  1  bad input: a malformed file, flag or --gap, a given GAP that misses a
+     weight, or an ewclique k not divisible by 3
+  2  no usable cover: none found, or the encoded range exceeds a budget
+  3  infeasible instance
+  4  verification mismatch
+  5  internal fault: an invariant check failed
 """
 
 import argparse
@@ -12,14 +17,15 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 
-from .additive import DEFAULT_ENUM_BUDGET, gap_cover_search, sumset
+from .additive import DEFAULT_ENUM_BUDGET, doubling_constant, gap_cover_search, sumset
 from .encoding import DEFAULT_PERM_BUDGET, enlarge, value_rank
 from .errors import (
+    BoundExceeded,
     BudgetExceeded,
     Disconnected,
     GapsolveError,
     InfeasibleInstance,
-    InvariantViolated,
+    KNotDivisibleBy3,
     NoCoverFound,
     NotCovered,
     ParseError,
@@ -32,9 +38,17 @@ from .instances import (
     serialize_instance,
 )
 from .meta import run_meta
-from .oracle import clique_bf, maxcut_bf, minplus_naive, steiner_bf, tsp_bf
+from .solvers import SOLVER_SPECS
 
 SCHEMA_VERSION = 1
+# (errors, exit code, message prefix); the first row that matches wins, and
+# the last row catches every other GapsolveError
+EXIT_CODES = (
+    ((ParseError, NotCovered, KNotDivisibleBy3), 1, "error"),
+    ((NoCoverFound, BudgetExceeded, BoundExceeded, TooLarge), 2, "error"),
+    ((InfeasibleInstance, Disconnected), 3, "infeasible"),
+    ((GapsolveError,), 5, "internal error"),
+)
 
 
 def _read_instance(path):
@@ -47,15 +61,10 @@ def _read_instance(path):
 
 
 def cmd_gen(args):
-    gap = parse_gap_spec(args.gap)
-    try:
-        inst = generate_instance(
-            args.kind, args.n, gap, args.seed, density=args.density,
-            k=args.k, n_terminals=args.terminals,
-        )
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    inst = generate_instance(
+        args.kind, args.n, parse_gap_spec(args.gap), args.seed,
+        density=args.density, k=args.k, n_terminals=args.terminals,
+    )
     text = serialize_instance(inst, seed=args.seed)
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
@@ -66,22 +75,7 @@ def cmd_gen(args):
 
 
 def _solve(inst, args):
-    return run_meta(
-        inst,
-        modulus=_pick_modulus(args),
-        max_dim=args.max_dim,
-        volume_budget=args.volume_budget,
-    )
-
-
-def _pick_modulus(args):
-    if not getattr(args, "modular", False):
-        return None
-    import random
-
-    import sympy
-
-    return sympy.nextprime(random.Random(args.seed).getrandbits(62))
+    return run_meta(inst, max_dim=args.max_dim, volume_budget=args.volume_budget)
 
 
 def _rank_fields(res, args):
@@ -109,7 +103,7 @@ def _report(inst, res, args, t0):
             "bounds": list(res.gap_used.bounds),
         },
         "lambda": res.lam,
-        "doubling_constant": str(res.stats["doubling_constant"]),
+        "doubling_constant": str(doubling_constant(inst.weights)),
         "encoded_range_bound": res.stats["encoded_range_bound"],
         "wall_time": time.perf_counter() - t0,
     }
@@ -143,28 +137,8 @@ def _file_instance(args):
 def cmd_solve(args):
     t0 = time.perf_counter()
     inst = _file_instance(args)
-    try:
-        res = _solve(inst, args)
-    except NoCoverFound as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InfeasibleInstance, Disconnected) as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 3
-    _report(inst, res, args, t0)
+    _report(inst, _solve(inst, args), args, t0)
     return 0
-
-
-def _oracle_optimum(inst):
-    if inst.kind == "tsp":
-        return tsp_bf(inst).optimum
-    if inst.kind == "maxcut":
-        return maxcut_bf(inst).optimum
-    if inst.kind == "ewclique":
-        return clique_bf(inst, inst.k).optimum
-    if inst.kind == "steiner":
-        return steiner_bf(inst).optimum
-    return minplus_naive(list(inst.sequence))
 
 
 def _verify_one(inst, args):
@@ -176,7 +150,7 @@ def _verify_one(inst, args):
     except (InfeasibleInstance, Disconnected):
         meta_ok = False
     try:
-        oracle_opt = _oracle_optimum(inst)
+        oracle_opt = SOLVER_SPECS[inst.kind].oracle(inst)
         oracle_ok = True
     except (InfeasibleInstance, Disconnected):
         oracle_ok = False
@@ -209,12 +183,7 @@ def cmd_verify(args):
     if args.path is None:
         print("error: verify needs an instance file or --sweep", file=sys.stderr)
         return 1
-    inst = _file_instance(args)
-    try:
-        status, msg = _verify_one(inst, args)
-    except (TooLarge, NoCoverFound) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    status, msg = _verify_one(_file_instance(args), args)
     print(f"{status.upper()}: {msg}")
     return 4 if status == "fail" else 0
 
@@ -250,9 +219,6 @@ def _add_common_solve_flags(p):
     p.add_argument("--max-dim", type=int, default=3)
     p.add_argument("--volume-budget", type=int, default=DEFAULT_ENUM_BUDGET)
     p.add_argument("--perm-budget", type=int, default=DEFAULT_PERM_BUDGET)
-    p.add_argument("--modular", action="store_true",
-                   help="modular coefficient mode (random 62-bit prime)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
 
 
@@ -272,7 +238,7 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a deterministic instance")
-    p.add_argument("kind", choices=["tsp", "maxcut", "ewclique", "steiner", "minplusconv"])
+    p.add_argument("kind", choices=SOLVER_SPECS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--gap", required=True)
     p.add_argument("--density", type=float, default=1.0)
@@ -291,8 +257,8 @@ def main(argv=None):
     p.add_argument("path", nargs="?")
     p.add_argument("--sweep", type=int, default=0, metavar="N",
                    help="generate and verify N random instances")
-    p.add_argument("--kind", default="tsp",
-                   choices=["tsp", "maxcut", "ewclique", "steiner", "minplusconv"])
+    p.add_argument("--kind", default="tsp", choices=SOLVER_SPECS)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--density", type=float, default=1.0)
     p.add_argument("--k", type=int, default=3)
@@ -309,15 +275,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, NotCovered) as exc:  # a bad --gap or in-file GAP
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except InvariantViolated as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 5
     except GapsolveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        _, code, prefix = next(row for row in EXIT_CODES if isinstance(exc, row[0]))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -33,10 +33,6 @@ class OutOfRange(GapsolveError):
     """An encoded value lies outside the encodable range."""
 
 
-class ModeMismatch(GapsolveError):
-    """Polynomial operands use different coefficient modes."""
-
-
 class EmptyPolynomial(GapsolveError):
     """No feasible solution: the solution polynomial has no terms."""
 

@@ -11,23 +11,11 @@ hypothesis only controls how small the encoded range stays.
 import time
 from dataclasses import dataclass, field
 
-from .additive import (
-    DEFAULT_ENUM_BUDGET,
-    doubling_constant,
-    gap_cover_search,
-    get_gap_coordinates,
-)
+from .additive import DEFAULT_ENUM_BUDGET, gap_cover_search, get_gap_coordinates
 from .encoding import kappa, kappa_inv, true_value, enlarge
 from .errors import EmptyPolynomial, InfeasibleInstance, InvariantViolated
 from .poly import select_optimum
-from .solvers import (
-    SOLVER_SPECS,
-    ewclique_algebraic,
-    maxcut_algebraic,
-    minplus_selfconv_min,
-    steiner_algebraic,
-    tsp_algebraic,
-)
+from .solvers import SOLVER_SPECS
 
 
 @dataclass
@@ -48,7 +36,7 @@ def _check_exponents(exponents, egap):
             raise InvariantViolated(f"exponent {e} escapes encoded range [0, {bound})")
 
 
-def run_meta(inst, *, modulus=None, max_dim=3,
+def run_meta(inst, *, max_dim=3,
              volume_budget=DEFAULT_ENUM_BUDGET, enum_budget=DEFAULT_ENUM_BUDGET):
     """Run the full pipeline on one instance and return a MetaResult.
 
@@ -73,33 +61,21 @@ def run_meta(inst, *, modulus=None, max_dim=3,
 
     stats = {
         "weight_count": len(weights),
-        "doubling_constant": doubling_constant(weights),
         "gap_volume": gap.volume,
         "encoded_range_bound": gprime_bound,
         "lambda": lam,
     }
 
-    if inst.kind == "minplusconv":
-        encoded_seq = [enc[v] for v in inst.sequence]
-        mins = minplus_selfconv_min(encoded_seq, gprime_bound,
-                                    key=lambda e: true_value(egap, e))
+    if inst.kind == "minplusconv":  # its solver returns each index's minimum
+        mins = spec.solve(inst, enc, egap)
         _check_exponents(mins, egap)
-        decoded = [true_value(egap, e) for e in mins]
-        stats["sequence"] = decoded
+        stats["sequence"] = [true_value(egap, e) for e in mins]
         stats["wall_time"] = time.perf_counter() - t0
         best = min(mins, key=lambda e: (true_value(egap, e), e))
         return MetaResult(true_value(egap, best), best,
                           tuple(kappa_inv(egap, best)), gap, lam, stats)
 
-    if inst.kind == "tsp":
-        poly = tsp_algebraic(inst, enc, modulus)
-    elif inst.kind == "maxcut":
-        poly = maxcut_algebraic(inst, enc, modulus)
-    elif inst.kind == "ewclique":
-        poly = ewclique_algebraic(inst, enc, inst.k, modulus)
-    else:
-        poly = steiner_algebraic(inst, enc, lambda e: true_value(egap, e), modulus)
-
+    poly = spec.solve(inst, enc, egap)
     _check_exponents(poly.terms, egap)
     try:
         best = select_optimum(poly, egap, spec.sense)
@@ -115,8 +91,6 @@ def run_meta(inst, *, modulus=None, max_dim=3,
     count = None  # unless the solver's coefficients count the optima
     if spec.counts:
         count = sum(c for e, c in poly.terms.items() if true_value(egap, e) == optimum)
-        if modulus is not None:
-            count %= modulus
     stats["optimal_count"] = count
     stats["wall_time"] = time.perf_counter() - t0
     return MetaResult(optimum, best, tuple(coords_opt), gap, lam, stats)

@@ -11,9 +11,9 @@ the lambda-enlarged GAP bounds of its problem:
   Steiner    lambda = n - 1    (a tree has fewer than n edges)
   MinPlus    lambda = 2        (sums of two sequence entries)
 
-Solution multiplicities are normalized so exact coefficients are checkable
-against brute force: each undirected tour, each bipartition, and each
-k-clique counts once.
+Coefficients are exact integers, normalized so they are checkable against
+brute force: each undirected tour, each bipartition, and each k-clique
+counts once.  SOLVER_SPECS is the one table of the supported kinds.
 """
 
 import heapq
@@ -22,10 +22,10 @@ from itertools import combinations
 from math import comb
 
 from .additive import Gap, WeightSet
+from .encoding import true_value
 from .errors import BoundExceeded, Disconnected, InvariantViolated, KNotDivisibleBy3
+from .oracle import clique_bf, maxcut_bf, minplus_naive, steiner_bf, tsp_bf
 from .poly import SolutionPolynomial
-
-KINDS = ("tsp", "maxcut", "ewclique", "steiner", "minplusconv")
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class ProblemInstance:
     gap: Gap = None  # optional user-supplied cover
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in SOLVER_SPECS:
             raise ValueError(f"unknown kind {self.kind!r}")
         seen = set()
         for u, v, w in self.edges:
@@ -73,40 +73,50 @@ class ProblemInstance:
 
 @dataclass(frozen=True)
 class SolverSpec:
-    """Optimization sense and lambda bound for one problem kind.
+    """Everything the pipeline needs to know about one problem kind.
 
-    `counts` is False where the solver keeps one optimal solution, so its
-    polynomial's coefficients do not count the optima.
+    `solve(inst, enc, egap)` runs the kind's solver on encoded weights and
+    returns its solution polynomial; for min-plus it returns the per-index
+    minimum encodings instead.  `oracle(inst)` returns the brute-force
+    optimum (the min-plus sequence).  `counts` is False where the solver
+    keeps one optimal solution, so its polynomial's coefficients do not
+    count the optima.  Both callables look the public functions up by name
+    when called, so a wrapper installed in this module's globals sees
+    every call.
     """
 
-    kind: str
     sense: str
     lambda_bound: callable = field(repr=False)
+    solve: callable = field(repr=False)
+    oracle: callable = field(repr=False)
     counts: bool = True
 
 
-def _lambda_tsp(inst):
-    return inst.n
-
-
-def _lambda_maxcut(inst):
-    return max(1, len(inst.edges))
-
-
-def _lambda_ewclique(inst):
-    return max(1, 2 * comb(inst.k, 2))
-
-
-def _lambda_steiner(inst):
-    return max(1, inst.n - 1)
-
-
 SOLVER_SPECS = {
-    "tsp": SolverSpec("tsp", "min", _lambda_tsp),
-    "maxcut": SolverSpec("maxcut", "max", _lambda_maxcut),
-    "ewclique": SolverSpec("ewclique", "max", _lambda_ewclique),
-    "steiner": SolverSpec("steiner", "min", _lambda_steiner, counts=False),
-    "minplusconv": SolverSpec("minplusconv", "min", lambda inst: 2),
+    "tsp": SolverSpec(
+        "min", lambda inst: inst.n,
+        lambda inst, enc, egap: tsp_algebraic(inst, enc),
+        lambda inst: tsp_bf(inst).optimum),
+    "maxcut": SolverSpec(
+        "max", lambda inst: max(1, len(inst.edges)),
+        lambda inst, enc, egap: maxcut_algebraic(inst, enc),
+        lambda inst: maxcut_bf(inst).optimum),
+    "ewclique": SolverSpec(
+        "max", lambda inst: max(1, 2 * comb(inst.k, 2)),
+        lambda inst, enc, egap: ewclique_algebraic(inst, enc, inst.k),
+        lambda inst: clique_bf(inst, inst.k).optimum),
+    "steiner": SolverSpec(
+        "min", lambda inst: max(1, inst.n - 1),
+        lambda inst, enc, egap: steiner_algebraic(
+            inst, enc, lambda e: true_value(egap, e)),
+        lambda inst: steiner_bf(inst).optimum,
+        counts=False),
+    "minplusconv": SolverSpec(
+        "min", lambda inst: 2,
+        lambda inst, enc, egap: minplus_selfconv_min(
+            [enc[v] for v in inst.sequence], egap.range_bound,
+            key=lambda e: true_value(egap, e)),
+        lambda inst: minplus_naive(list(inst.sequence))),
 }
 
 
@@ -119,7 +129,7 @@ def _encoded_edges(inst, enc):
     return adj
 
 
-def tsp_algebraic(inst, enc, modulus=None):
+def tsp_algebraic(inst, enc):
     """Held-Karp subset DP with polynomial-valued cells.
 
     dp[mask][v] is the generating function of simple paths from vertex 0
@@ -130,7 +140,7 @@ def tsp_algebraic(inst, enc, modulus=None):
     """
     n = inst.n
     if n < 3:
-        return SolutionPolynomial.zero(modulus)
+        return SolutionPolynomial.zero()
     adj = _encoded_edges(inst, enc)
     full = (1 << n) - 1
     dp = {1 | (1 << v): {v: {adj[0][v]: 1}} for v in adj[0] if v != 0}
@@ -152,15 +162,10 @@ def tsp_algebraic(inst, enc, modulus=None):
             continue
         for e, c in terms.items():
             total[e + w] = total.get(e + w, 0) + c
-    if modulus is None:
-        total = {e: c // 2 for e, c in total.items()}
-    else:
-        inv2 = pow(2, -1, modulus)
-        total = {e: c * inv2 for e, c in total.items()}
-    return SolutionPolynomial(total, modulus)
+    return SolutionPolynomial({e: c // 2 for e, c in total.items()})
 
 
-def maxcut_algebraic(inst, enc, modulus=None):
+def maxcut_algebraic(inst, enc):
     """Split-and-list over a 3-way vertex partition.
 
     Vertices split into V1, V2, V3 of size <= ceil(n/3); per-part internal
@@ -170,7 +175,7 @@ def maxcut_algebraic(inst, enc, modulus=None):
     """
     n = inst.n
     if n == 0:
-        return SolutionPolynomial.monomial(0, 1, modulus)
+        return SolutionPolynomial.monomial(0)
     size = -(-n // 3)
     parts = [list(range(0, min(size, n))),
              list(range(size, min(2 * size, n))),
@@ -226,7 +231,7 @@ def maxcut_algebraic(inst, enc, modulus=None):
             for s2 in subs[2]:
                 e = base01 + int_w[2][s2] + t12[(s1, s2)] + t02[(s0, s2)]
                 terms[e] = terms.get(e, 0) + 1
-    return SolutionPolynomial(terms, modulus)
+    return SolutionPolynomial(terms)
 
 
 def build_auxiliary_graph(inst, enc, k):
@@ -278,7 +283,7 @@ def build_auxiliary_graph(inst, enc, k):
     return nodes, internal, hedges
 
 
-def ewclique_algebraic(inst, enc, k, modulus=None):
+def ewclique_algebraic(inst, enc, k):
     """Maximum-weight k-clique via minimum/maximum triangles in H.
 
     Enumerates all triangles of the auxiliary graph; each triangle's weight
@@ -304,16 +309,12 @@ def ewclique_algebraic(inst, enc, k, modulus=None):
             terms[e] = terms.get(e, 0) + 1
     kk = k // 3
     per_clique = comb(k, kk) * comb(k - kk, kk) // 6
-    if modulus is None:
-        for e in terms:
-            if terms[e] % per_clique:
-                raise InvariantViolated(
-                    f"{terms[e]} triangles at exponent {e} are not a multiple of {per_clique}")
-            terms[e] //= per_clique
-    else:
-        inv = pow(per_clique, -1, modulus)
-        terms = {e: c * inv for e, c in terms.items()}
-    return SolutionPolynomial(terms, modulus)
+    for e in terms:
+        if terms[e] % per_clique:
+            raise InvariantViolated(
+                f"{terms[e]} triangles at exponent {e} are not a multiple of {per_clique}")
+        terms[e] //= per_clique
+    return SolutionPolynomial(terms)
 
 
 def _encoded_dijkstra(n, adj, tv_of, src):
@@ -339,7 +340,7 @@ def _encoded_dijkstra(n, adj, tv_of, src):
     return dist
 
 
-def steiner_algebraic(inst, enc, tv, modulus=None):
+def steiner_algebraic(inst, enc, tv):
     """Dreyfus-Wagner DP over (terminal subset, root) with encoded weights.
 
     States hold the minimum (true value, encoding) pair; the returned
@@ -393,7 +394,7 @@ def steiner_algebraic(inst, enc, tv, modulus=None):
     ans = dp[full][terms[0]] if full else (0, 0)
     if ans is None:
         raise Disconnected("no connecting tree")
-    return SolutionPolynomial.monomial(ans[1], 1, modulus)
+    return SolutionPolynomial.monomial(ans[1])
 
 
 def _fft_len(m):

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
-from gapsolve import build_permutation, enlarge
+from gapsolve import SOLVER_SPECS, build_permutation, enlarge
 import gapsolve.cli as cli
 
 from gapsolve.cli import main
@@ -52,16 +57,6 @@ def test_solve_text_and_json(tmp_path, capsys):
     assert report["kind"] == "tsp"
     assert report["optimum"] > 10**12
     assert "permutation_size" in report
-
-
-def test_solve_modular_flag(tmp_path, capsys):
-    path = tmp_path / "inst.txt"
-    run(GEN_ARGS + ["-o", str(path)], capsys)
-    code, out, _ = run(["solve", str(path), "--json"], capsys)
-    exact = json.loads(out)["optimum"]
-    code, out, _ = run(["solve", str(path), "--json", "--modular"], capsys)
-    assert code == 0
-    assert json.loads(out)["optimum"] == exact
 
 
 def test_solve_parse_error(tmp_path, capsys):
@@ -173,6 +168,26 @@ def test_solve_infeasible_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_solve_k_not_divisible_by_3_exit_1(tmp_path, capsys):
+    path = tmp_path / "k4.txt"
+    run(["gen", "ewclique", "--n", "6", "--gap", "d=1 x=3 L=9", "--k", "4",
+         "-o", str(path)], capsys)
+    code, out, err = run(["solve", str(path)], capsys)
+    assert code == 1
+    assert err == "error: k = 4\n" and out == ""
+
+
+def test_solve_minplus_fft_grid_over_budget_exit_2(tmp_path, capsys):
+    # two values, but a GAP bound of 9*10^6 makes the encoded range 1.8*10^7
+    # wide, so the padded FFT grid passes its 5*10^7-slot budget
+    path = tmp_path / "wide.txt"
+    path.write_text("problem\nkind minplusconv\nsequence\n0 1\n"
+                    "gap\n1\n1\n9000000\n")
+    code, out, err = run(["solve", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error: FFT grid of ") and out == ""
+
+
 def test_verify_pass_and_sweep(tmp_path, capsys):
     path = tmp_path / "inst.txt"
     run(GEN_ARGS + ["-o", str(path)], capsys)
@@ -266,10 +281,46 @@ def test_solve_wall_time_covers_parse(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [["solve", "f.txt", "--bogus"], ["frobnicate"],
-                                  ["solve"], ["gen", "tsp", "--n", "x", "--gap", "x=1 L=1"]])
+                                  ["solve"], ["gen", "tsp", "--n", "x", "--gap", "x=1 L=1"],
+                                  ["gen", "bogus", "--n", "4", "--gap", "d=1 x=3 L=5"]])
 def test_usage_error_exit_1(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert "usage: gapsolve" in err and "error: " in err
+
+
+@pytest.mark.parametrize("kind", sorted(SOLVER_SPECS))
+def test_gen_then_verify_every_kind(tmp_path, capsys, kind):
+    # a kind added to SOLVER_SPECS reaches gen and verify with no other edit;
+    # test_usage_error_exit_1 checks that an unknown kind exits 1
+    path = tmp_path / f"{kind}.txt"
+    code, _, _ = run(["gen", kind, "--n", "6", "--gap", "d=2 x=2^63,5 L=2,6",
+                      "--seed", "4", "-o", str(path)], capsys)
+    assert code == 0
+    code, out, err = run(["verify", str(path)], capsys)
+    assert code == 0 and out.startswith("PASS: "), (out, err)
+
+
+def test_verify_sweep_every_kind_under_python_O():
+    # the whole table, with every assert statement stripped
+    script = textwrap.dedent("""
+        from gapsolve.cli import main
+        from gapsolve.solvers import SOLVER_SPECS
+
+        assert False, "asserts are not stripped"
+        for kind in SOLVER_SPECS:
+            code = main(["verify", "--sweep", "2", "--kind", kind, "--n", "6",
+                         "--gap", "d=2 x=2^63,5 L=2,6", "--seed", "5"])
+            print(kind, code)
+    """)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    for kind in SOLVER_SPECS:
+        assert f"{kind} 0" in lines, out.stdout
+    assert sum("] PASS: " in ln for ln in lines) == 2 * len(SOLVER_SPECS), out.stdout

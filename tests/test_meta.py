@@ -88,7 +88,7 @@ def test_meta_stats_record_size_chain():
     res = run_meta(inst)
     lam = res.lam
     assert res.stats["encoded_range_bound"] <= lam ** gap.dim * gap.volume
-    assert res.stats["doubling_constant"] >= 1
+    assert "doubling_constant" not in res.stats  # analytics stay off the hot path
     assert res.stats["wall_time"] >= 0
 
 
@@ -98,14 +98,6 @@ def test_meta_minplus_sequence():
     res = run_meta(inst)
     assert res.stats["sequence"] == minplus_naive(list(inst.sequence))
     assert res.optimum == min(res.stats["sequence"])
-
-
-def test_meta_modular_mode_matches_exact():
-    gap = parse_gap_spec("d=1 x=5 L=8 offset=1000")
-    inst = generate_instance("tsp", 7, gap, seed=9)
-    exact = run_meta(inst)
-    modular = run_meta(inst, modulus=(1 << 61) - 1)
-    assert exact.optimum == modular.optimum
 
 
 def test_meta_steiner_end_to_end():

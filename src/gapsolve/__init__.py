@@ -28,7 +28,7 @@ from .encoding import (
 )
 from .instances import generate_instance
 from .meta import MetaResult, run_meta
-from .poly import SolutionPolynomial, select_optimum
+from .poly import select_optimum
 from .solvers import (
     SOLVER_SPECS,
     ProblemInstance,
@@ -36,7 +36,6 @@ from .solvers import (
     build_auxiliary_graph,
     ewclique_algebraic,
     maxcut_algebraic,
-    minplus_selfconv,
     minplus_selfconv_min,
     steiner_algebraic,
     tsp_algebraic,
@@ -50,7 +49,6 @@ __all__ = [
     "PermutationTable",
     "ProblemInstance",
     "SOLVER_SPECS",
-    "SolutionPolynomial",
     "SolverSpec",
     "WeightSet",
     "build_auxiliary_graph",
@@ -66,7 +64,6 @@ __all__ = [
     "kappa",
     "kappa_inv",
     "maxcut_algebraic",
-    "minplus_selfconv",
     "minplus_selfconv_min",
     "run_meta",
     "select_optimum",

@@ -2,8 +2,8 @@
 
 Exit codes (`EXIT_CODES` maps each error to its code):
   0  ok
-  1  bad input: a malformed file, flag or --gap, a given GAP that misses a
-     weight, or an ewclique k not divisible by 3
+  1  bad input: a malformed file, flag or --gap, an invalid instance, a
+     given GAP that misses a weight, or an ewclique k not divisible by 3
   2  no usable cover: none found, or the encoded range exceeds a budget
   3  infeasible instance
   4  verification mismatch
@@ -25,6 +25,7 @@ from .errors import (
     Disconnected,
     GapsolveError,
     InfeasibleInstance,
+    InvalidInstance,
     KNotDivisibleBy3,
     NoCoverFound,
     NotCovered,
@@ -44,7 +45,7 @@ SCHEMA_VERSION = 1
 # (errors, exit code, message prefix); the first row that matches wins, and
 # the last row catches every other GapsolveError
 EXIT_CODES = (
-    ((ParseError, NotCovered, KNotDivisibleBy3), 1, "error"),
+    ((ParseError, InvalidInstance, NotCovered, KNotDivisibleBy3), 1, "error"),
     ((NoCoverFound, BudgetExceeded, BoundExceeded, TooLarge), 2, "error"),
     ((InfeasibleInstance, Disconnected), 3, "infeasible"),
     ((GapsolveError,), 5, "internal error"),
@@ -216,7 +217,7 @@ def cmd_analyze(args):
 
 def _add_common_solve_flags(p):
     p.add_argument("--gap", help="override GAP, e.g. 'd=1 x=7 L=20 offset=10^12'")
-    p.add_argument("--max-dim", type=int, default=3)
+    p.add_argument("--max-dim", type=int, default=3, choices=(1, 2, 3))
     p.add_argument("--volume-budget", type=int, default=DEFAULT_ENUM_BUDGET)
     p.add_argument("--perm-budget", type=int, default=DEFAULT_PERM_BUDGET)
     p.add_argument("--json", action="store_true")
@@ -268,7 +269,7 @@ def main(argv=None):
 
     p = sub.add_parser("analyze", help="doubling analytics of the weight set")
     p.add_argument("path")
-    p.add_argument("--max-dim", type=int, default=3)
+    p.add_argument("--max-dim", type=int, default=3, choices=(1, 2, 3))
     p.add_argument("--volume-budget", type=int, default=DEFAULT_ENUM_BUDGET)
     p.set_defaults(func=cmd_analyze)
 

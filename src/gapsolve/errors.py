@@ -34,7 +34,7 @@ class OutOfRange(GapsolveError):
 
 
 class EmptyPolynomial(GapsolveError):
-    """No feasible solution: the solution polynomial has no terms."""
+    """No feasible solution: the solver returned no terms."""
 
 
 class InfeasibleInstance(GapsolveError):
@@ -59,6 +59,10 @@ class BoundExceeded(GapsolveError):
 
 class InvariantViolated(GapsolveError):
     """An internal consistency check failed; the result cannot be trusted."""
+
+
+class InvalidInstance(GapsolveError, ValueError):
+    """A problem instance breaks a rule: its kind, n, edges, terminals or sequence."""
 
 
 class ParseError(GapsolveError):

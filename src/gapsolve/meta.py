@@ -36,8 +36,7 @@ def _check_exponents(exponents, egap):
             raise InvariantViolated(f"exponent {e} escapes encoded range [0, {bound})")
 
 
-def run_meta(inst, *, max_dim=3,
-             volume_budget=DEFAULT_ENUM_BUDGET, enum_budget=DEFAULT_ENUM_BUDGET):
+def run_meta(inst, *, max_dim=3, volume_budget=DEFAULT_ENUM_BUDGET):
     """Run the full pipeline on one instance and return a MetaResult.
 
     A user-supplied GAP on the instance takes precedence over the cover
@@ -49,7 +48,7 @@ def run_meta(inst, *, max_dim=3,
     gap = inst.gap
     if gap is None:
         gap = gap_cover_search(weights, max_dim=max_dim, volume_budget=volume_budget)
-    coords = get_gap_coordinates(weights, gap, budget=enum_budget)
+    coords = get_gap_coordinates(weights, gap)
     lam = spec.lambda_bound(inst)
     egap = enlarge(gap, lam)
     enc = {w: kappa(egap, c) for w, c in zip(weights, coords)}
@@ -66,31 +65,19 @@ def run_meta(inst, *, max_dim=3,
         "lambda": lam,
     }
 
+    terms = spec.solve(inst, enc, egap)
+    _check_exponents(terms, egap)
     if inst.kind == "minplusconv":  # its solver returns each index's minimum
-        mins = spec.solve(inst, enc, egap)
-        _check_exponents(mins, egap)
-        stats["sequence"] = [true_value(egap, e) for e in mins]
-        stats["wall_time"] = time.perf_counter() - t0
-        best = min(mins, key=lambda e: (true_value(egap, e), e))
-        return MetaResult(true_value(egap, best), best,
-                          tuple(kappa_inv(egap, best)), gap, lam, stats)
-
-    poly = spec.solve(inst, enc, egap)
-    _check_exponents(poly.terms, egap)
+        stats["sequence"] = [true_value(egap, e) for e in terms]
+        terms = dict.fromkeys(terms, 1)
     try:
-        best = select_optimum(poly, egap, spec.sense)
+        best, optimum, count = select_optimum(terms, egap, spec.sense)
     except EmptyPolynomial as exc:
         raise InfeasibleInstance(str(exc)) from exc
     coords_opt = kappa_inv(egap, best)
-    optimum = sum(x * l for x, l in zip(egap.generators, coords_opt))
-    if optimum != true_value(egap, best):
+    if optimum != sum(x * l for x, l in zip(egap.generators, coords_opt)):
         raise InvariantViolated(f"exponent {best} decodes inconsistently")
-    stats["solution_terms"] = len(poly.terms)
-    # distinct coordinate tuples can share a true value, so the count of
-    # optimal solutions sums coefficients over every such exponent
-    count = None  # unless the solver's coefficients count the optima
-    if spec.counts:
-        count = sum(c for e, c in poly.terms.items() if true_value(egap, e) == optimum)
-    stats["optimal_count"] = count
+    stats["solution_terms"] = len(terms)
+    stats["optimal_count"] = count if spec.counts else None
     stats["wall_time"] = time.perf_counter() - t0
     return MetaResult(optimum, best, tuple(coords_opt), gap, lam, stats)

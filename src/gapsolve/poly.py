@@ -1,48 +1,36 @@
-"""Sparse solution polynomials: generating functions over objective values.
+"""Optimum selection over solution terms: generating functions over objective values.
 
-A solution polynomial maps each attainable (encoded) objective value to the
-number of solutions attaining it.  Coefficients are exact integers.
+Every solver returns its solutions as a plain dict that maps each attainable
+(encoded) objective value, the exponent, to the number of solutions
+attaining it.  Coefficients are exact integers.
 """
-
-from dataclasses import dataclass
 
 from .encoding import true_value
 from .errors import EmptyPolynomial
 
 
-@dataclass(frozen=True)
-class SolutionPolynomial:
-    """Exponent -> coefficient map; zero coefficients are never stored."""
+def select_optimum(terms, g, sense):
+    """(exponent, true value, count) of the optimal term of `terms`.
 
-    terms: dict
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", {e: c for e, c in self.terms.items() if c})
-
-    @classmethod
-    def zero(cls):
-        return cls({})
-
-    @classmethod
-    def monomial(cls, exponent, coeff=1):
-        return cls({exponent: coeff})
-
-    def is_zero(self):
-        return not self.terms
-
-
-def select_optimum(p, g, sense):
-    """Exponent whose decoded true value is minimal/maximal.
-
-    Comparison is decode-and-evaluate: (true_value, encoding) pairs, the
-    order `encoding.value_rank` counts positions in.  Ties break toward the
-    smaller encoding under either sense.  Raises EmptyPolynomial for the
-    zero polynomial (infeasible instance).
+    Each exponent is decoded once.  Comparison is by (true value, encoding),
+    the order `encoding.value_rank` counts positions in; ties break toward
+    the smaller encoding under either sense.  Distinct exponents can share
+    a true value, so `count` sums the coefficients of every exponent on the
+    optimal value.  Raises EmptyPolynomial for an empty map (infeasible
+    instance).
     """
-    if p.is_zero():
+    if sense not in ("min", "max"):
+        raise ValueError("sense must be 'min' or 'max'")
+    if not terms:
         raise EmptyPolynomial("no feasible solution")
-    if sense == "min":
-        return min(p.terms, key=lambda e: (true_value(g, e), e))
-    if sense == "max":
-        return max(p.terms, key=lambda e: (true_value(g, e), -e))
-    raise ValueError("sense must be 'min' or 'max'")
+    sign = 1 if sense == "min" else -1
+    best = value = None
+    count = 0
+    for e, c in terms.items():
+        v = true_value(g, e)
+        if best is None or sign * (v - value) < 0:
+            best, value, count = e, v, c
+        elif v == value:
+            best = min(best, e)
+            count += c
+    return best, value, count

@@ -1,9 +1,10 @@
 """Bounded-input algebraic solvers operating on encoded integer weights.
 
 Each solver receives a problem instance together with a map from original
-weight values to their encoded integers, and returns a SolutionPolynomial
-whose exponents are sums of encoded weights.  Every exponent stays within
-the lambda-enlarged GAP bounds of its problem:
+weight values to their encoded integers, and returns a plain dict that maps
+each exponent, a sum of encoded weights, to the number of solutions with
+that sum.  Every exponent stays within the lambda-enlarged GAP bounds of
+its problem:
 
   TSP        lambda = n        (a tour sums n edge weights)
   Max-Cut    lambda = m        (a cut sums at most m edge weights)
@@ -13,7 +14,9 @@ the lambda-enlarged GAP bounds of its problem:
 
 Coefficients are exact integers, normalized so they are checkable against
 brute force: each undirected tour, each bipartition, and each k-clique
-counts once.  SOLVER_SPECS is the one table of the supported kinds.
+counts once.  Steiner keeps one optimal tree, {exponent: 1}, and min-plus
+returns each output index's minimum instead of a dict.  SOLVER_SPECS is the
+one table of the supported kinds.
 """
 
 import heapq
@@ -23,9 +26,14 @@ from math import comb
 
 from .additive import Gap, WeightSet
 from .encoding import true_value
-from .errors import BoundExceeded, Disconnected, InvariantViolated, KNotDivisibleBy3
+from .errors import (
+    BoundExceeded,
+    Disconnected,
+    InvalidInstance,
+    InvariantViolated,
+    KNotDivisibleBy3,
+)
 from .oracle import clique_bf, maxcut_bf, minplus_naive, steiner_bf, tsp_bf
-from .poly import SolutionPolynomial
 
 
 @dataclass(frozen=True)
@@ -42,33 +50,38 @@ class ProblemInstance:
 
     def __post_init__(self):
         if self.kind not in SOLVER_SPECS:
-            raise ValueError(f"unknown kind {self.kind!r}")
+            raise InvalidInstance(f"unknown kind {self.kind!r}")
+        if self.n < 0 or self.k < 0:
+            raise InvalidInstance(f"n = {self.n} and k = {self.k} must be non-negative")
         seen = set()
         for u, v, w in self.edges:
             if u == v:
-                raise ValueError("self-loops are not allowed")
+                raise InvalidInstance("self-loops are not allowed")
             if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError("edge endpoint out of range")
+                raise InvalidInstance("edge endpoint out of range")
             if w < 0:
-                raise ValueError("weights must be non-negative")
+                raise InvalidInstance("weights must be non-negative")
             key = (min(u, v), max(u, v))
             if key in seen:
-                raise ValueError(f"duplicate edge {key}")
+                raise InvalidInstance(f"duplicate edge {key}")
             seen.add(key)
         if self.kind == "steiner":
             if len(self.terminals) < 2:
-                raise ValueError("steiner needs >= 2 terminals")
+                raise InvalidInstance("steiner needs >= 2 terminals")
             if any(not 0 <= t < self.n for t in self.terminals):
-                raise ValueError("terminal out of range")
+                raise InvalidInstance("terminal out of range")
         if self.kind == "minplusconv" and not self.sequence:
-            raise ValueError("minplusconv needs a non-empty sequence")
+            raise InvalidInstance("minplusconv needs a non-empty sequence")
+        if any(v < 0 for v in self.sequence):
+            raise InvalidInstance("weights must be non-negative")
 
     @property
     def weights(self):
-        """The instance's weight set (edge weights or sequence values)."""
+        """The instance's weight set: sequence values, or edge weights with
+        {0}, the empty sum, standing for a graph with no edges."""
         if self.kind == "minplusconv":
             return WeightSet.of(self.sequence)
-        return WeightSet.of(w for _, _, w in self.edges)
+        return WeightSet.of([w for _, _, w in self.edges] or [0])
 
 
 @dataclass(frozen=True)
@@ -76,13 +89,13 @@ class SolverSpec:
     """Everything the pipeline needs to know about one problem kind.
 
     `solve(inst, enc, egap)` runs the kind's solver on encoded weights and
-    returns its solution polynomial; for min-plus it returns the per-index
-    minimum encodings instead.  `oracle(inst)` returns the brute-force
-    optimum (the min-plus sequence).  `counts` is False where the solver
-    keeps one optimal solution, so its polynomial's coefficients do not
-    count the optima.  Both callables look the public functions up by name
-    when called, so a wrapper installed in this module's globals sees
-    every call.
+    returns its {exponent: count} dict; for min-plus it returns the
+    per-index minimum encodings instead.  `oracle(inst)` returns the
+    brute-force optimum (the min-plus sequence).  `counts` is False where
+    the coefficients do not count the optima: steiner keeps one optimal
+    tree, and min-plus keeps one minimum per index.  Both callables look
+    the public functions up by name when called, so a wrapper installed in
+    this module's globals sees every call.
     """
 
     sense: str
@@ -116,7 +129,8 @@ SOLVER_SPECS = {
         lambda inst, enc, egap: minplus_selfconv_min(
             [enc[v] for v in inst.sequence], egap.range_bound,
             key=lambda e: true_value(egap, e)),
-        lambda inst: minplus_naive(list(inst.sequence))),
+        lambda inst: minplus_naive(list(inst.sequence)),
+        counts=False),
 }
 
 
@@ -136,11 +150,11 @@ def tsp_algebraic(inst, enc):
     to v visiting exactly the vertices in mask.  Closing every path with
     the edge back to 0 counts each undirected tour twice (once per
     orientation, same weight), so final coefficients are halved.
-    Returns the zero polynomial when no Hamiltonian cycle exists.
+    Returns {} when no Hamiltonian cycle exists.
     """
     n = inst.n
     if n < 3:
-        return SolutionPolynomial.zero()
+        return {}
     adj = _encoded_edges(inst, enc)
     full = (1 << n) - 1
     dp = {1 | (1 << v): {v: {adj[0][v]: 1}} for v in adj[0] if v != 0}
@@ -162,7 +176,7 @@ def tsp_algebraic(inst, enc):
             continue
         for e, c in terms.items():
             total[e + w] = total.get(e + w, 0) + c
-    return SolutionPolynomial({e: c // 2 for e, c in total.items()})
+    return {e: c // 2 for e, c in total.items()}
 
 
 def maxcut_algebraic(inst, enc):
@@ -175,7 +189,7 @@ def maxcut_algebraic(inst, enc):
     """
     n = inst.n
     if n == 0:
-        return SolutionPolynomial.monomial(0)
+        return {0: 1}
     size = -(-n // 3)
     parts = [list(range(0, min(size, n))),
              list(range(size, min(2 * size, n))),
@@ -231,7 +245,7 @@ def maxcut_algebraic(inst, enc):
             for s2 in subs[2]:
                 e = base01 + int_w[2][s2] + t12[(s1, s2)] + t02[(s0, s2)]
                 terms[e] = terms.get(e, 0) + 1
-    return SolutionPolynomial(terms)
+    return terms
 
 
 def build_auxiliary_graph(inst, enc, k):
@@ -314,7 +328,7 @@ def ewclique_algebraic(inst, enc, k):
             raise InvariantViolated(
                 f"{terms[e]} triangles at exponent {e} are not a multiple of {per_clique}")
         terms[e] //= per_clique
-    return SolutionPolynomial(terms)
+    return terms
 
 
 def _encoded_dijkstra(n, adj, tv_of, src):
@@ -343,8 +357,8 @@ def _encoded_dijkstra(n, adj, tv_of, src):
 def steiner_algebraic(inst, enc, tv):
     """Dreyfus-Wagner DP over (terminal subset, root) with encoded weights.
 
-    States hold the minimum (true value, encoding) pair; the returned
-    polynomial carries the single optimal term (indicator coefficient).
+    States hold the minimum (true value, encoding) pair; the returned dict
+    holds the single optimal exponent with coefficient 1.
     Raises Disconnected when the terminals span components.
     """
     n = inst.n
@@ -394,7 +408,7 @@ def steiner_algebraic(inst, enc, tv):
     ans = dp[full][terms[0]] if full else (0, 0)
     if ans is None:
         raise Disconnected("no connecting tree")
-    return SolutionPolynomial.monomial(ans[1])
+    return {ans[1]: 1}
 
 
 def _fft_len(m):
@@ -448,18 +462,6 @@ def _selfconv_support(seq, bound, budget):
     support = np.zeros((rows, block), dtype=bool)
     support[:, :cols] = np.fft.irfft(half, shape[1], axis=1)[:, :cols] > 0.5
     return support
-
-
-def minplus_selfconv(seq, bound, budget=5 * 10**7):
-    """Attainable encoded value sums per output index of i + j.
-
-    Returns one sorted list per index k = 0 .. 2n-2; callers pick the
-    optimum by true value.
-    """
-    import numpy as np
-
-    support = _selfconv_support(seq, bound, budget)
-    return [np.flatnonzero(row).tolist() for row in support]
 
 
 def minplus_selfconv_min(seq, bound, key=None, budget=5 * 10**7):

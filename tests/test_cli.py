@@ -282,13 +282,57 @@ def test_solve_wall_time_covers_parse(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [["solve", "f.txt", "--bogus"], ["frobnicate"],
                                   ["solve"], ["gen", "tsp", "--n", "x", "--gap", "x=1 L=1"],
-                                  ["gen", "bogus", "--n", "4", "--gap", "d=1 x=3 L=5"]])
+                                  ["gen", "bogus", "--n", "4", "--gap", "d=1 x=3 L=5"],
+                                  ["solve", "f.txt", "--max-dim", "0"],
+                                  ["verify", "--max-dim", "4"],
+                                  ["analyze", "f.txt", "--max-dim", "0"]])
 def test_usage_error_exit_1(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert "usage: gapsolve" in err and "error: " in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "steiner", "--n", "5", "--terminals", "1", "--gap", "d=1 x=3 L=5"],
+    ["gen", "tsp", "--n", "-2", "--gap", "d=1 x=3 L=5"],
+    ["gen", "ewclique", "--n", "4", "--k", "-3", "--gap", "d=1 x=3 L=5"],
+    ["verify", "--sweep", "1", "--kind", "minplusconv", "--n", "0",
+     "--gap", "d=1 x=3 L=5"],
+])
+def test_invalid_instance_exit_1(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
+
+
+def test_solve_negative_sequence_exit_1(tmp_path, capsys):
+    path = tmp_path / "neg.txt"
+    path.write_text("problem\nkind minplusconv\nsequence\n-1 2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(path)])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == "error: weights must be non-negative\n"
+
+
+def test_graph_without_edges(tmp_path, capsys):
+    path = tmp_path / "bare.txt"
+    path.write_text("problem\nkind maxcut\nn 3\n")
+    code, out, _ = run(["solve", str(path), "--json"], capsys)
+    assert code == 0 and json.loads(out)["optimum"] == 0
+    code, out, _ = run(["verify", str(path)], capsys)
+    assert code == 0 and out == "PASS: meta=0 oracle=0\n"
+    code, out, _ = run(["analyze", str(path)], capsys)
+    assert code == 0 and "|A|        1" in out
+    for argv in (["--kind", "maxcut", "--n", "1"],
+                 ["--kind", "maxcut", "--n", "5", "--density", "0"],
+                 ["--kind", "tsp", "--n", "1"]):
+        code, out, err = run(["verify", "--sweep", "2", "--gap", "d=1 x=3 L=5"]
+                             + argv, capsys)
+        assert code == 0 and "Traceback" not in err, (argv, err)
+        assert out.count("PASS") + out.count("INFEASIBLE") == 2, (argv, out)
 
 
 @pytest.mark.parametrize("kind", sorted(SOLVER_SPECS))

@@ -13,10 +13,18 @@ from gapsolve import (
     run_meta,
     true_value,
 )
-from gapsolve.errors import InfeasibleInstance, InvariantViolated, NoCoverFound
+import gapsolve.meta as meta
+import gapsolve.poly as poly
+from gapsolve.errors import (
+    Disconnected,
+    InfeasibleInstance,
+    InvariantViolated,
+    NoCoverFound,
+)
 from gapsolve.instances import generate_instance, parse_gap_spec
 from gapsolve.meta import _check_exponents
 from gapsolve.oracle import maxcut_bf, minplus_naive, steiner_bf, tsp_bf
+from gapsolve.solvers import SOLVER_SPECS
 
 
 def complete(n, weight_of):
@@ -164,3 +172,53 @@ def test_steiner_optimal_count_is_none():
     res = run_meta(inst)
     assert res.optimum == steiner_bf(inst).optimum
     assert res.stats["optimal_count"] is None
+
+
+@pytest.mark.parametrize("gap", [None, Gap((5,), (3,))])
+def test_graph_without_edges(gap):
+    # the weight set of a graph with no edges is {0}, the empty sum
+    for n, count in ((0, 1), (1, 1), (3, 4)):  # 2^(n-1) bipartitions, all of cut 0
+        inst = ProblemInstance(kind="maxcut", n=n, gap=gap)
+        assert inst.weights.elements == (0,)
+        res = run_meta(inst)
+        ref = maxcut_bf(inst)
+        assert (res.optimum, res.stats["optimal_count"]) == (0, count)
+        assert (ref.optimum, ref.count) == (0, count)
+    with pytest.raises(InfeasibleInstance):
+        run_meta(ProblemInstance(kind="tsp", n=3, gap=gap))
+    with pytest.raises(InfeasibleInstance):
+        run_meta(ProblemInstance(kind="ewclique", n=4, k=3, gap=gap))
+    with pytest.raises(Disconnected):
+        run_meta(ProblemInstance(kind="steiner", n=4, terminals=(0, 2), gap=gap))
+
+
+def test_each_term_decoded_once(monkeypatch):
+    # select_optimum decodes every term once; meta decodes no term again
+    calls = []
+
+    def counting(g, e):
+        calls.append(e)
+        return true_value(g, e)
+
+    monkeypatch.setattr(poly, "true_value", counting)
+    monkeypatch.setattr(meta, "true_value", counting)
+    extra = set()
+    for n in (6, 8):
+        inst = generate_instance("tsp", n, Gap((10**12, 7), (1, 30)), seed=1)
+        calls.clear()
+        res = run_meta(inst)
+        extra.add(len(calls) - res.stats["solution_terms"])
+    assert len(extra) == 1 and extra.pop() <= 1
+
+
+def test_stats_keys_same_for_every_kind():
+    gap = Gap((2**63 + 29, 5), (1, 6))
+    keys = {}
+    for kind in SOLVER_SPECS:
+        inst = generate_instance(kind, 6, gap, seed=4)
+        stats = run_meta(inst).stats
+        keys[kind] = set(stats) - {"sequence"}
+        assert ("sequence" in stats) == (kind == "minplusconv")
+        if not SOLVER_SPECS[kind].counts:
+            assert stats["optimal_count"] is None
+    assert len({frozenset(k) for k in keys.values()}) == 1, keys

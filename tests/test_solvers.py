@@ -16,7 +16,6 @@ from gapsolve import (
     ewclique_algebraic,
     kappa_inv,
     maxcut_algebraic,
-    minplus_selfconv,
     minplus_selfconv_min,
     select_optimum,
     steiner_algebraic,
@@ -24,6 +23,7 @@ from gapsolve import (
     tsp_algebraic,
 )
 from gapsolve.errors import BoundExceeded, Disconnected, KNotDivisibleBy3
+from gapsolve.solvers import _selfconv_support
 from gapsolve.oracle import (
     clique_bf,
     maxcut_bf,
@@ -62,9 +62,9 @@ def random_instance(kind, n, rng, weight_pool, **kw):
                            k=kw.get("k", 0), terminals=terminals)
 
 
-def assert_exponents_bounded(poly, egap):
+def assert_exponents_bounded(terms, egap):
     lam_bounds = egap.enlarged_bounds
-    for e in poly.terms:
+    for e in terms:
         coords = kappa_inv(egap, e)
         assert all(l <= b for l, b in zip(coords, lam_bounds))
 
@@ -75,16 +75,14 @@ def assert_exponents_bounded(poly, egap):
 def test_tsp_k4_unit_weights():
     inst = ProblemInstance(kind="tsp", n=4, edges=complete_graph(4, [1]))
     egap, enc = identity_enc(inst)
-    poly = tsp_algebraic(inst, enc)
-    assert poly.terms == {4: 3}  # three undirected tours, each of weight 4
+    assert tsp_algebraic(inst, enc) == {4: 3}  # three undirected tours, each of weight 4
 
 
 def test_tsp_triangle_unique_tour():
     inst = ProblemInstance(kind="tsp", n=3,
                            edges=((0, 1, 3), (1, 2, 5), (0, 2, 9)))
     egap, enc = identity_enc(inst)
-    poly = tsp_algebraic(inst, enc)
-    assert poly.terms == {17: 1}
+    assert tsp_algebraic(inst, enc) == {17: 1}
 
 
 def test_tsp_no_tour():
@@ -92,7 +90,7 @@ def test_tsp_no_tour():
     inst = ProblemInstance(kind="tsp", n=4,
                            edges=((0, 1, 1), (1, 2, 1), (2, 3, 1)))
     egap, enc = identity_enc(inst)
-    assert tsp_algebraic(inst, enc).is_zero()
+    assert tsp_algebraic(inst, enc) == {}
 
 
 def test_tsp_matches_bruteforce_random():
@@ -101,12 +99,11 @@ def test_tsp_matches_bruteforce_random():
         n = rng.randint(4, 8)
         inst = random_instance("tsp", n, rng, [1, 4, 7, 10, 13])
         egap, enc = identity_enc(inst)
-        poly = tsp_algebraic(inst, enc)
+        terms = tsp_algebraic(inst, enc)
         ref = tsp_bf(inst)
-        best = select_optimum(poly, egap, "min")
-        assert true_value(egap, best) == ref.optimum
-        assert poly.terms[best] == ref.count
-        assert_exponents_bounded(poly, egap)
+        _, value, count = select_optimum(terms, egap, "min")
+        assert (value, count) == (ref.optimum, ref.count)
+        assert_exponents_bounded(terms, egap)
 
 
 # --- Max-Cut -----------------------------------------------------------
@@ -115,23 +112,20 @@ def test_tsp_matches_bruteforce_random():
 def test_maxcut_single_edge():
     inst = ProblemInstance(kind="maxcut", n=2, edges=((0, 1, 9),))
     egap, enc = identity_enc(inst)
-    poly = maxcut_algebraic(inst, enc)
-    assert poly.terms == {0: 1, 9: 1}
+    assert maxcut_algebraic(inst, enc) == {0: 1, 9: 1}
 
 
 def test_maxcut_triangle():
     inst = ProblemInstance(kind="maxcut", n=3,
                            edges=((0, 1, 1), (1, 2, 2), (0, 2, 3)))
     egap, enc = identity_enc(inst)
-    poly = maxcut_algebraic(inst, enc)
-    best = select_optimum(poly, egap, "max")
-    assert true_value(egap, best) == 5
+    best, value, _ = select_optimum(maxcut_algebraic(inst, enc), egap, "max")
+    assert true_value(egap, best) == value == 5
 
 
 def test_maxcut_empty_graph():
     inst = ProblemInstance(kind="maxcut", n=0)
-    poly = maxcut_algebraic(inst, {})
-    assert poly.terms == {0: 1}
+    assert maxcut_algebraic(inst, {}) == {0: 1}
 
 
 def test_maxcut_matches_bruteforce_random():
@@ -142,13 +136,12 @@ def test_maxcut_matches_bruteforce_random():
         egap, enc = identity_enc(inst) if inst.edges else (None, {})
         if not inst.edges:
             continue
-        poly = maxcut_algebraic(inst, enc)
+        terms = maxcut_algebraic(inst, enc)
         ref = maxcut_bf(inst)
-        best = select_optimum(poly, egap, "max")
-        assert true_value(egap, best) == ref.optimum
-        assert poly.terms[best] == ref.count
-        assert sum(poly.terms.values()) == 2 ** (n - 1)  # one term per bipartition
-        assert_exponents_bounded(poly, egap)
+        _, value, count = select_optimum(terms, egap, "max")
+        assert (value, count) == (ref.optimum, ref.count)
+        assert sum(terms.values()) == 2 ** (n - 1)  # one term per bipartition
+        assert_exponents_bounded(terms, egap)
 
 
 # --- Edge-weighted k-clique --------------------------------------------
@@ -161,8 +154,7 @@ def test_clique_k3_triangle_weight_doubling():
     nodes, internal, hedges = build_auxiliary_graph(inst, enc, 3)
     tri_weight = sum(hedges.values())  # single triangle
     assert tri_weight == 2 * 6
-    poly = ewclique_algebraic(inst, enc, 3)
-    assert poly.terms == {6: 1}
+    assert ewclique_algebraic(inst, enc, 3) == {6: 1}
 
 
 def test_clique_unique_triangle():
@@ -171,8 +163,7 @@ def test_clique_unique_triangle():
         edges=((0, 1, 2), (1, 2, 4), (0, 2, 6), (2, 3, 8)),
     )
     egap, enc = identity_enc(inst)
-    poly = ewclique_algebraic(inst, enc, 3)
-    assert poly.terms == {12: 1}
+    assert ewclique_algebraic(inst, enc, 3) == {12: 1}
 
 
 def test_clique_k_not_divisible():
@@ -216,16 +207,15 @@ def test_clique_k6_matches_bruteforce():
         n = rng.randint(7, 10)
         inst = random_instance("ewclique", n, rng, [2, 5, 11], density=0.9, k=6)
         egap, enc = identity_enc(inst)
-        poly = ewclique_algebraic(inst, enc, 6)
+        terms = ewclique_algebraic(inst, enc, 6)
         try:
             ref = clique_bf(inst, 6)
         except Exception:
-            assert poly.is_zero()
+            assert terms == {}
             continue
-        best = select_optimum(poly, egap, "max")
-        assert true_value(egap, best) == ref.optimum
-        assert poly.terms[best] == ref.count
-        assert_exponents_bounded(poly, egap)
+        _, value, count = select_optimum(terms, egap, "max")
+        assert (value, count) == (ref.optimum, ref.count)
+        assert_exponents_bounded(terms, egap)
 
 
 # --- Steiner -----------------------------------------------------------
@@ -237,17 +227,15 @@ def test_steiner_two_terminals_is_shortest_path():
         edges=((0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 3, 100)),
     )
     egap, enc = identity_enc(inst)
-    poly = steiner_algebraic(inst, enc, lambda e: true_value(egap, e))
-    assert poly.terms == {9: 1}
+    assert steiner_algebraic(inst, enc, lambda e: true_value(egap, e)) == {9: 1}
 
 
 def test_steiner_star_graph():
     edges = tuple((0, v, v * 10) for v in range(1, 5))
     inst = ProblemInstance(kind="steiner", n=5, terminals=(1, 2, 3, 4), edges=edges)
     egap, enc = identity_enc(inst)
-    poly = steiner_algebraic(inst, enc, lambda e: true_value(egap, e))
-    [(e, c)] = poly.terms.items()
-    assert true_value(egap, e) == 10 + 20 + 30 + 40
+    [(e, c)] = steiner_algebraic(inst, enc, lambda e: true_value(egap, e)).items()
+    assert true_value(egap, e) == 10 + 20 + 30 + 40 and c == 1
 
 
 def test_steiner_disconnected():
@@ -271,9 +259,9 @@ def test_steiner_matches_bruteforce_random():
             with pytest.raises(Disconnected):
                 steiner_algebraic(inst, enc, lambda e: true_value(egap, e))
             continue
-        poly = steiner_algebraic(inst, enc, lambda e: true_value(egap, e))
-        best = select_optimum(poly, egap, "min")
-        assert true_value(egap, best) == ref.optimum
+        terms = steiner_algebraic(inst, enc, lambda e: true_value(egap, e))
+        _, value, count = select_optimum(terms, egap, "min")
+        assert (value, count) == (ref.optimum, 1)
         checked += 1
     assert checked >= 10
 
@@ -297,24 +285,30 @@ def test_minplus_matches_naive_random():
         assert minplus_selfconv_min(seq, 64) == minplus_naive(seq)
 
 
+def attainable_sums(seq, bound, budget=5 * 10**7):
+    """Attainable encoded sums per output index, one sorted list each."""
+    support = _selfconv_support(seq, bound, budget)
+    return [[int(s) for s in row.nonzero()[0]] for row in support]
+
+
 def test_minplus_bound_errors():
     with pytest.raises(BoundExceeded):
-        minplus_selfconv([5], 4)
+        minplus_selfconv_min([5], 4)
     with pytest.raises(BoundExceeded):
-        minplus_selfconv([1] * 100, 10**7, budget=10**6)
+        minplus_selfconv_min([1] * 100, 10**7, budget=10**6)
 
 
 def test_minplus_budget_counts_padded_grid():
     # 3 * 2 * 5 = 30 slots fit a budget of 40, but the FFT grid is padded to
     # _fft_len(5) * _fft_len(9) = 6 * 9 = 54 slots
     with pytest.raises(BoundExceeded):
-        minplus_selfconv([0, 1, 4], 5, budget=40)
-    assert minplus_selfconv([0, 1, 4], 5, budget=54) == [[0], [1], [2, 4], [5], [8]]
+        minplus_selfconv_min([0, 1, 4], 5, budget=40)
+    assert attainable_sums([0, 1, 4], 5, budget=54) == [[0], [1], [2, 4], [5], [8]]
+    assert minplus_selfconv_min([0, 1, 4], 5, budget=54) == [0, 1, 2, 5, 8]
 
 
 def test_minplus_attainable_sets():
-    out = minplus_selfconv([1, 3], 8)
-    assert out == [[2], [4], [6]]
+    assert attainable_sums([1, 3], 8) == [[2], [4], [6]]
 
 
 def test_ewclique_invariant_holds_under_python_O():

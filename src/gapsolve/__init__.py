@@ -24,6 +24,7 @@ from .encoding import (
     kappa,
     kappa_inv,
     true_value,
+    true_values,
     value_rank,
 )
 from .instances import generate_instance
@@ -70,6 +71,7 @@ __all__ = [
     "steiner_algebraic",
     "sumset",
     "true_value",
+    "true_values",
     "tsp_algebraic",
     "value_rank",
 ]

@@ -13,9 +13,12 @@ represented values: `value_rank` counts one rank directly, and
 from dataclasses import dataclass, field
 
 from .additive import CoordTuple, Gap
-from .errors import BudgetExceeded, OutOfBounds, OutOfRange
+from .errors import BoundExceeded, BudgetExceeded, OutOfBounds, OutOfRange
 
 DEFAULT_PERM_BUDGET = 10**7
+# the numpy paths hold encodings and their sums in int64; below 2^62 the
+# sum of two such values cannot wrap
+EXPONENT_LIMIT = 2**62
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,32 @@ def true_value(g, e):
     """Original-scale value sum(x_i * l_i) of an encoded weight."""
     coords = kappa_inv(g, e)
     return sum(x * l for x, l in zip(g.generators, coords))
+
+
+def true_values(g, exps):
+    """true_value of every encoded weight in `exps`, as an object ndarray.
+
+    The mixed-radix digits are split off in int64, and the sums of
+    x_i * l_i are taken over Python ints, so generators at 2^63 scale stay
+    exact.  Raises BoundExceeded for an encoding of EXPONENT_LIMIT or more.
+    """
+    import numpy as np
+
+    try:
+        rest = np.fromiter(exps, dtype=np.int64)
+        top = int(rest.max()) if rest.size else 0
+    except OverflowError:
+        top = EXPONENT_LIMIT
+    if top >= EXPONENT_LIMIT:
+        raise BoundExceeded("an encoded value is not below 2^62")
+    if rest.size and (rest.min() < 0 or top >= g.range_bound):
+        raise OutOfRange(f"encoded values outside [0, {g.range_bound})")
+    values = np.zeros(rest.shape, dtype=object)
+    for x, b in zip(reversed(g.generators), reversed(g.enlarged_bounds)):
+        # a radix above every value splits off the same digit as 2^62 does
+        rest, digit = np.divmod(rest, min(b + 1, EXPONENT_LIMIT))
+        values += digit.astype(object) * x
+    return values
 
 
 def value_rank(g, e):

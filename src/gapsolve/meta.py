@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 
 from .additive import DEFAULT_ENUM_BUDGET, gap_cover_search, get_gap_coordinates
-from .encoding import kappa, kappa_inv, true_value, enlarge
+from .encoding import enlarge, kappa, kappa_inv, true_values
 from .errors import EmptyPolynomial, InfeasibleInstance, InvariantViolated
 from .poly import select_optimum
 from .solvers import SOLVER_SPECS
@@ -68,7 +68,7 @@ def run_meta(inst, *, max_dim=3, volume_budget=DEFAULT_ENUM_BUDGET):
     terms = spec.solve(inst, enc, egap)
     _check_exponents(terms, egap)
     if inst.kind == "minplusconv":  # its solver returns each index's minimum
-        stats["sequence"] = [true_value(egap, e) for e in terms]
+        stats["sequence"] = true_values(egap, terms).tolist()
         terms = dict.fromkeys(terms, 1)
     try:
         best, optimum, count = select_optimum(terms, egap, spec.sense)

@@ -5,32 +5,30 @@ Every solver returns its solutions as a plain dict that maps each attainable
 attaining it.  Coefficients are exact integers.
 """
 
-from .encoding import true_value
+from .encoding import true_values
 from .errors import EmptyPolynomial
 
 
 def select_optimum(terms, g, sense):
     """(exponent, true value, count) of the optimal term of `terms`.
 
-    Each exponent is decoded once.  Comparison is by (true value, encoding),
-    the order `encoding.value_rank` counts positions in; ties break toward
-    the smaller encoding under either sense.  Distinct exponents can share
-    a true value, so `count` sums the coefficients of every exponent on the
-    optimal value.  Raises EmptyPolynomial for an empty map (infeasible
-    instance).
+    All exponents are decoded in one `true_values` call.  Comparison is by
+    (true value, encoding), the order `encoding.value_rank` counts positions
+    in; ties break toward the smaller encoding under either sense.  Distinct
+    exponents can share a true value, so `count` sums the coefficients of
+    every exponent on the optimal value.  Raises EmptyPolynomial for an
+    empty map (infeasible instance).
     """
     if sense not in ("min", "max"):
         raise ValueError("sense must be 'min' or 'max'")
     if not terms:
         raise EmptyPolynomial("no feasible solution")
-    sign = 1 if sense == "min" else -1
-    best = value = None
-    count = 0
-    for e, c in terms.items():
-        v = true_value(g, e)
-        if best is None or sign * (v - value) < 0:
-            best, value, count = e, v, c
-        elif v == value:
-            best = min(best, e)
-            count += c
+    import numpy as np
+
+    exps = list(terms)
+    values = true_values(g, exps)
+    value = values.min() if sense == "min" else values.max()
+    on_value = np.flatnonzero(values == value).tolist()
+    best = min(exps[i] for i in on_value)
+    count = sum(terms[exps[i]] for i in on_value)
     return best, value, count

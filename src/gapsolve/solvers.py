@@ -12,20 +12,30 @@ its problem:
   Steiner    lambda = n - 1    (a tree has fewer than n edges)
   MinPlus    lambda = 2        (sums of two sequence entries)
 
+Each lambda is at least 1, also for graphs without vertices or edges.
+
 Coefficients are exact integers, normalized so they are checkable against
 brute force: each undirected tour, each bipartition, and each k-clique
 counts once.  Steiner keeps one optimal tree, {exponent: 1}, and min-plus
 returns each output index's minimum instead of a dict.  SOLVER_SPECS is the
 one table of the supported kinds.
+
+The cores work on exponents as machine integers: max-cut and the k-clique
+auxiliary graph on int64 numpy arrays, TSP on Held-Karp cells that are
+each one int packing a count per exponent, and min-plus on a float FFT.
+Sums of at most lambda encoded weights stay below EXPONENT_LIMIT = 2^62,
+checked once per call (BoundExceeded above it), so int64 never wraps;
+true values are decoded in one `encoding.true_values` call, over Python
+ints.  numpy is imported inside the functions that use it.
 """
 
 import heapq
 from dataclasses import dataclass, field
-from itertools import combinations
-from math import comb
+from itertools import chain, combinations
+from math import comb, factorial
 
 from .additive import Gap, WeightSet
-from .encoding import true_value
+from .encoding import EXPONENT_LIMIT, true_values
 from .errors import (
     BoundExceeded,
     Disconnected,
@@ -107,7 +117,7 @@ class SolverSpec:
 
 SOLVER_SPECS = {
     "tsp": SolverSpec(
-        "min", lambda inst: inst.n,
+        "min", lambda inst: max(1, inst.n),
         lambda inst, enc, egap: tsp_algebraic(inst, enc),
         lambda inst: tsp_bf(inst).optimum),
     "maxcut": SolverSpec(
@@ -121,17 +131,23 @@ SOLVER_SPECS = {
     "steiner": SolverSpec(
         "min", lambda inst: max(1, inst.n - 1),
         lambda inst, enc, egap: steiner_algebraic(
-            inst, enc, lambda e: true_value(egap, e)),
+            inst, enc, _decoded(egap, enc.values()).__getitem__),
         lambda inst: steiner_bf(inst).optimum,
         counts=False),
     "minplusconv": SolverSpec(
         "min", lambda inst: 2,
         lambda inst, enc, egap: minplus_selfconv_min(
             [enc[v] for v in inst.sequence], egap.range_bound,
-            key=lambda e: true_value(egap, e)),
+            keys=lambda sums: true_values(egap, sums)),
         lambda inst: minplus_naive(list(inst.sequence)),
         counts=False),
 }
+
+
+def _decoded(egap, codes):
+    """{code: true value} for each distinct code, decoded in one call."""
+    codes = list(set(codes))
+    return dict(zip(codes, true_values(egap, codes).tolist()))
 
 
 def _encoded_edges(inst, enc):
@@ -143,109 +159,134 @@ def _encoded_edges(inst, enc):
     return adj
 
 
-def tsp_algebraic(inst, enc):
-    """Held-Karp subset DP with polynomial-valued cells.
+def _check_int64(inst, enc, lam):
+    """Raise BoundExceeded unless lam * max(enc) < EXPONENT_LIMIT.
 
-    dp[mask][v] is the generating function of simple paths from vertex 0
-    to v visiting exactly the vertices in mask.  Closing every path with
-    the edge back to 0 counts each undirected tour twice (once per
-    orientation, same weight), so final coefficients are halved.
-    Returns {} when no Hamiltonian cycle exists.
+    Every exponent a solver forms is a sum of at most `lam` encoded edge
+    weights, so below that limit all of its int64 arithmetic is exact.
     """
+    top = max((enc[w] for _, _, w in inst.edges), default=0)
+    if lam * top >= EXPONENT_LIMIT:
+        raise BoundExceeded(
+            f"lambda {lam} times encoded weight {top} is not below 2^62")
+
+
+def _int64_edges(inst, enc, lam):
+    """n x n int64 (adjacency, encoded weight) matrices, after _check_int64."""
+    import numpy as np
+
+    _check_int64(inst, enc, lam)
+    adj = np.zeros((inst.n, inst.n), dtype=np.int64)
+    weight = np.zeros_like(adj)
+    if inst.edges:
+        u, v, w = (list(col) for col in zip(*inst.edges))
+        adj[u, v] = adj[v, u] = 1
+        weight[u, v] = weight[v, u] = [enc[x] for x in w]
+    return adj, weight
+
+
+def tsp_algebraic(inst, enc):
+    """Held-Karp subset DP whose cells are packed generating functions.
+
+    dp[mask][v] stands for the simple paths from vertex 0 to v visiting
+    exactly the vertices in mask, as one int: slot t, S bits wide, holds
+    the number of those paths of shifted weight t.  Adding an edge shifts a
+    cell by whole slots, and merging two cells adds them.  Every tour has n
+    edges, so each edge weight is lowered by w_min, the smallest encoded
+    edge weight, and n * w_min is added back at the end; the packed ints
+    then span the spread of the weights, not their size.  A slot has
+    bitlen((n-1)!) + 1 bits, rounded up to whole bytes, above any count of
+    directed cycles.  Closing every path with the edge back to 0 counts
+    each undirected tour twice (once per orientation, same weight), so
+    final counts are halved.  Returns {} when no Hamiltonian cycle exists.
+    """
+    import numpy as np
+
     n = inst.n
-    if n < 3:
+    if n < 3 or not inst.edges:
         return {}
-    adj = _encoded_edges(inst, enc)
+    _check_int64(inst, enc, n)
+    width = -(-(factorial(n - 1).bit_length() + 1) // 8)  # bytes per slot
+    if width > 8:
+        raise BoundExceeded(f"tour counts at n = {n} do not fit in 64 bits")
+    slot = 8 * width
+    w_min = min(enc[w] for _, _, w in inst.edges)
+    # out[v]: (u, bit of u, bits a cell moves when it takes edge (v, u))
+    out = [[] for _ in range(n)]
+    for u, v, w in inst.edges:
+        d = (enc[w] - w_min) * slot
+        out[u].append((v, 1 << v, d))
+        out[v].append((u, 1 << u, d))
     full = (1 << n) - 1
-    dp = {1 | (1 << v): {v: {adj[0][v]: 1}} for v in adj[0] if v != 0}
-    for mask in range(3, full + 1, 2):
-        row = dp.get(mask)
+    dp = {1 | bit: {v: 1 << d} for v, bit, d in out[0]}
+    for mask in range(3, full, 2):
+        row = dp.pop(mask, None)
         if row is None:
             continue
-        for v, terms in row.items():
-            for u, w in adj[v].items():
-                if u == 0 or mask & (1 << u):
+        for v, cell in row.items():
+            for u, bit, d in out[v]:
+                if mask & bit:
                     continue
-                nxt = dp.setdefault(mask | (1 << u), {}).setdefault(u, {})
-                for e, c in terms.items():
-                    nxt[e + w] = nxt.get(e + w, 0) + c
-    total = {}
-    for v, terms in dp.get(full, {}).items():
-        w = adj[v].get(0)
-        if w is None:
-            continue
-        for e, c in terms.items():
-            total[e + w] = total.get(e + w, 0) + c
-    return {e: c // 2 for e, c in total.items()}
+                nxt = dp.setdefault(mask | bit, {})
+                if u in nxt:
+                    nxt[u] += cell << d
+                else:
+                    nxt[u] = cell << d
+    total = 0
+    for v, cell in dp.get(full, {}).items():
+        for u, _, d in out[v]:
+            if u == 0:
+                total += cell << d
+    slots = -(-total.bit_length() // slot)
+    raw = np.frombuffer(total.to_bytes(slots * width, "little"), dtype=np.uint8)
+    words = np.zeros((slots, 8), dtype=np.uint8)
+    words[:, :width] = raw.reshape(slots, width)
+    counts = words.view("<u8")[:, 0]
+    hit = np.flatnonzero(counts)
+    return dict(zip((hit + n * w_min).tolist(), (counts[hit] // 2).tolist()))
 
 
 def maxcut_algebraic(inst, enc):
-    """Split-and-list over a 3-way vertex partition.
+    """Split-and-list over a 3-way vertex partition, on int64 tables.
 
-    Vertices split into V1, V2, V3 of size <= ceil(n/3); per-part internal
-    cut weights and the three cross tables are listed, then all compatible
-    triples of part-assignments are combined.  Vertex 0 is pinned outside
-    the cut side so each bipartition {S, V\\S} counts exactly once.
+    Vertices split into V1, V2, V3 of size <= ceil(n/3).  Part i's
+    assignments are the rows of two 0/1 matrices over all n vertices: X_i
+    marks the part's vertices on the cut side, Xc_i the rest of the part.
+    With W the encoded weight matrix, X_i W Xc_j^T + Xc_i W X_j^T is the
+    cut weight between parts i != j, and the row sums of (X_i W) * Xc_i are
+    part i's internal cut weights.  One broadcast adds them over all
+    compatible triples of assignments, and np.unique counts the sums, so
+    memory stays O(2^(n-1)).  Vertex 0 is pinned outside the cut side so
+    each bipartition {S, V\\S} counts exactly once.
     """
+    import numpy as np
+
     n = inst.n
-    if n == 0:
-        return {0: 1}
+    _, weight = _int64_edges(inst, enc, max(1, len(inst.edges)))
     size = -(-n // 3)
-    parts = [list(range(0, min(size, n))),
-             list(range(size, min(2 * size, n))),
-             list(range(2 * size, n))]
-    adj = _encoded_edges(inst, enc)
+    sides = []
+    for part in (range(0, min(size, n)), range(size, min(2 * size, n)),
+                 range(2 * size, n)):
+        free = [v for v in part if v != 0]
+        rows = np.arange(1 << len(free))[:, None]
+        cut = np.zeros((len(rows), n), dtype=np.int64)
+        cut[:, free] = rows >> np.arange(len(free)) & 1
+        rest = np.zeros_like(cut)
+        rest[:, list(part)] = 1
+        rest -= cut
+        sides.append((cut, rest))
 
-    def subsets(part, pin_zero):
-        out = []
-        free = [v for v in part if not (pin_zero and v == 0)]
-        for mask in range(1 << len(free)):
-            out.append(frozenset(v for i, v in enumerate(free) if mask >> i & 1))
-        return out
+    def between(i, j):
+        (xi, ci), (xj, cj) = sides[i], sides[j]
+        return xi @ weight @ cj.T + ci @ weight @ xj.T
 
-    def internal(part, s):
-        tot = 0
-        for u, v in combinations(part, 2):
-            w = adj[u].get(v)
-            if w is not None and (u in s) != (v in s):
-                tot += w
-        return tot
-
-    subs = [subsets(parts[0], True), subsets(parts[1], False), subsets(parts[2], False)]
-    part_of = {}
-    for i, part in enumerate(parts):
-        for v in part:
-            part_of[v] = i
-    cross_edges = {(0, 1): [], (1, 2): [], (0, 2): []}
-    for u, v, w in inst.edges:
-        i, j = part_of[u], part_of[v]
-        if i != j:
-            cross_edges[(min(i, j), max(i, j))].append((u, v, enc[w]))
-
-    def cross_table(i, j):
-        table = {}
-        for sa in subs[i]:
-            for sb in subs[j]:
-                tot = 0
-                for u, v, w in cross_edges[(i, j)]:
-                    if (u in sa or u in sb) != (v in sa or v in sb):
-                        tot += w
-                table[(sa, sb)] = tot
-        return table
-
-    t01, t12, t02 = cross_table(0, 1), cross_table(1, 2), cross_table(0, 2)
-    int_w = [
-        {s: internal(parts[i], s) for s in subs[i]} for i in range(3)
-    ]
-    terms = {}
-    for s0 in subs[0]:
-        base0 = int_w[0][s0]
-        for s1 in subs[1]:
-            base01 = base0 + int_w[1][s1] + t01[(s0, s1)]
-            for s2 in subs[2]:
-                e = base01 + int_w[2][s2] + t12[(s1, s2)] + t02[(s0, s2)]
-                terms[e] = terms.get(e, 0) + 1
-    return terms
+    int0, int1, int2 = ((x @ weight * c).sum(axis=1) for x, c in sides)
+    left = int0[:, None] + int1[None, :] + between(0, 1)   # s0 x s1
+    right = int2[None, :] + between(1, 2)                   # s1 x s2
+    sums = left[:, :, None] + right[None, :, :]
+    sums += between(0, 2)[:, None, :]
+    exps, counts = np.unique(sums, return_counts=True)
+    return dict(zip(exps.tolist(), counts.tolist()))
 
 
 def build_auxiliary_graph(inst, enc, k):
@@ -254,19 +295,21 @@ def build_auxiliary_graph(inst, enc, k):
     Nodes are the (k/3)-cliques of G; two nodes are adjacent iff their
     union induces a (2k/3)-clique.  Edge weights double the cross weight
     and add both internal weights, so every H-triangle weighs exactly
-    twice the underlying k-clique.  Returns (nodes, internal, hedges)
-    where nodes are vertex-index tuples, internal maps node -> internal
-    encoded weight, and hedges maps (i, j) -> encoded H-edge weight.
+    twice the underlying k-clique.  With I the N x n node-incidence
+    matrix, A the adjacency and W the encoded weights of G, nodes i and j
+    are adjacent iff (I A I^T)[i, j] = (k/3)^2, and (I W I^T)[i, j] is
+    their cross weight.  Returns (nodes, internal, hedges) where nodes are
+    vertex-index tuples, internal maps node -> internal encoded weight,
+    and hedges maps (i, j), i < j, -> encoded H-edge weight.
     """
+    import numpy as np
+
     if k % 3 or k < 3:
         raise KNotDivisibleBy3(f"k = {k}")
     kk = k // 3
+    adj_m, weight_m = _int64_edges(inst, enc, k * (k - 1))
     adj = _encoded_edges(inst, enc)
-    adjmask = [0] * inst.n
-    for u in range(inst.n):
-        for v in adj[u]:
-            adjmask[u] |= 1 << v
-    nodes, internal, masks = [], [], []
+    nodes, internal = [], []
     for combo in combinations(range(inst.n), kk):
         tot = 0
         ok = True
@@ -279,21 +322,14 @@ def build_auxiliary_graph(inst, enc, k):
         if ok:
             nodes.append(combo)
             internal.append(tot)
-            masks.append(sum(1 << u for u in combo))
-    hedges = {}
-    for i, j in combinations(range(len(nodes)), 2):
-        if masks[i] & masks[j]:
-            continue
-        crossw = 0
-        ok = True
-        for u in nodes[i]:
-            if adjmask[u] & masks[j] != masks[j]:
-                ok = False
-                break
-            for v in nodes[j]:
-                crossw += adj[u][v]
-        if ok:
-            hedges[(i, j)] = 2 * crossw + internal[i] + internal[j]
+    inc = np.zeros((len(nodes), inst.n), dtype=np.int64)
+    inc[np.repeat(np.arange(len(nodes)), kk), np.ravel(nodes).astype(np.int64)] = 1
+    linked = inc @ adj_m @ inc.T == kk * kk
+    cross = inc @ weight_m @ inc.T
+    own = np.array(internal, dtype=np.int64)
+    i, j = np.nonzero(np.triu(linked, 1))
+    hw = 2 * cross[i, j] + own[i] + own[j]
+    hedges = dict(zip(zip(i.tolist(), j.tolist()), hw.tolist()))
     return nodes, internal, hedges
 
 
@@ -302,33 +338,51 @@ def ewclique_algebraic(inst, enc, k):
 
     Enumerates all triangles of the auxiliary graph; each triangle's weight
     is twice its k-clique's encoded weight (additivity of the encoding), so
-    the emitted exponent is the halved triangle weight.  Every k-clique
-    yields C(k,k/3)*C(2k/3,k/3)/6 triangles; coefficients are divided by
-    that constant so each clique counts once.
+    the emitted exponent is the halved triangle weight.  Each triangle
+    i < j < l is found once, from its edge (i, j): the third vertices are
+    the l > j adjacent to both, found for a block of edges at once.
+    Every k-clique yields C(k,k/3)*C(2k/3,k/3)/6 triangles; coefficients
+    are divided by that constant so each clique counts once.
     """
+    import numpy as np
+
     nodes, _, hedges = build_auxiliary_graph(inst, enc, k)
-    nbr = {i: {} for i in range(len(nodes))}
-    for (i, j), w in hedges.items():
-        nbr[i][j] = w
-        nbr[j][i] = w
-    terms = {}
-    for (i, j), wij in hedges.items():
-        for l, wjl in nbr[j].items():
-            if l <= j or l not in nbr[i]:
-                continue
-            total = wij + wjl + nbr[i][l]
-            if total % 2:
-                raise InvariantViolated(f"triangle weight {total} is odd")
-            e = total // 2
-            terms[e] = terms.get(e, 0) + 1
+    size = len(nodes)
+    first, second = np.fromiter(chain.from_iterable(hedges), dtype=np.int64,
+                                count=2 * len(hedges)).reshape(-1, 2).T
+    hw = np.fromiter(hedges.values(), dtype=np.int64, count=len(hedges))
+    # H's edges (i, j) with i < j only, so a row lists the higher neighbours
+    upper = np.zeros((size, size), dtype=bool)
+    weight = np.zeros((size, size), dtype=np.int64)
+    upper[first, second] = True
+    weight[first, second] = hw
+    # each block of edges lists its triangles and counts their weights, so
+    # memory follows the block, not the triangle count
+    block_sums = [np.zeros(0, dtype=np.int64)]
+    block_counts = [np.zeros(0, dtype=np.int64)]
+    step = max(1, (1 << 20) // max(1, size))  # edges per 1 MB of flags
+    for s in range(0, len(hw), step):
+        i, j = first[s:s + step], second[s:s + step]
+        e, l = np.nonzero(upper[i] & upper[j])
+        total = hw[s:s + step][e] + weight[i[e], l] + weight[j[e], l]
+        odd = np.flatnonzero(total & 1)
+        if odd.size:
+            raise InvariantViolated(f"triangle weight {total[odd[0]]} is odd")
+        sums, counts = np.unique(total, return_counts=True)
+        block_sums.append(sums)
+        block_counts.append(counts)
+    sums, where = np.unique(np.concatenate(block_sums), return_inverse=True)
+    counts = np.zeros(len(sums), dtype=np.int64)
+    np.add.at(counts, where, np.concatenate(block_counts))
+    exps = sums // 2
     kk = k // 3
     per_clique = comb(k, kk) * comb(k - kk, kk) // 6
-    for e in terms:
-        if terms[e] % per_clique:
-            raise InvariantViolated(
-                f"{terms[e]} triangles at exponent {e} are not a multiple of {per_clique}")
-        terms[e] //= per_clique
-    return terms
+    bad = np.flatnonzero(counts % per_clique)
+    if bad.size:
+        raise InvariantViolated(
+            f"{counts[bad[0]]} triangles at exponent {exps[bad[0]]} "
+            f"are not a multiple of {per_clique}")
+    return dict(zip(exps.tolist(), (counts // per_clique).tolist()))
 
 
 def _encoded_dijkstra(n, adj, tv_of, src):
@@ -464,27 +518,30 @@ def _selfconv_support(seq, bound, budget):
     return support
 
 
-def minplus_selfconv_min(seq, bound, key=None, budget=5 * 10**7):
-    """Per-index minimum of the self-convolution, compared by `key`.
+def minplus_selfconv_min(seq, bound, keys=None, budget=5 * 10**7):
+    """Per-index minimum of the self-convolution, compared by `keys`.
 
-    `key(e)` defaults to the identity; pass a true-value key to restore
-    the original order of encoded sums.  Ties break toward the smaller
-    encoded value.  Keys may be arbitrarily large Python ints: the
-    attainable sums are ranked once by (key(e), e) in Python, and each
-    row's minimum is its attainable sum of lowest rank.
+    `keys(sums)` gives the sort key of every sum in the int64 array `sums`
+    in one call, and defaults to the sums themselves; pass a batch
+    true-value decoder to restore the original order of encoded sums.
+    Ties break toward the smaller encoded value.  Keys may be arbitrarily
+    large Python ints: the attainable sums are ranked once by
+    (key, encoding), and each row's minimum is its attainable sum of
+    lowest rank.
     """
     import numpy as np
 
     support = _selfconv_support(seq, bound, budget)
     # only attainable sums are guaranteed to be decodable, so evaluate
-    # the key just on columns that occur somewhere
-    cols = np.flatnonzero(support.any(axis=0)).tolist()
-    if key is not None:
-        cols.sort(key=lambda e: (key(e), e))
+    # the keys just on columns that occur somewhere
+    cols = np.flatnonzero(support.any(axis=0))
+    if keys is not None:
+        # cols ascend, so a stable sort keeps ties in encoding order
+        cols = cols[np.argsort(keys(cols), kind="stable")]
     # columns in rank order: the first attainable one in a row has the
     # lowest rank among that row's sums
     ranked = support[:, cols]
     first = ranked.argmax(axis=1)
     if not ranked[np.arange(len(first)), first].all():
         raise InvariantViolated("a self-convolution index has no attainable sum")
-    return [cols[i] for i in first.tolist()]
+    return cols[first].tolist()

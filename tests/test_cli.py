@@ -335,6 +335,17 @@ def test_graph_without_edges(tmp_path, capsys):
         assert out.count("PASS") + out.count("INFEASIBLE") == 2, (argv, out)
 
 
+def test_tsp_without_vertices_is_infeasible(tmp_path, capsys):
+    # lambda is max(1, n) for tsp as for every kind, so n = 0 reaches the solver
+    path = tmp_path / "empty.txt"
+    path.write_text("problem\nkind tsp\nn 0\n")
+    code, out, err = run(["solve", str(path)], capsys)
+    assert code == 3 and out == "" and err.startswith("infeasible: ")
+    code, out, err = run(["verify", "--sweep", "1", "--kind", "tsp", "--n", "0",
+                          "--gap", "d=1 x=3 L=5"], capsys)
+    assert (code, out, err) == (0, "[0] INFEASIBLE: both report infeasible\n", "")
+
+
 @pytest.mark.parametrize("kind", sorted(SOLVER_SPECS))
 def test_gen_then_verify_every_kind(tmp_path, capsys, kind):
     # a kind added to SOLVER_SPECS reaches gen and verify with no other edit;

@@ -12,9 +12,10 @@ from gapsolve import (
     kappa,
     kappa_inv,
     true_value,
+    true_values,
     value_rank,
 )
-from gapsolve.errors import BudgetExceeded, OutOfBounds, OutOfRange
+from gapsolve.errors import BoundExceeded, BudgetExceeded, OutOfBounds, OutOfRange
 
 
 def egap_of(gens, bounds, lam=1):
@@ -214,3 +215,28 @@ def test_value_rank_out_of_range():
     g = egap_of([3, 10], [2, 2])
     with pytest.raises(OutOfRange):
         value_rank(g, g.range_bound)
+
+
+def test_true_values_matches_true_value():
+    # 2^63-scale generators: the values need Python ints, the digits do not
+    rng = random.Random(3)
+    g = enlarge(Gap((2**63 + 29, 2**61 + 3, 5), (3, 12, 4)), 9)
+    exps = [rng.randrange(g.range_bound) for _ in range(300)] + [0, g.range_bound - 1]
+    values = true_values(g, exps).tolist()
+    assert values == [true_value(g, e) for e in exps]
+    assert all(type(v) is int for v in values)
+    assert true_values(g, []).tolist() == []
+    with pytest.raises(OutOfRange):
+        true_values(g, [g.range_bound])
+    with pytest.raises(OutOfRange):
+        true_values(g, [-1])
+
+
+def test_true_values_limit_2_62():
+    # a radix above 2^62 still splits off exact digits; encodings stop there
+    g = enlarge(Gap((7, 1), (2**70, 2**70)), 1)
+    e = 2**62 - 1
+    assert true_values(g, [e]).tolist() == [true_value(g, e)] == [e]
+    for big in (2**62, 2**63, 2**80):
+        with pytest.raises(BoundExceeded):
+            true_values(g, [big])

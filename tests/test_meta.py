@@ -12,6 +12,7 @@ from gapsolve import (
     minplus_selfconv_min,
     run_meta,
     true_value,
+    true_values,
 )
 import gapsolve.meta as meta
 import gapsolve.poly as poly
@@ -193,22 +194,21 @@ def test_graph_without_edges(gap):
 
 
 def test_each_term_decoded_once(monkeypatch):
-    # select_optimum decodes every term once; meta decodes no term again
+    # one batch decode per run_meta, holding every exponent once
     calls = []
 
-    def counting(g, e):
-        calls.append(e)
-        return true_value(g, e)
+    def counting(g, exps):
+        calls.append(list(exps))
+        return true_values(g, exps)
 
-    monkeypatch.setattr(poly, "true_value", counting)
-    monkeypatch.setattr(meta, "true_value", counting)
-    extra = set()
+    monkeypatch.setattr(poly, "true_values", counting)
+    monkeypatch.setattr(meta, "true_values", counting)
     for n in (6, 8):
         inst = generate_instance("tsp", n, Gap((10**12, 7), (1, 30)), seed=1)
         calls.clear()
         res = run_meta(inst)
-        extra.add(len(calls) - res.stats["solution_terms"])
-    assert len(extra) == 1 and extra.pop() <= 1
+        [exps] = calls
+        assert len(exps) == len(set(exps)) == res.stats["solution_terms"]
 
 
 def test_stats_keys_same_for_every_kind():

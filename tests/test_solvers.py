@@ -291,6 +291,25 @@ def attainable_sums(seq, bound, budget=5 * 10**7):
     return [[int(s) for s in row.nonzero()[0]] for row in support]
 
 
+@pytest.mark.parametrize("kind", ["tsp", "maxcut", "ewclique"])
+def test_int64_cores_exact_below_2_62_and_raise_above(kind):
+    # a triangle whose encoded weights put lambda * max(enc) just below 2^62
+    inst = ProblemInstance(kind=kind, n=3, edges=((0, 1, 1), (1, 2, 2), (0, 2, 3)),
+                           k=3 if kind == "ewclique" else 0)
+    solve = {"tsp": tsp_algebraic, "maxcut": maxcut_algebraic,
+             "ewclique": lambda inst, enc: ewclique_algebraic(inst, enc, 3)}[kind]
+    top = (2**62 - 1) // SOLVER_SPECS[kind].lambda_bound(inst)
+    enc = {1: top, 2: top - 1, 3: top - 2}
+    expected = {
+        "tsp": {3 * top - 3: 1},
+        "maxcut": {0: 1, 2 * top - 1: 1, 2 * top - 3: 1, 2 * top - 2: 1},
+        "ewclique": {3 * top - 3: 1},
+    }[kind]
+    assert solve(inst, enc) == expected
+    with pytest.raises(BoundExceeded):
+        solve(inst, {1: top + 1, 2: 0, 3: 0})
+
+
 def test_minplus_bound_errors():
     with pytest.raises(BoundExceeded):
         minplus_selfconv_min([5], 4)

@@ -24,9 +24,12 @@ The cores work on exponents as machine integers: max-cut and the k-clique
 auxiliary graph on int64 numpy arrays, TSP on Held-Karp cells that are
 each one int packing a count per exponent, and min-plus on a float FFT.
 Sums of at most lambda encoded weights stay below EXPONENT_LIMIT = 2^62,
-checked once per call (BoundExceeded above it), so int64 never wraps;
-true values are decoded in one `encoding.true_values` call, over Python
-ints.  numpy is imported inside the functions that use it.
+checked once per call (BoundExceeded above it), so int64 never wraps.
+TSP and min-plus are dense in the exponent: their memory grows with the
+spread of the encoded weights, and each raises BoundExceeded above a
+fixed budget.  The optimum and min-plus's sums are decoded in one
+`encoding.true_values` call, over Python ints.  numpy is imported inside
+the functions that use it.
 """
 
 import heapq
@@ -35,7 +38,7 @@ from itertools import chain, combinations
 from math import comb, factorial
 
 from .additive import Gap, WeightSet
-from .encoding import EXPONENT_LIMIT, true_values
+from .encoding import EXPONENT_LIMIT, true_value, true_values
 from .errors import (
     BoundExceeded,
     Disconnected,
@@ -131,7 +134,7 @@ SOLVER_SPECS = {
     "steiner": SolverSpec(
         "min", lambda inst: max(1, inst.n - 1),
         lambda inst, enc, egap: steiner_algebraic(
-            inst, enc, _decoded(egap, enc.values()).__getitem__),
+            inst, enc, lambda e: true_value(egap, e)),
         lambda inst: steiner_bf(inst).optimum,
         counts=False),
     "minplusconv": SolverSpec(
@@ -142,12 +145,6 @@ SOLVER_SPECS = {
         lambda inst: minplus_naive(list(inst.sequence)),
         counts=False),
 }
-
-
-def _decoded(egap, codes):
-    """{code: true value} for each distinct code, decoded in one call."""
-    codes = list(set(codes))
-    return dict(zip(codes, true_values(egap, codes).tolist()))
 
 
 def _encoded_edges(inst, enc):
@@ -185,7 +182,7 @@ def _int64_edges(inst, enc, lam):
     return adj, weight
 
 
-def tsp_algebraic(inst, enc):
+def tsp_algebraic(inst, enc, budget=2**32):
     """Held-Karp subset DP whose cells are packed generating functions.
 
     dp[mask][v] stands for the simple paths from vertex 0 to v visiting
@@ -199,6 +196,13 @@ def tsp_algebraic(inst, enc):
     directed cycles.  Closing every path with the edge back to 0 counts
     each undirected tour twice (once per orientation, same weight), so
     final counts are halved.  Returns {} when no Hamiltonian cycle exists.
+
+    A cell takes up to ((n-1) * spread + 1) slots, where spread is the
+    largest encoded edge weight minus w_min, so memory grows with the
+    spread, not with the number of distinct path weights.  `budget` caps
+    2^(n-1) widest cells, in bits (2^32, 512 MiB; the measured peak is a
+    third to a half of that); above it BoundExceeded is raised before
+    any cell is built.
     """
     import numpy as np
 
@@ -211,6 +215,11 @@ def tsp_algebraic(inst, enc):
         raise BoundExceeded(f"tour counts at n = {n} do not fit in 64 bits")
     slot = 8 * width
     w_min = min(enc[w] for _, _, w in inst.edges)
+    spread = max(enc[w] for _, _, w in inst.edges) - w_min
+    if ((n - 1) * spread + 1) * slot << (n - 1) > budget:
+        raise BoundExceeded(
+            f"Held-Karp cells for n = {n} and encoded weight spread {spread} "
+            f"exceed budget {budget} bits")
     # out[v]: (u, bit of u, bits a cell moves when it takes edge (v, u))
     out = [[] for _ in range(n)]
     for u, v, w in inst.edges:

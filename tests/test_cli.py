@@ -346,6 +346,17 @@ def test_tsp_without_vertices_is_infeasible(tmp_path, capsys):
     assert (code, out, err) == (0, "[0] INFEASIBLE: both report infeasible\n", "")
 
 
+
+def test_solve_tsp_wide_spread_exit_2(tmp_path, capsys):
+    # weights spread over 10^5 make Held-Karp cells too wide for the budget
+    path = tmp_path / "wide.txt"
+    code, _, _ = run(["gen", "tsp", "--n", "10", "--gap", "d=1 x=1 L=10^5",
+                      "--seed", "1", "-o", str(path)], capsys)
+    assert code == 0
+    code, out, err = run(["solve", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: Held-Karp cells for n = 10 ")
+
 @pytest.mark.parametrize("kind", sorted(SOLVER_SPECS))
 def test_gen_then_verify_every_kind(tmp_path, capsys, kind):
     # a kind added to SOLVER_SPECS reaches gen and verify with no other edit;

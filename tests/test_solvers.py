@@ -310,6 +310,26 @@ def test_int64_cores_exact_below_2_62_and_raise_above(kind):
         solve(inst, {1: top + 1, 2: 0, 3: 0})
 
 
+
+def test_tsp_budget_counts_widest_cells():
+    # n = 3: slots of one byte, encoded spread 2, so 2^2 cells of
+    # (2 * 2 + 1) * 8 bits make 160 bits
+    inst = ProblemInstance(kind="tsp", n=3, edges=((0, 1, 1), (1, 2, 2), (0, 2, 3)))
+    enc = {1: 5, 2: 6, 3: 7}
+    assert tsp_algebraic(inst, enc, budget=160) == {18: 1}
+    with pytest.raises(BoundExceeded):
+        tsp_algebraic(inst, enc, budget=159)
+
+
+def test_tsp_wide_spread_raises_before_building_cells():
+    # six-digit weights on the unit GAP: each cell would span about 9 * 10^6
+    # slots of 24 bits, so the default budget refuses n = 10 at once
+    rng = random.Random(1)
+    inst = ProblemInstance(kind="tsp", n=10, edges=tuple(
+        (u, v, rng.randrange(10**6)) for u in range(10) for v in range(u + 1, 10)))
+    with pytest.raises(BoundExceeded, match="spread"):
+        tsp_algebraic(inst, {w: w for _, _, w in inst.edges})
+
 def test_minplus_bound_errors():
     with pytest.raises(BoundExceeded):
         minplus_selfconv_min([5], 4)

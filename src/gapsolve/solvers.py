@@ -200,9 +200,9 @@ def tsp_algebraic(inst, enc, budget=2**32):
     A cell takes up to ((n-1) * spread + 1) slots, where spread is the
     largest encoded edge weight minus w_min, so memory grows with the
     spread, not with the number of distinct path weights.  `budget` caps
-    2^(n-1) widest cells, in bits (2^32, 512 MiB; the measured peak is a
-    third to a half of that); above it BoundExceeded is raised before
-    any cell is built.
+    2^(n-1) widest cells, in bits (2^32, 512 MiB; complete graphs peaked
+    at a quarter to a third of that); above it BoundExceeded is raised
+    before any cell is built.
     """
     import numpy as np
 

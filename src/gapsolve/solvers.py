@@ -27,12 +27,12 @@ Sums of at most lambda encoded weights stay below EXPONENT_LIMIT = 2^62,
 checked once per call (BoundExceeded above it), so int64 never wraps.
 TSP and min-plus are dense in the exponent: their memory grows with the
 spread of the encoded weights, and each raises BoundExceeded above a
-fixed budget.  The optimum and min-plus's sums are decoded in one
-`encoding.true_values` call, over Python ints.  numpy is imported inside
-the functions that use it.
+fixed budget.  Steiner's key, exact at any generator size, is split into
+as many 61-bit int64 limbs as its sums need.  The optimum and min-plus's
+sums are decoded in one `encoding.true_values` call, over Python ints.
+numpy is imported inside the functions that use it.
 """
 
-import heapq
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 from math import comb, factorial
@@ -47,6 +47,10 @@ from .errors import (
     KNotDivisibleBy3,
 )
 from .oracle import clique_bf, maxcut_bf, minplus_naive, steiner_bf, tsp_bf
+
+# steiner's keys are int64 limbs of _LIMB bits; two limbs add below 2^62
+_LIMB = 61
+_LIMB_MASK = (1 << _LIMB) - 1
 
 
 @dataclass(frozen=True)
@@ -145,15 +149,6 @@ SOLVER_SPECS = {
         lambda inst: minplus_naive(list(inst.sequence)),
         counts=False),
 }
-
-
-def _encoded_edges(inst, enc):
-    """Adjacency map u -> {v: encoded weight}."""
-    adj = {u: {} for u in range(inst.n)}
-    for u, v, w in inst.edges:
-        adj[u][v] = enc[w]
-        adj[v][u] = enc[w]
-    return adj
 
 
 def _check_int64(inst, enc, lam):
@@ -317,17 +312,16 @@ def build_auxiliary_graph(inst, enc, k):
         raise KNotDivisibleBy3(f"k = {k}")
     kk = k // 3
     adj_m, weight_m = _int64_edges(inst, enc, k * (k - 1))
-    adj = _encoded_edges(inst, enc)
+    adj, weight = adj_m.tolist(), weight_m.tolist()
     nodes, internal = [], []
     for combo in combinations(range(inst.n), kk):
         tot = 0
         ok = True
         for u, v in combinations(combo, 2):
-            w = adj[u].get(v)
-            if w is None:
+            if not adj[u][v]:
                 ok = False
                 break
-            tot += w
+            tot += weight[u][v]
         if ok:
             nodes.append(combo)
             internal.append(tot)
@@ -394,84 +388,95 @@ def ewclique_algebraic(inst, enc, k):
     return dict(zip(exps.tolist(), (counts // per_clique).tolist()))
 
 
-def _encoded_dijkstra(n, adj, tv_of, src):
-    """Shortest paths from src where edge lengths are (true value, encoding).
+def _limb_add(a, b):
+    """a + b for limb arrays: limb axis first, most significant limb first."""
+    total = a + b
+    for j in range(len(total) - 1, 0, -1):
+        total[j - 1] += total[j] >> _LIMB
+        total[j] &= _LIMB_MASK
+    return total
 
-    True values add exactly (the encoding is additive within the enlarged
-    bounds), so comparing accumulated (tv, enc) pairs orders paths by
-    original weight with deterministic tie-breaking.
-    """
-    INF = None
-    dist = [INF] * n
-    heap = [(0, 0, src)]
-    done = [False] * n
-    while heap:
-        tv, e, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        dist[u] = (tv, e)
-        for v, w in adj[u].items():
-            if not done[v]:
-                heapq.heappush(heap, (tv + tv_of[w], e + w, v))
-    return dist
+
+def _limb_min(x, axis):
+    """Minimum of the limb array x along `axis` of each limb's array."""
+    import numpy as np
+
+    lows = []
+    for limb in x:
+        if lows:  # keep the positions tied so far; the fill is above every limb
+            limb = np.where(last == lows[-1], limb, 1 << _LIMB)
+        lows.append(limb.min(axis=axis, keepdims=True))
+        last = limb
+    return np.stack(lows).squeeze(axis + 1)
 
 
 def steiner_algebraic(inst, enc, tv):
-    """Dreyfus-Wagner DP over (terminal subset, root) with encoded weights.
+    """Dreyfus-Wagner DP over (terminal subset, root) on one exact integer key.
 
-    States hold the minimum (true value, encoding) pair; the returned dict
-    holds the single optimal exponent with coefficient 1.
+    Encoded weight e has the key tv(e) * R + e; R = (n - 1) * max(enc) + 1
+    lies above the encodings of any tree, so key sums order trees by (true
+    value, encoding), and each DP candidate, an edge multiset, holds a tree
+    of no larger key: the optimum's encoding is its key mod R.  Keys are
+    int64 limbs, as many as the largest sum needs.  Subsets of one size are
+    solved at once, in blocks that bound the (block, n, n) temporaries.
     Raises Disconnected when the terminals span components.
     """
+    import numpy as np
+
     n = inst.n
     terms = list(dict.fromkeys(inst.terminals))
-    adj = _encoded_edges(inst, enc)
-    tv_of = {e: tv(e) for e in set(enc.values())}
-    dist = [_encoded_dijkstra(n, adj, tv_of, s) for s in range(n)]
-    for t in terms[1:]:
-        if dist[terms[0]][t] is None:
-            raise Disconnected(f"terminal {t} unreachable from {terms[0]}")
+    codes = {enc[w] for _, _, w in inst.edges}
+    radix = (n - 1) * max(codes, default=0) + 1
+    key = {e: tv(e) * radix + e for e in codes}
+    # a DP value sums fewer than 2 * len(terms) paths of fewer than n edges,
+    # so `inf` lies above all; the limbs hold 2 * inf, Floyd-Warshall's sum
+    inf = 2 * len(terms) * (n - 1) * max(key.values(), default=0) + 1
+    count = -(-(2 * inf).bit_length() // _LIMB)
 
-    k = len(terms)
-    full = (1 << (k - 1)) - 1  # subsets of terms[1:]
-    # dp[S][v]: best tree connecting {terms[i+1] : i in S} plus vertex v
-    dp = [[None] * n for _ in range(full + 1)]
-    for i in range(k - 1):
-        t = terms[i + 1]
-        for v in range(n):
-            dp[1 << i][v] = dist[t][v]
-    for S in range(1, full + 1):
-        if S & (S - 1) == 0:
-            continue
-        row = dp[S]
-        # merge two sub-trees at the same root
-        T = (S - 1) & S
-        while T:
-            U = S ^ T
-            if T > U:  # each split once
-                a, b = dp[T], dp[U]
-                for v in range(n):
-                    if a[v] is None or b[v] is None:
-                        continue
-                    cand = (a[v][0] + b[v][0], a[v][1] + b[v][1])
-                    if row[v] is None or cand < row[v]:
-                        row[v] = cand
-            T = (T - 1) & S
-        # re-root along shortest paths
-        best = [(row[u], u) for u in range(n) if row[u] is not None]
-        for v in range(n):
-            for cur, u in best:
-                d = dist[u][v]
-                if d is None:
-                    continue
-                cand = (cur[0] + d[0], cur[1] + d[1])
-                if row[v] is None or cand < row[v]:
-                    row[v] = cand
-    ans = dp[full][terms[0]] if full else (0, 0)
-    if ans is None:
-        raise Disconnected("no connecting tree")
-    return {ans[1]: 1}
+    def limbs(values):
+        return np.array([[v >> (_LIMB * j) & _LIMB_MASK for v in values]
+                         for j in reversed(range(count))], dtype=np.int64)
+
+    top = limbs([inf])
+    dist = np.tile(top[:, :, None], (1, n, n))
+    dist[:, range(n), range(n)] = 0
+    u, v = np.array([e[:2] for e in inst.edges], dtype=np.int64).reshape(-1, 2).T
+    dist[:, u, v] = dist[:, v, u] = limbs([key[enc[w]] for _, _, w in inst.edges])
+    for m in range(n):
+        via = _limb_add(dist[:, :, m, None], dist[:, None, m, :])
+        less, tied = via[0] < dist[0], via[0] == dist[0]  # from the top limb down
+        for x, y in zip(via[1:], dist[1:]):
+            less |= tied & (x < y)
+            tied &= x == y
+        np.copyto(dist, via, where=less)
+    near = (dist[:, terms[0]] != top).any(axis=0)
+    for t in terms[1:]:
+        if not near[t]:
+            raise Disconnected(f"terminal {t} unreachable from {terms[0]}")
+    keep = np.flatnonzero(near)  # only finite keys, so no DP sum wraps
+    dist = dist[:, keep][:, :, keep]
+    root, *leaves = np.searchsorted(keep, terms).tolist()
+    k = len(leaves)
+    # dp[:, S, v]: least key of a tree joining {terms[i+1] : i in S} and v
+    dp = np.zeros((count, 1 << k, len(keep)), dtype=np.int64)
+    dp[:, 1 << np.arange(k)] = dist[:, leaves]
+    bits = np.arange(1 << k)[:, None] >> np.arange(k) & 1
+    for s in range(2, k + 1):
+        level = np.flatnonzero(bits.sum(axis=1) == s)
+        members = 1 << np.nonzero(bits[level])[1].reshape(-1, s)
+        # each split {T, S \ T} once: T holds the highest member of S
+        picks = np.arange(1 << (s - 1), (1 << s) - 1)[:, None] >> np.arange(s) & 1
+        firsts = members @ picks.T
+        seconds = level[:, None] - firsts
+        step = max(1, (1 << 17) // (len(keep) * max(len(keep), len(picks))))
+        for b in range(0, len(level), step):
+            part = slice(b, b + step)
+            # merge two sub-trees at one root, then re-root along shortest paths
+            merged = _limb_min(_limb_add(dp[:, firsts[part]], dp[:, seconds[part]]), 1)
+            dp[:, level[part]] = _limb_min(
+                _limb_add(merged[:, :, :, None], dist[:, None]), 1)
+    best = sum(limb << _LIMB * j for j, limb in enumerate(dp[::-1, -1, root].tolist()))
+    return {best % radix: 1}
 
 
 def _fft_len(m):

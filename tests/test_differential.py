@@ -1,15 +1,20 @@
 """Differential tests: the int64 solver cores against the loop solvers they replaced.
 
 The ref_* functions are the dict-loop Held-Karp, split-and-list max-cut,
-auxiliary graph and triangle loop, and the per-term optimum selection,
+auxiliary graph and triangle loop, the per-term optimum selection, and the
+Dreyfus-Wagner DP over (true value, encoding) tuples with its Dijkstra,
 kept here verbatim (renamed) as references.  Every instance is seeded, and
 the solvers must return the same {exponent: count} dicts and pick the same
 optimum under both senses, on covers of ordinary size, with 2^63-scale
-generators, with a 2^63 translation, in three dimensions, and on the
-non-proper GAP ((2, 3), (6, 4)), whose values have several encodings.
+and 2^200-scale generators, with a 2^63 translation, in three dimensions,
+and on the non-proper GAP ((2, 3), (6, 4)), whose values have several
+encodings.
 """
 
+import heapq
 import random
+import re
+from functools import partial
 from itertools import combinations
 from math import comb
 
@@ -26,10 +31,17 @@ from gapsolve import (
     kappa,
     maxcut_algebraic,
     select_optimum,
+    steiner_algebraic,
     true_value,
     tsp_algebraic,
 )
-from gapsolve.errors import EmptyPolynomial, InvariantViolated, KNotDivisibleBy3
+from gapsolve.errors import (
+    Disconnected,
+    EmptyPolynomial,
+    InvariantViolated,
+    KNotDivisibleBy3,
+)
+from gapsolve.oracle import steiner_bf
 
 
 def _encoded_edges(inst, enc):
@@ -256,6 +268,86 @@ def ref_select_optimum(terms, g, sense):
     return best, value, count
 
 
+def _encoded_dijkstra(n, adj, tv_of, src):
+    """Shortest paths from src where edge lengths are (true value, encoding).
+
+    True values add exactly (the encoding is additive within the enlarged
+    bounds), so comparing accumulated (tv, enc) pairs orders paths by
+    original weight with deterministic tie-breaking.
+    """
+    INF = None
+    dist = [INF] * n
+    heap = [(0, 0, src)]
+    done = [False] * n
+    while heap:
+        tv, e, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        dist[u] = (tv, e)
+        for v, w in adj[u].items():
+            if not done[v]:
+                heapq.heappush(heap, (tv + tv_of[w], e + w, v))
+    return dist
+
+
+def ref_steiner(inst, enc, tv):
+    """Dreyfus-Wagner DP over (terminal subset, root) with encoded weights.
+
+    States hold the minimum (true value, encoding) pair; the returned dict
+    holds the single optimal exponent with coefficient 1.
+    Raises Disconnected when the terminals span components.
+    """
+    n = inst.n
+    terms = list(dict.fromkeys(inst.terminals))
+    adj = _encoded_edges(inst, enc)
+    tv_of = {e: tv(e) for e in set(enc.values())}
+    dist = [_encoded_dijkstra(n, adj, tv_of, s) for s in range(n)]
+    for t in terms[1:]:
+        if dist[terms[0]][t] is None:
+            raise Disconnected(f"terminal {t} unreachable from {terms[0]}")
+
+    k = len(terms)
+    full = (1 << (k - 1)) - 1  # subsets of terms[1:]
+    # dp[S][v]: best tree connecting {terms[i+1] : i in S} plus vertex v
+    dp = [[None] * n for _ in range(full + 1)]
+    for i in range(k - 1):
+        t = terms[i + 1]
+        for v in range(n):
+            dp[1 << i][v] = dist[t][v]
+    for S in range(1, full + 1):
+        if S & (S - 1) == 0:
+            continue
+        row = dp[S]
+        # merge two sub-trees at the same root
+        T = (S - 1) & S
+        while T:
+            U = S ^ T
+            if T > U:  # each split once
+                a, b = dp[T], dp[U]
+                for v in range(n):
+                    if a[v] is None or b[v] is None:
+                        continue
+                    cand = (a[v][0] + b[v][0], a[v][1] + b[v][1])
+                    if row[v] is None or cand < row[v]:
+                        row[v] = cand
+            T = (T - 1) & S
+        # re-root along shortest paths
+        best = [(row[u], u) for u in range(n) if row[u] is not None]
+        for v in range(n):
+            for cur, u in best:
+                d = dist[u][v]
+                if d is None:
+                    continue
+                cand = (cur[0] + d[0], cur[1] + d[1])
+                if row[v] is None or cand < row[v]:
+                    row[v] = cand
+    ans = dp[full][terms[0]] if full else (0, 0)
+    if ans is None:
+        raise Disconnected("no connecting tree")
+    return {ans[1]: 1}
+
+
 T63 = 2**63
 # (cover, coordinate draw) per family; every weight is a point of its cover
 FAMILIES = {
@@ -264,6 +356,7 @@ FAMILIES = {
     "T63": Gap((T63, 3**30, 5**11), (1, 5, 5)),  # every weight has l_1 = 1
     "3dim": Gap((10**9 + 7, 1000003, 13), (8, 8, 8)),
     "nonproper": Gap((2, 3), (6, 4)),
+    "B200": Gap((2**200 + 1, 5), (2, 9)),
 }
 
 
@@ -356,6 +449,80 @@ def test_ewclique_matches_loop_reference(family):
         terms = ewclique_algebraic(inst, enc, inst.k)
         assert terms == ref_ewclique_algebraic(inst, enc, inst.k), inst
         assert_same_optimum(terms, egap)
+
+
+def steiner_case(family, n, density, seed, terminals, edges=None, zero=False):
+    """Seeded steiner instance; `terminals` is a count or the terminals."""
+    rng = random.Random(f"steiner-{family}-{n}-{density}-{seed}")
+    if edges is None:
+        edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < density]
+    edges = tuple((u, v, 0 if zero and rng.random() < 0.5 else draw_weight(rng, family))
+                  for u, v in edges)
+    if isinstance(terminals, int):
+        terminals = rng.sample(range(n), terminals)
+    return ProblemInstance(kind="steiner", n=n, edges=edges, terminals=tuple(terminals),
+                           gap=FAMILIES[family])
+
+
+def steiner_cases(family):
+    zero = family != "T63"  # 0 is no point of T63, whose weights all have l_1 = 1
+    yield steiner_case(family, 2, 1.0, 0, 2)
+    for t in range(2, 9):
+        yield steiner_case(family, t + 4, 0.5, t, t)
+    yield steiner_case(family, 12, 0.3, 1, 5)
+    yield steiner_case(family, 9, 0.6, 2, 4, zero=zero)
+    yield steiner_case(family, 7, 1.0, 3, 4, edges=path_edges(7), zero=zero)
+    # two components: terminals in one of them, then across both
+    halves = [(u, v) for u, v in combinations(range(8), 2) if (u < 4) == (v < 4)]
+    yield steiner_case(family, 8, 1.0, 4, (0, 2, 3), edges=halves)
+    yield steiner_case(family, 8, 1.0, 5, (0, 2, 5), edges=halves)
+    yield steiner_case(family, 5, 1.0, 6, (0, 4), edges=[])
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_steiner_matches_loop_reference(family):
+    disconnected = 0
+    for inst in steiner_cases(family):
+        egap, enc = encoded(inst)
+        tv = partial(true_value, egap)
+        try:
+            expected = ref_steiner(inst, enc, tv)
+        except Disconnected as err:
+            with pytest.raises(Disconnected, match=re.escape(str(err))):
+                steiner_algebraic(inst, enc, tv)
+            disconnected += 1
+        else:
+            assert steiner_algebraic(inst, enc, tv) == expected, inst
+    assert disconnected >= 2
+
+
+@pytest.mark.parametrize("terminals", [(3, 3), (1, 4, 1, 4, 1)])
+def test_steiner_duplicate_terminals_collapse(terminals):
+    for family in sorted(FAMILIES):
+        inst = steiner_case(family, 6, 1.0, 7, terminals)
+        egap, enc = encoded(inst)
+        tv = partial(true_value, egap)
+        assert steiner_algebraic(inst, enc, tv) == ref_steiner(inst, enc, tv)
+        if len(set(terminals)) == 1:
+            assert steiner_algebraic(inst, enc, tv) == {0: 1}
+
+
+def test_steiner_matches_bruteforce_on_2_200_generators():
+    checked = 0
+    for seed in range(12):
+        inst = steiner_case("B200", 8, 0.5, seed, 3 + seed % 4)
+        egap, enc = encoded(inst)
+        tv = partial(true_value, egap)
+        try:
+            optimum = steiner_bf(inst).optimum
+        except Disconnected:
+            with pytest.raises(Disconnected):
+                steiner_algebraic(inst, enc, tv)
+            continue
+        [(e, count)] = steiner_algebraic(inst, enc, tv).items()
+        assert (true_value(egap, e), count) == (optimum, 1)
+        checked += 1
+    assert checked >= 6
 
 
 def test_select_optimum_matches_loop_reference_on_ties():

@@ -312,28 +312,18 @@ def build_auxiliary_graph(inst, enc, k):
         raise KNotDivisibleBy3(f"k = {k}")
     kk = k // 3
     adj_m, weight_m = _int64_edges(inst, enc, k * (k - 1))
-    adj, weight = adj_m.tolist(), weight_m.tolist()
-    nodes, internal = [], []
-    for combo in combinations(range(inst.n), kk):
-        tot = 0
-        ok = True
-        for u, v in combinations(combo, 2):
-            if not adj[u][v]:
-                ok = False
-                break
-            tot += weight[u][v]
-        if ok:
-            nodes.append(combo)
-            internal.append(tot)
-    inc = np.zeros((len(nodes), inst.n), dtype=np.int64)
-    inc[np.repeat(np.arange(len(nodes)), kk), np.ravel(nodes).astype(np.int64)] = 1
+    combos = np.array(list(combinations(range(inst.n), kk)), dtype=np.int64).reshape(-1, kk)
+    a, b = np.triu_indices(kk, 1)  # the vertex pairs inside a node
+    combos = combos[adj_m[combos[:, a], combos[:, b]].all(axis=1)]
+    own = weight_m[combos[:, a], combos[:, b]].sum(axis=1)
+    inc = np.zeros((len(combos), inst.n), dtype=np.int64)
+    inc[np.repeat(np.arange(len(combos)), kk), combos.ravel()] = 1
     linked = inc @ adj_m @ inc.T == kk * kk
     cross = inc @ weight_m @ inc.T
-    own = np.array(internal, dtype=np.int64)
     i, j = np.nonzero(np.triu(linked, 1))
     hw = 2 * cross[i, j] + own[i] + own[j]
     hedges = dict(zip(zip(i.tolist(), j.tolist()), hw.tolist()))
-    return nodes, internal, hedges
+    return list(map(tuple, combos.tolist())), own.tolist(), hedges
 
 
 def ewclique_algebraic(inst, enc, k):
@@ -413,19 +403,36 @@ def _limb_min(x, axis):
 def steiner_algebraic(inst, enc, tv):
     """Dreyfus-Wagner DP over (terminal subset, root) on one exact integer key.
 
-    Encoded weight e has the key tv(e) * R + e; R = (n - 1) * max(enc) + 1
-    lies above the encodings of any tree, so key sums order trees by (true
-    value, encoding), and each DP candidate, an edge multiset, holds a tree
-    of no larger key: the optimum's encoding is its key mod R.  Keys are
-    int64 limbs, as many as the largest sum needs.  Subsets of one size are
-    solved at once, in blocks that bound the (block, n, n) temporaries.
-    Raises Disconnected when the terminals span components.
+    Only the first terminal's component is kept; n is its vertex count.
+    Encoded weight e has the key tv(e) * R + e, R = (n - 1) * max(enc) + 1,
+    above the encodings of any tree: key sums order trees by (true value,
+    encoding), each DP candidate, an edge multiset, holds a tree of no
+    larger key, and the optimum's encoding is its key mod R.  Keys are
+    int64 limbs, as many as the largest sum needs.  Floyd-Warshall relaxes
+    only the rows that reach its pivot, low-degree pivots first, so sparse
+    graphs cost less than n^3.  Subsets of one size are solved at once, in
+    blocks that bound the (block, n, n) temporaries.  Raises Disconnected
+    when the terminals span components.
     """
     import numpy as np
 
-    n = inst.n
     terms = list(dict.fromkeys(inst.terminals))
-    codes = {enc[w] for _, _, w in inst.edges}
+    nbrs = [[] for _ in range(inst.n)]
+    for u, v, _ in inst.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    seen, todo = {terms[0]}, [terms[0]]
+    while todo:
+        fresh = set(nbrs[todo.pop()]) - seen
+        seen |= fresh
+        todo += fresh
+    for t in terms[1:]:
+        if t not in seen:
+            raise Disconnected(f"terminal {t} unreachable from {terms[0]}")
+    at = {v: i for i, v in enumerate(sorted(seen))}
+    n = len(at)
+    edges = [(at[u], at[v], enc[w]) for u, v, w in inst.edges if u in seen]
+    codes = {e for *_, e in edges}
     radix = (n - 1) * max(codes, default=0) + 1
     key = {e: tv(e) * radix + e for e in codes}
     # a DP value sums fewer than 2 * len(terms) paths of fewer than n edges,
@@ -440,25 +447,27 @@ def steiner_algebraic(inst, enc, tv):
     top = limbs([inf])
     dist = np.tile(top[:, :, None], (1, n, n))
     dist[:, range(n), range(n)] = 0
-    u, v = np.array([e[:2] for e in inst.edges], dtype=np.int64).reshape(-1, 2).T
-    dist[:, u, v] = dist[:, v, u] = limbs([key[enc[w]] for _, _, w in inst.edges])
-    for m in range(n):
-        via = _limb_add(dist[:, :, m, None], dist[:, None, m, :])
-        less, tied = via[0] < dist[0], via[0] == dist[0]  # from the top limb down
-        for x, y in zip(via[1:], dist[1:]):
+    u, v = np.array([e[:2] for e in edges], dtype=np.int64).reshape(-1, 2).T
+    dist[:, u, v] = dist[:, v, u] = limbs([key[e] for *_, e in edges])
+    # ties in golden-ratio order: a path pivoted along itself costs n^3 / 2
+    for m in np.lexsort((np.arange(n) * 0.618034 % 1,
+                         np.bincount(np.r_[u, v], minlength=n))):
+        rows = np.flatnonzero((dist[:, :, m] != top).any(axis=0))
+        # gathering more than half the rows costs more than relaxing all
+        rows = rows if 2 * len(rows) < n else slice(None)
+        old = dist[:, rows]
+        via = _limb_add(old[:, :, m, None], dist[:, None, m, :])
+        # _limb_min's order, inlined: _limb_min on a stack took twice as long
+        less, tied = via[0] < old[0], via[0] == old[0]
+        for x, y in zip(via[1:], old[1:]):
             less |= tied & (x < y)
             tied &= x == y
-        np.copyto(dist, via, where=less)
-    near = (dist[:, terms[0]] != top).any(axis=0)
-    for t in terms[1:]:
-        if not near[t]:
-            raise Disconnected(f"terminal {t} unreachable from {terms[0]}")
-    keep = np.flatnonzero(near)  # only finite keys, so no DP sum wraps
-    dist = dist[:, keep][:, :, keep]
-    root, *leaves = np.searchsorted(keep, terms).tolist()
+        np.copyto(old, via, where=less)
+        dist[:, rows] = old
+    root, *leaves = (at[t] for t in terms)
     k = len(leaves)
     # dp[:, S, v]: least key of a tree joining {terms[i+1] : i in S} and v
-    dp = np.zeros((count, 1 << k, len(keep)), dtype=np.int64)
+    dp = np.zeros((count, 1 << k, n), dtype=np.int64)
     dp[:, 1 << np.arange(k)] = dist[:, leaves]
     bits = np.arange(1 << k)[:, None] >> np.arange(k) & 1
     for s in range(2, k + 1):
@@ -468,7 +477,7 @@ def steiner_algebraic(inst, enc, tv):
         picks = np.arange(1 << (s - 1), (1 << s) - 1)[:, None] >> np.arange(s) & 1
         firsts = members @ picks.T
         seconds = level[:, None] - firsts
-        step = max(1, (1 << 17) // (len(keep) * max(len(keep), len(picks))))
+        step = max(1, (1 << 17) // (n * max(n, len(picks))))
         for b in range(0, len(level), step):
             part = slice(b, b + step)
             # merge two sub-trees at one root, then re-root along shortest paths

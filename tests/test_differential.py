@@ -477,6 +477,14 @@ def steiner_cases(family):
     yield steiner_case(family, 8, 1.0, 4, (0, 2, 3), edges=halves)
     yield steiner_case(family, 8, 1.0, 5, (0, 2, 5), edges=halves)
     yield steiner_case(family, 5, 1.0, 6, (0, 4), edges=[])
+    # one 8-vertex component among 32 isolated vertices, then a terminal outside it
+    block = list(combinations(range(8, 16), 2))
+    yield steiner_case(family, 40, 1.0, 8, (9, 12, 15), edges=block)
+    yield steiner_case(family, 40, 1.0, 9, (9, 12, 30), edges=block)
+    # sparse: a path labelled in its order, with and without a few chords
+    yield steiner_case(family, 30, 1.0, 10, 4, edges=path_edges(30))
+    chords = [(0, 17), (4, 25), (9, 12)]
+    yield steiner_case(family, 30, 1.0, 11, 5, edges=path_edges(30) + chords)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -493,7 +501,7 @@ def test_steiner_matches_loop_reference(family):
             disconnected += 1
         else:
             assert steiner_algebraic(inst, enc, tv) == expected, inst
-    assert disconnected >= 2
+    assert disconnected >= 3
 
 
 @pytest.mark.parametrize("terminals", [(3, 3), (1, 4, 1, 4, 1)])

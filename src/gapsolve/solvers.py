@@ -186,11 +186,13 @@ def tsp_algebraic(inst, enc, budget=2**32):
     cell by whole slots, and merging two cells adds them.  Every tour has n
     edges, so each edge weight is lowered by w_min, the smallest encoded
     edge weight, and n * w_min is added back at the end; the packed ints
-    then span the spread of the weights, not their size.  A slot has
-    bitlen((n-1)!) + 1 bits, rounded up to whole bytes, above any count of
-    directed cycles.  Closing every path with the edge back to 0 counts
-    each undirected tour twice (once per orientation, same weight), so
-    final counts are halved.  Returns {} when no Hamiltonian cycle exists.
+    then span the spread of the weights, not their size.  S is
+    bitlen((n-1)!): a slot counts distinct paths or directed cycles, and
+    no slot holds more than (n-1)!, the number of directed Hamiltonian
+    cycles through vertex 0, so a sum never carries into the next slot.
+    Closing every path with the edge back to 0 counts each undirected tour
+    twice (once per orientation, same weight), so final counts are halved.
+    Returns {} when no Hamiltonian cycle exists.
 
     A cell takes up to ((n-1) * spread + 1) slots, where spread is the
     largest encoded edge weight minus w_min, so memory grows with the
@@ -205,10 +207,9 @@ def tsp_algebraic(inst, enc, budget=2**32):
     if n < 3 or not inst.edges:
         return {}
     _check_int64(inst, enc, n)
-    width = -(-(factorial(n - 1).bit_length() + 1) // 8)  # bytes per slot
-    if width > 8:
+    slot = factorial(n - 1).bit_length()
+    if slot > 64:
         raise BoundExceeded(f"tour counts at n = {n} do not fit in 64 bits")
-    slot = 8 * width
     w_min = min(enc[w] for _, _, w in inst.edges)
     spread = max(enc[w] for _, _, w in inst.edges) - w_min
     if ((n - 1) * spread + 1) * slot << (n - 1) > budget:
@@ -242,10 +243,11 @@ def tsp_algebraic(inst, enc, budget=2**32):
             if u == 0:
                 total += cell << d
     slots = -(-total.bit_length() // slot)
-    raw = np.frombuffer(total.to_bytes(slots * width, "little"), dtype=np.uint8)
-    words = np.zeros((slots, 8), dtype=np.uint8)
-    words[:, :width] = raw.reshape(slots, width)
-    counts = words.view("<u8")[:, 0]
+    raw = np.frombuffer(total.to_bytes(-(-slots * slot // 8), "little"), dtype=np.uint8)
+    bits = np.zeros((slots, 64), dtype=np.uint8)
+    bits[:, :slot] = np.unpackbits(raw, count=slots * slot,
+                                   bitorder="little").reshape(slots, slot)
+    counts = np.packbits(bits, axis=1, bitorder="little").view("<u8")[:, 0]
     hit = np.flatnonzero(counts)
     return dict(zip((hit + n * w_min).tolist(), (counts[hit] // 2).tolist()))
 
@@ -300,11 +302,13 @@ def build_auxiliary_graph(inst, enc, k):
     union induces a (2k/3)-clique.  Edge weights double the cross weight
     and add both internal weights, so every H-triangle weighs exactly
     twice the underlying k-clique.  With I the N x n node-incidence
-    matrix, A the adjacency and W the encoded weights of G, nodes i and j
-    are adjacent iff (I A I^T)[i, j] = (k/3)^2, and (I W I^T)[i, j] is
-    their cross weight.  Returns (nodes, internal, hedges) where nodes are
-    vertex-index tuples, internal maps node -> internal encoded weight,
-    and hedges maps (i, j), i < j, -> encoded H-edge weight.
+    matrix and A the adjacency of G, nodes i and j are adjacent iff
+    (I A I^T)[i, j] = (k/3)^2, one float64 product whose entries are at
+    most (k/3)^2 and so exact.  Cross weights are summed from the encoded
+    weights at the adjacent pairs alone.  Returns (nodes, internal,
+    hedges) where nodes are sorted vertex-index tuples in lexicographic
+    order, internal maps node -> internal encoded weight, and hedges maps
+    (i, j), i < j, -> encoded H-edge weight, in row-major order of (i, j).
     """
     import numpy as np
 
@@ -316,26 +320,33 @@ def build_auxiliary_graph(inst, enc, k):
     a, b = np.triu_indices(kk, 1)  # the vertex pairs inside a node
     combos = combos[adj_m[combos[:, a], combos[:, b]].all(axis=1)]
     own = weight_m[combos[:, a], combos[:, b]].sum(axis=1)
-    inc = np.zeros((len(combos), inst.n), dtype=np.int64)
+    inc = np.zeros((len(combos), inst.n))
     inc[np.repeat(np.arange(len(combos)), kk), combos.ravel()] = 1
-    linked = inc @ adj_m @ inc.T == kk * kk
-    cross = inc @ weight_m @ inc.T
+    linked = inc @ adj_m.astype(float) @ inc.T == kk * kk
     i, j = np.nonzero(np.triu(linked, 1))
-    hw = 2 * cross[i, j] + own[i] + own[j]
+    # (I W)[i, v] is node i's weight to vertex v; sum it over node j's vertices
+    to_vertex = weight_m[:, combos].sum(axis=2).T
+    cross = to_vertex[i[:, None], combos[j]].sum(axis=1)
+    hw = 2 * cross + own[i] + own[j]
     hedges = dict(zip(zip(i.tolist(), j.tolist()), hw.tolist()))
     return list(map(tuple, combos.tolist())), own.tolist(), hedges
 
 
 def ewclique_algebraic(inst, enc, k):
-    """Maximum-weight k-clique via minimum/maximum triangles in H.
+    """Maximum-weight k-clique via the triangles of the auxiliary graph H.
 
-    Enumerates all triangles of the auxiliary graph; each triangle's weight
-    is twice its k-clique's encoded weight (additivity of the encoding), so
-    the emitted exponent is the halved triangle weight.  Each triangle
-    i < j < l is found once, from its edge (i, j): the third vertices are
-    the l > j adjacent to both, found for a block of edges at once.
-    Every k-clique yields C(k,k/3)*C(2k/3,k/3)/6 triangles; coefficients
-    are divided by that constant so each clique counts once.
+    A k-clique is a triangle of H once per way to split it into three
+    (k/3)-cliques, C(k,k/3)*C(2k/3,k/3)/6 ways in all.  Only the split into
+    consecutive thirds of the sorted clique is listed: the triangles of the
+    H-edges (i, j) with max(nodes[i]) < min(nodes[j]), so each k-clique
+    counts once.  A triangle weighs twice its k-clique's encoded weight
+    (additivity of the encoding), so the emitted exponent is the halved
+    triangle weight.  Each triangle i < j < l is found once, from its edge
+    (i, j): the third vertices are the l > j adjacent to both, found for a
+    block of edges at once.  Two checks raise InvariantViolated: every
+    triangle weight is even, and the listed triangles times
+    C(k,k/3)*C(2k/3,k/3)/6 equal H's triangle count ((A A) * A).sum() / 6,
+    over H's symmetric 0/1 adjacency A in float64, exact below N = 2^17.
     """
     import numpy as np
 
@@ -344,7 +355,17 @@ def ewclique_algebraic(inst, enc, k):
     first, second = np.fromiter(chain.from_iterable(hedges), dtype=np.int64,
                                 count=2 * len(hedges)).reshape(-1, 2).T
     hw = np.fromiter(hedges.values(), dtype=np.int64, count=len(hedges))
-    # H's edges (i, j) with i < j only, so a row lists the higher neighbours
+    adj = np.zeros((size, size))
+    adj[first, second] = adj[second, first] = 1
+    in_h = int(((adj @ adj) * adj).sum()) // 6
+    kk = k // 3
+    per_clique = comb(k, kk) * comb(k - kk, kk) // 6
+    # nodes are sorted tuples: keep the edges whose first node lies wholly
+    # below the second, the consecutive thirds of each sorted clique
+    ends = np.array(nodes, dtype=np.int64).reshape(size, kk)
+    keep = ends[first, -1] < ends[second, 0]
+    first, second, hw = first[keep], second[keep], hw[keep]
+    # the kept edges (i, j), i < j, so a row lists the higher neighbours
     upper = np.zeros((size, size), dtype=bool)
     weight = np.zeros((size, size), dtype=np.int64)
     upper[first, second] = True
@@ -367,15 +388,12 @@ def ewclique_algebraic(inst, enc, k):
     sums, where = np.unique(np.concatenate(block_sums), return_inverse=True)
     counts = np.zeros(len(sums), dtype=np.int64)
     np.add.at(counts, where, np.concatenate(block_counts))
-    exps = sums // 2
-    kk = k // 3
-    per_clique = comb(k, kk) * comb(k - kk, kk) // 6
-    bad = np.flatnonzero(counts % per_clique)
-    if bad.size:
+    listed = int(counts.sum())
+    if listed * per_clique != in_h:
         raise InvariantViolated(
-            f"{counts[bad[0]]} triangles at exponent {exps[bad[0]]} "
-            f"are not a multiple of {per_clique}")
-    return dict(zip(exps.tolist(), (counts // per_clique).tolist()))
+            f"{listed} k-cliques listed, but H has {in_h} triangles, "
+            f"not {per_clique} per clique")
+    return dict(zip((sums // 2).tolist(), counts.tolist()))
 
 
 def _limb_add(a, b):

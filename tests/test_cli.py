@@ -145,6 +145,29 @@ def test_invariant_violated_exit_5(tmp_path, capsys, monkeypatch):
     assert err.startswith("internal error: triangle weight") and out == ""
 
 
+def test_missing_h_edge_raises_invariant_violated_exit_5(tmp_path, capsys, monkeypatch):
+    import gapsolve.solvers as solvers
+    from gapsolve import run_meta
+    from gapsolve.errors import InvariantViolated
+
+    path = tmp_path / "clique6.txt"
+    run(["gen", "ewclique", "--n", "8", "--gap", "d=1 x=3 L=9", "--k", "6",
+         "--seed", "1", "-o", str(path)], capsys)
+    inst, _ = parse_instance(path.read_text())
+    build = solvers.build_auxiliary_graph
+
+    def drop_first_edge(*args):
+        nodes, internal, hedges = build(*args)
+        return nodes, internal, dict(list(hedges.items())[1:])
+
+    monkeypatch.setattr(solvers, "build_auxiliary_graph", drop_first_edge)
+    with pytest.raises(InvariantViolated, match="triangles"):
+        run_meta(inst)
+    code, out, err = run(["solve", str(path)], capsys)
+    assert code == 5
+    assert err.startswith("internal error: ") and out == ""
+
+
 def test_solve_no_cover_exit_2(tmp_path, capsys):
     import random
 

@@ -417,7 +417,9 @@ def ewclique_cases(family):
     yield graph("ewclique", family, 8, 0.8, 1, k=3)
     yield graph("ewclique", family, 8, 0.9, 2, k=6)
     yield graph("ewclique", family, 9, 0.95, 6, k=6)
+    yield graph("ewclique", family, 12, 0.7, 34, k=6)
     yield graph("ewclique", family, 10, 1.0, 3, k=9)
+    yield graph("ewclique", family, 11, 0.95, 12, k=9)  # 4 to 19 overlapping cliques
     yield graph("ewclique", family, 6, 1.0, 4, k=6, edges=path_edges(6))  # no clique
     yield graph("ewclique", family, 5, 1.0, 5, k=3, edges=[])
 

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,14 @@ def test_tsp_no_tour():
                            edges=((0, 1, 1), (1, 2, 1), (2, 3, 1)))
     egap, enc = identity_enc(inst)
     assert tsp_algebraic(inst, enc) == {}
+
+
+def test_tsp_fullest_slots_on_complete_graphs():
+    # one weight: every tour lands in one slot, which holds (n-1)! directed
+    # tours, the largest count a slot of bitlen((n-1)!) bits must hold
+    for n in range(3, 12):
+        inst = ProblemInstance(kind="tsp", n=n, edges=complete_graph(n, [7]))
+        assert tsp_algebraic(inst, {7: 5}) == {n * 5: factorial(n - 1) // 2}
 
 
 def test_tsp_matches_bruteforce_random():
@@ -218,6 +227,17 @@ def test_clique_k6_matches_bruteforce():
         assert_exponents_bounded(terms, egap)
 
 
+def test_clique_k6_counts_every_clique_of_k8():
+    inst = ProblemInstance(kind="ewclique", n=8, k=6,
+                           edges=complete_graph(8, [1, 2, 4, 8, 16]))
+    egap, enc = identity_enc(inst)
+    terms = ewclique_algebraic(inst, enc, 6)
+    assert sum(terms.values()) == comb(8, 6)
+    ref = clique_bf(inst, 6)
+    _, value, count = select_optimum(terms, egap, "max")
+    assert (value, count) == (ref.optimum, ref.count)
+
+
 # --- Steiner -----------------------------------------------------------
 
 
@@ -312,18 +332,18 @@ def test_int64_cores_exact_below_2_62_and_raise_above(kind):
 
 
 def test_tsp_budget_counts_widest_cells():
-    # n = 3: slots of one byte, encoded spread 2, so 2^2 cells of
-    # (2 * 2 + 1) * 8 bits make 160 bits
+    # n = 3: slots of bitlen(2!) = 2 bits, encoded spread 2, so 2^2 cells
+    # of (2 * 2 + 1) * 2 bits make 40 bits
     inst = ProblemInstance(kind="tsp", n=3, edges=((0, 1, 1), (1, 2, 2), (0, 2, 3)))
     enc = {1: 5, 2: 6, 3: 7}
-    assert tsp_algebraic(inst, enc, budget=160) == {18: 1}
+    assert tsp_algebraic(inst, enc, budget=40) == {18: 1}
     with pytest.raises(BoundExceeded):
-        tsp_algebraic(inst, enc, budget=159)
+        tsp_algebraic(inst, enc, budget=39)
 
 
 def test_tsp_wide_spread_raises_before_building_cells():
     # six-digit weights on the unit GAP: each cell would span about 9 * 10^6
-    # slots of 24 bits, so the default budget refuses n = 10 at once
+    # slots of 19 bits, so the default budget refuses n = 10 at once
     rng = random.Random(1)
     inst = ProblemInstance(kind="tsp", n=10, edges=tuple(
         (u, v, rng.randrange(10**6)) for u in range(10) for v in range(u + 1, 10)))

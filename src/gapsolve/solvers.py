@@ -187,19 +187,21 @@ def tsp_algebraic(inst, enc, budget=2**32):
     edges, so each edge weight is lowered by w_min, the smallest encoded
     edge weight, and n * w_min is added back at the end; the packed ints
     then span the spread of the weights, not their size.  S is
-    bitlen((n-1)!): a slot counts distinct paths or directed cycles, and
-    no slot holds more than (n-1)!, the number of directed Hamiltonian
-    cycles through vertex 0, so a sum never carries into the next slot.
-    Closing every path with the edge back to 0 counts each undirected tour
-    twice (once per orientation, same weight), so final counts are halved.
-    Returns {} when no Hamiltonian cycle exists.
+    bitlen((n-1)!) rounded up to whole bytes: a slot counts distinct paths
+    or directed cycles, and no slot holds more than (n-1)!, the number of
+    directed Hamiltonian cycles through vertex 0, so a sum never carries
+    into the next slot.  Closing every path with the edge back to 0 counts
+    each undirected tour twice (once per orientation, same weight), so
+    final counts are halved.  Returns {} when no Hamiltonian cycle exists.
 
     A cell takes up to ((n-1) * spread + 1) slots, where spread is the
     largest encoded edge weight minus w_min, so memory grows with the
     spread, not with the number of distinct path weights.  `budget` caps
     2^(n-1) widest cells, in bits (2^32, 512 MiB; complete graphs peaked
     at a quarter to a third of that); above it BoundExceeded is raised
-    before any cell is built.
+    before any cell is built.  The decode widens only the occupied slots
+    of the total to 64 bits: beyond a byte copy of the total it needs one
+    byte per slot and 16 per occupied slot.
     """
     import numpy as np
 
@@ -207,9 +209,10 @@ def tsp_algebraic(inst, enc, budget=2**32):
     if n < 3 or not inst.edges:
         return {}
     _check_int64(inst, enc, n)
-    slot = factorial(n - 1).bit_length()
-    if slot > 64:
+    width = -(-factorial(n - 1).bit_length() // 8)  # bytes per slot
+    if width > 8:
         raise BoundExceeded(f"tour counts at n = {n} do not fit in 64 bits")
+    slot = 8 * width
     w_min = min(enc[w] for _, _, w in inst.edges)
     spread = max(enc[w] for _, _, w in inst.edges) - w_min
     if ((n - 1) * spread + 1) * slot << (n - 1) > budget:
@@ -243,13 +246,13 @@ def tsp_algebraic(inst, enc, budget=2**32):
             if u == 0:
                 total += cell << d
     slots = -(-total.bit_length() // slot)
-    raw = np.frombuffer(total.to_bytes(-(-slots * slot // 8), "little"), dtype=np.uint8)
-    bits = np.zeros((slots, 64), dtype=np.uint8)
-    bits[:, :slot] = np.unpackbits(raw, count=slots * slot,
-                                   bitorder="little").reshape(slots, slot)
-    counts = np.packbits(bits, axis=1, bitorder="little").view("<u8")[:, 0]
-    hit = np.flatnonzero(counts)
-    return dict(zip((hit + n * w_min).tolist(), (counts[hit] // 2).tolist()))
+    raw = np.frombuffer(total.to_bytes(slots * width, "little"),
+                        dtype=np.uint8).reshape(slots, width)
+    hit = np.flatnonzero(raw.max(axis=1))
+    words = np.zeros((len(hit), 8), dtype=np.uint8)
+    words[:, :width] = raw[hit]
+    counts = words.view("<u8")[:, 0]
+    return dict(zip((hit + n * w_min).tolist(), (counts // 2).tolist()))
 
 
 def maxcut_algebraic(inst, enc):
@@ -346,7 +349,9 @@ def ewclique_algebraic(inst, enc, k):
     block of edges at once.  Two checks raise InvariantViolated: every
     triangle weight is even, and the listed triangles times
     C(k,k/3)*C(2k/3,k/3)/6 equal H's triangle count ((A A) * A).sum() / 6,
-    over H's symmetric 0/1 adjacency A in float64, exact below N = 2^17.
+    over H's symmetric 0/1 adjacency A.  A is float32, exact for entries
+    of A A up to N < 2^24; the product is taken one block of rows at a
+    time and summed in float64, exact below N = 2^17.
     """
     import numpy as np
 
@@ -355,9 +360,11 @@ def ewclique_algebraic(inst, enc, k):
     first, second = np.fromiter(chain.from_iterable(hedges), dtype=np.int64,
                                 count=2 * len(hedges)).reshape(-1, 2).T
     hw = np.fromiter(hedges.values(), dtype=np.int64, count=len(hedges))
-    adj = np.zeros((size, size))
+    adj = np.zeros((size, size), dtype=np.float32)
     adj[first, second] = adj[second, first] = 1
-    in_h = int(((adj @ adj) * adj).sum()) // 6
+    rows = max(1, (1 << 20) // max(1, size))  # rows per 4 MB of product
+    in_h = sum(int(((adj[r:r + rows] @ adj) * adj[r:r + rows]).sum(dtype=np.float64))
+               for r in range(0, size, rows)) // 6
     kk = k // 3
     per_clique = comb(k, kk) * comb(k - kk, kk) // 6
     # nodes are sorted tuples: keep the edges whose first node lies wholly

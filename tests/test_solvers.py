@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from math import comb, factorial
 from pathlib import Path
 
@@ -96,7 +97,8 @@ def test_tsp_no_tour():
 
 def test_tsp_fullest_slots_on_complete_graphs():
     # one weight: every tour lands in one slot, which holds (n-1)! directed
-    # tours, the largest count a slot of bitlen((n-1)!) bits must hold
+    # tours, the largest count a slot of bitlen((n-1)!) bits, rounded up to
+    # whole bytes, must hold
     for n in range(3, 12):
         inst = ProblemInstance(kind="tsp", n=n, edges=complete_graph(n, [7]))
         assert tsp_algebraic(inst, {7: 5}) == {n * 5: factorial(n - 1) // 2}
@@ -332,23 +334,41 @@ def test_int64_cores_exact_below_2_62_and_raise_above(kind):
 
 
 def test_tsp_budget_counts_widest_cells():
-    # n = 3: slots of bitlen(2!) = 2 bits, encoded spread 2, so 2^2 cells
-    # of (2 * 2 + 1) * 2 bits make 40 bits
+    # n = 3: slots of one byte, encoded spread 2, so 2^2 cells of
+    # (2 * 2 + 1) * 8 bits make 160 bits
     inst = ProblemInstance(kind="tsp", n=3, edges=((0, 1, 1), (1, 2, 2), (0, 2, 3)))
     enc = {1: 5, 2: 6, 3: 7}
-    assert tsp_algebraic(inst, enc, budget=40) == {18: 1}
+    assert tsp_algebraic(inst, enc, budget=160) == {18: 1}
     with pytest.raises(BoundExceeded):
-        tsp_algebraic(inst, enc, budget=39)
+        tsp_algebraic(inst, enc, budget=159)
 
 
 def test_tsp_wide_spread_raises_before_building_cells():
     # six-digit weights on the unit GAP: each cell would span about 9 * 10^6
-    # slots of 19 bits, so the default budget refuses n = 10 at once
+    # slots of 24 bits, so the default budget refuses n = 10 at once
     rng = random.Random(1)
     inst = ProblemInstance(kind="tsp", n=10, edges=tuple(
         (u, v, rng.randrange(10**6)) for u in range(10) for v in range(u + 1, 10)))
     with pytest.raises(BoundExceeded, match="spread"):
         tsp_algebraic(inst, {w: w for _, _, w in inst.edges})
+
+
+def test_tsp_small_n_wide_spread_decodes_in_slot_bytes():
+    # n = 3, one tour: a spread of 10^8 needs 2^2 cells of 2 * 10^8 + 1
+    # one-byte slots, 6.4e9 bits, so the default budget refuses it
+    inst = ProblemInstance(kind="tsp", n=3, edges=((0, 1, 1), (1, 2, 2), (0, 2, 3)))
+    with pytest.raises(BoundExceeded, match="spread"):
+        tsp_algebraic(inst, {1: 1, 2: 1, 3: 10**8})
+    # a spread of 10^6 is admitted; its total has 10^6 + 1 one-byte slots
+    # with one occupied, and the decode must not widen every slot to 64 bits
+    tracemalloc.start()
+    try:
+        assert tsp_algebraic(inst, {1: 1, 2: 1, 3: 10**6}) == {10**6 + 2: 1}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10**6
+
 
 def test_minplus_bound_errors():
     with pytest.raises(BoundExceeded):

@@ -18,8 +18,6 @@ from .additive import (
 )
 from .encoding import (
     EnlargedGap,
-    PermutationTable,
-    build_permutation,
     enlarge,
     kappa,
     kappa_inv,
@@ -47,13 +45,11 @@ __all__ = [
     "EnlargedGap",
     "Gap",
     "MetaResult",
-    "PermutationTable",
     "ProblemInstance",
     "SOLVER_SPECS",
     "SolverSpec",
     "WeightSet",
     "build_auxiliary_graph",
-    "build_permutation",
     "doubling_constant",
     "enlarge",
     "ewclique_algebraic",

@@ -2,8 +2,9 @@
 
 Exit codes (`EXIT_CODES` maps each error to its code):
   0  ok
-  1  bad input: a malformed file, flag or --gap, an invalid instance, a
-     given GAP that misses a weight, or an ewclique k not divisible by 3
+  1  bad input: a malformed file, flag or --gap, an unwritable gen -o
+     path, an invalid instance, a given GAP that misses a weight, or an
+     ewclique k not divisible by 3
   2  no usable cover: none found, or the encoded range exceeds a budget
   3  infeasible instance
   4  verification mismatch
@@ -18,7 +19,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from .additive import DEFAULT_ENUM_BUDGET, doubling_constant, gap_cover_search, sumset
-from .encoding import DEFAULT_PERM_BUDGET, enlarge, value_rank
+from .encoding import enlarge, value_rank
 from .errors import (
     BoundExceeded,
     BudgetExceeded,
@@ -42,6 +43,7 @@ from .meta import run_meta
 from .solvers import SOLVER_SPECS
 
 SCHEMA_VERSION = 1
+DEFAULT_PERM_BUDGET = 10**7
 # (errors, exit code, message prefix); the first row that matches wins, and
 # the last row catches every other GapsolveError
 EXIT_CODES = (
@@ -68,8 +70,12 @@ def cmd_gen(args):
     )
     text = serialize_instance(inst, seed=args.seed)
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return 0
@@ -219,8 +225,6 @@ def _add_common_solve_flags(p):
     p.add_argument("--gap", help="override GAP, e.g. 'd=1 x=7 L=20 offset=10^12'")
     p.add_argument("--max-dim", type=int, default=3, choices=(1, 2, 3))
     p.add_argument("--volume-budget", type=int, default=DEFAULT_ENUM_BUDGET)
-    p.add_argument("--perm-budget", type=int, default=DEFAULT_PERM_BUDGET)
-    p.add_argument("--json", action="store_true")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -252,6 +256,8 @@ def main(argv=None):
     p = sub.add_parser("solve", help="solve an instance file")
     p.add_argument("path")
     _add_common_solve_flags(p)
+    p.add_argument("--perm-budget", type=int, default=DEFAULT_PERM_BUDGET)
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="compare against the brute-force oracle")

@@ -6,16 +6,15 @@ lambda-enlarged bounds.  It is additive on tuples that stay inside the
 enlarged box and strictly monotone w.r.t. lexicographic tuple order, which
 makes it injective.  Because encoded order differs from true-value order
 in general, ranks by (true value, encoding) restore the order of the
-represented values: `value_rank` counts one rank directly, and
-`build_permutation` materializes them all as a reference.
+represented values: `value_rank` counts one rank directly, without
+materializing the whole permutation.
 """
 
 from dataclasses import dataclass, field
 
 from .additive import CoordTuple, Gap
-from .errors import BoundExceeded, BudgetExceeded, OutOfBounds, OutOfRange
+from .errors import BoundExceeded, OutOfBounds, OutOfRange
 
-DEFAULT_PERM_BUDGET = 10**7
 # the numpy paths hold encodings and their sums in int64; below 2^62 the
 # sum of two such values cannot wrap
 EXPONENT_LIMIT = 2**62
@@ -117,10 +116,10 @@ def true_values(g, exps):
 def value_rank(g, e):
     """Position of `e` in [0, range_bound) ordered by (true value, encoding).
 
-    Equals build_permutation(g).rank(e) without enumerating the range.  With
-    T = true_value(g, e), the rank counts the tuples of the enlarged box whose
-    value is below T, plus those on value T with a smaller encoding (kappa
-    is lexicographic, so that is the tie order).  For each tuple over every
+    The range is not enumerated.  With T = true_value(g, e), the rank
+    counts the tuples of the enlarged box whose value is below T, plus
+    those on value T with a smaller encoding (kappa is lexicographic, so
+    that is the tie order).  For each tuple over every
     dimension but the widest one j, the t_j below T form a prefix of
     [0, B_j] whose length is one floor division, and at most one t_j lies
     on T.  That is range_bound / (B_j + 1) steps.
@@ -151,28 +150,3 @@ def value_rank(g, e):
         else:  # t_j = 0..q-1 are below T; t_j = q ties and counts if lex-smaller
             rank += q + (k + wj * q < e)
     return rank
-
-
-@dataclass(frozen=True)
-class PermutationTable:
-    """Rank table over all encodable values, sorted by (true value, encoding)."""
-
-    sorted_entries: tuple  # (encoded, true_value) pairs, ascending
-    rank_of: dict
-
-    def rank(self, e):
-        return self.rank_of[e]
-
-
-def build_permutation(g, budget=DEFAULT_PERM_BUDGET):
-    """Materialize the rank-restoring permutation over [0, range_bound).
-
-    Ties on true value break by encoded value ascending.  Raises
-    BudgetExceeded above `budget`.  This is the reference `value_rank` is
-    tested against; it sorts the whole range, so nothing else builds it.
-    """
-    n = g.range_bound
-    if n > budget:
-        raise BudgetExceeded(f"permutation size {n} exceeds budget {budget}")
-    entries = sorted(((e, true_value(g, e)) for e in range(n)), key=lambda p: (p[1], p[0]))
-    return PermutationTable(tuple(entries), {e: r for r, (e, _) in enumerate(entries)})

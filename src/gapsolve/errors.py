@@ -33,10 +33,6 @@ class OutOfRange(GapsolveError):
     """An encoded value lies outside the encodable range."""
 
 
-class EmptyPolynomial(GapsolveError):
-    """No feasible solution: the solver returned no terms."""
-
-
 class InfeasibleInstance(GapsolveError):
     """The instance admits no feasible solution."""
 

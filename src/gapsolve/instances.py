@@ -159,8 +159,7 @@ def serialize_instance(inst, seed=None):
     return "\n".join(out) + "\n"
 
 
-def generate_instance(kind, n, gap, seed, density=1.0, k=3, n_terminals=3,
-                      include_gap=True):
+def generate_instance(kind, n, gap, seed, density=1.0, k=3, n_terminals=3):
     """Deterministic random instance with weights drawn from `gap`.
 
     Graph kinds draw each candidate edge with probability `density`
@@ -175,7 +174,7 @@ def generate_instance(kind, n, gap, seed, density=1.0, k=3, n_terminals=3,
 
     if kind == "minplusconv":
         seq = tuple(draw() for _ in range(n))
-        return ProblemInstance(kind=kind, sequence=seq, gap=gap if include_gap else None)
+        return ProblemInstance(kind=kind, sequence=seq, gap=gap)
 
     edges = []
     if kind == "tsp":
@@ -200,5 +199,5 @@ def generate_instance(kind, n, gap, seed, density=1.0, k=3, n_terminals=3,
         if kind == "steiner" else ()
     return ProblemInstance(
         kind=kind, n=n, edges=tuple(edges), k=k if kind == "ewclique" else 0,
-        terminals=terminals, gap=gap if include_gap else None,
+        terminals=terminals, gap=gap,
     )

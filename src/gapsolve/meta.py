@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .additive import DEFAULT_ENUM_BUDGET, gap_cover_search, get_gap_coordinates
 from .encoding import enlarge, kappa, kappa_inv, true_values
-from .errors import EmptyPolynomial, InfeasibleInstance, InvariantViolated
+from .errors import InvariantViolated
 from .poly import select_optimum
 from .solvers import SOLVER_SPECS
 
@@ -70,10 +70,7 @@ def run_meta(inst, *, max_dim=3, volume_budget=DEFAULT_ENUM_BUDGET):
     if inst.kind == "minplusconv":  # its solver returns each index's minimum
         stats["sequence"] = true_values(egap, terms).tolist()
         terms = dict.fromkeys(terms, 1)
-    try:
-        best, optimum, count = select_optimum(terms, egap, spec.sense)
-    except EmptyPolynomial as exc:
-        raise InfeasibleInstance(str(exc)) from exc
+    best, optimum, count = select_optimum(terms, egap, spec.sense)
     coords_opt = kappa_inv(egap, best)
     if optimum != sum(x * l for x, l in zip(egap.generators, coords_opt)):
         raise InvariantViolated(f"exponent {best} decodes inconsistently")

@@ -6,7 +6,7 @@ attaining it.  Coefficients are exact integers.
 """
 
 from .encoding import true_values
-from .errors import EmptyPolynomial
+from .errors import InfeasibleInstance
 
 
 def select_optimum(terms, g, sense):
@@ -16,13 +16,13 @@ def select_optimum(terms, g, sense):
     (true value, encoding), the order `encoding.value_rank` counts positions
     in; ties break toward the smaller encoding under either sense.  Distinct
     exponents can share a true value, so `count` sums the coefficients of
-    every exponent on the optimal value.  Raises EmptyPolynomial for an
-    empty map (infeasible instance).
+    every exponent on the optimal value.  Raises InfeasibleInstance for an
+    empty map.
     """
     if sense not in ("min", "max"):
         raise ValueError("sense must be 'min' or 'max'")
     if not terms:
-        raise EmptyPolynomial("no feasible solution")
+        raise InfeasibleInstance("no feasible solution")
     import numpy as np
 
     exps = list(terms)

@@ -34,7 +34,7 @@ numpy is imported inside the functions that use it.
 """
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb, factorial
 
 from .additive import Gap, WeightSet
@@ -308,10 +308,11 @@ def build_auxiliary_graph(inst, enc, k):
     matrix and A the adjacency of G, nodes i and j are adjacent iff
     (I A I^T)[i, j] = (k/3)^2, one float64 product whose entries are at
     most (k/3)^2 and so exact.  Cross weights are summed from the encoded
-    weights at the adjacent pairs alone.  Returns (nodes, internal,
-    hedges) where nodes are sorted vertex-index tuples in lexicographic
-    order, internal maps node -> internal encoded weight, and hedges maps
-    (i, j), i < j, -> encoded H-edge weight, in row-major order of (i, j).
+    weights at the adjacent pairs alone.  Returns int64 arrays (nodes,
+    internal, hedges): nodes is N x k/3, each row a node's sorted vertices,
+    rows in lexicographic order; internal[i] is node i's internal encoded
+    weight; hedges is E x 3, rows (i, j, encoded H-edge weight) with i < j,
+    in row-major order of (i, j).
     """
     import numpy as np
 
@@ -330,9 +331,8 @@ def build_auxiliary_graph(inst, enc, k):
     # (I W)[i, v] is node i's weight to vertex v; sum it over node j's vertices
     to_vertex = weight_m[:, combos].sum(axis=2).T
     cross = to_vertex[i[:, None], combos[j]].sum(axis=1)
-    hw = 2 * cross + own[i] + own[j]
-    hedges = dict(zip(zip(i.tolist(), j.tolist()), hw.tolist()))
-    return list(map(tuple, combos.tolist())), own.tolist(), hedges
+    hedges = np.stack([i, j, 2 * cross + own[i] + own[j]], axis=1)
+    return combos, own, hedges
 
 
 def ewclique_algebraic(inst, enc, k):
@@ -357,9 +357,7 @@ def ewclique_algebraic(inst, enc, k):
 
     nodes, _, hedges = build_auxiliary_graph(inst, enc, k)
     size = len(nodes)
-    first, second = np.fromiter(chain.from_iterable(hedges), dtype=np.int64,
-                                count=2 * len(hedges)).reshape(-1, 2).T
-    hw = np.fromiter(hedges.values(), dtype=np.int64, count=len(hedges))
+    first, second, hw = hedges.T
     adj = np.zeros((size, size), dtype=np.float32)
     adj[first, second] = adj[second, first] = 1
     rows = max(1, (1 << 20) // max(1, size))  # rows per 4 MB of product
@@ -367,10 +365,9 @@ def ewclique_algebraic(inst, enc, k):
                for r in range(0, size, rows)) // 6
     kk = k // 3
     per_clique = comb(k, kk) * comb(k - kk, kk) // 6
-    # nodes are sorted tuples: keep the edges whose first node lies wholly
+    # node rows are sorted: keep the edges whose first node lies wholly
     # below the second, the consecutive thirds of each sorted clique
-    ends = np.array(nodes, dtype=np.int64).reshape(size, kk)
-    keep = ends[first, -1] < ends[second, 0]
+    keep = nodes[first, -1] < nodes[second, 0]
     first, second, hw = first[keep], second[keep], hw[keep]
     # the kept edges (i, j), i < j, so a row lists the higher neighbours
     upper = np.zeros((size, size), dtype=bool)

@@ -18,7 +18,6 @@ from gapsolve.encoding import (
     kappa,
     kappa_inv,
     true_value,
-    build_permutation,
 )
 from gapsolve.instances import generate_instance
 from gapsolve.meta import run_meta
@@ -34,6 +33,7 @@ from gapsolve.solvers import (
     build_auxiliary_graph,
     minplus_selfconv_min,
 )
+from test_encoding import build_permutation
 
 
 def _line(name, ok, detail=""):
@@ -204,16 +204,15 @@ def test_auxiliary_graph_identities():
         for u, v, w in inst.edges:
             ew[frozenset((u, v))] = enc[w]
         nodes, internal, hedges = build_auxiliary_graph(inst, enc, k)
-        adj = set(hedges)
-        for hw in hedges.values():
-            assert hw <= (3 * kk * kk - kk) * w_enc
+        hw = {(i, j): w for i, j, w in hedges.tolist()}
+        for w in hw.values():
+            assert w <= (3 * kk * kk - kk) * w_enc
         for i, j, l in combinations(range(len(nodes)), 3):
-            if not ((i, j) in adj and (i, l) in adj and (j, l) in adj):
+            if not ((i, j) in hw and (i, l) in hw and (j, l) in hw):
                 continue
-            union = nodes[i] + nodes[j] + nodes[l]
+            union = nodes[[i, j, l]].ravel().tolist()
             w_clique = sum(ew[frozenset(p)] for p in combinations(union, 2))
-            assert hedges[(i, j)] + hedges[(i, l)] + hedges[(j, l)] \
-                == 2 * w_clique
+            assert hw[(i, j)] + hw[(i, l)] + hw[(j, l)] == 2 * w_clique
             triangles += 1
     _line("auxiliary graph identities", triangles > 0,
           f"50 graphs, {triangles} triangles")

@@ -8,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from gapsolve import SOLVER_SPECS, build_permutation, enlarge
+from gapsolve import SOLVER_SPECS, enlarge
 import gapsolve.cli as cli
 
 from gapsolve.cli import main
 from gapsolve.instances import parse_gap_spec, parse_instance, serialize_instance
+from test_encoding import build_permutation
 
 
 def run(argv, capsys):
@@ -137,7 +138,7 @@ def test_invariant_violated_exit_5(tmp_path, capsys, monkeypatch):
 
     def odd_edges(*args):
         nodes, internal, hedges = build(*args)
-        return nodes, internal, {ij: w + 1 for ij, w in hedges.items()}
+        return nodes, internal, hedges + [0, 0, 1]
 
     monkeypatch.setattr(solvers, "build_auxiliary_graph", odd_edges)
     code, out, err = run(["solve", str(path)], capsys)
@@ -158,7 +159,7 @@ def test_missing_h_edge_raises_invariant_violated_exit_5(tmp_path, capsys, monke
 
     def drop_first_edge(*args):
         nodes, internal, hedges = build(*args)
-        return nodes, internal, dict(list(hedges.items())[1:])
+        return nodes, internal, hedges[1:]
 
     monkeypatch.setattr(solvers, "build_auxiliary_graph", drop_first_edge)
     with pytest.raises(InvariantViolated, match="triangles"):
@@ -308,7 +309,10 @@ def test_solve_wall_time_covers_parse(tmp_path, capsys, monkeypatch):
                                   ["gen", "bogus", "--n", "4", "--gap", "d=1 x=3 L=5"],
                                   ["solve", "f.txt", "--max-dim", "0"],
                                   ["verify", "--max-dim", "4"],
-                                  ["analyze", "f.txt", "--max-dim", "0"]])
+                                  ["analyze", "f.txt", "--max-dim", "0"],
+                                  ["verify", "--sweep", "1", "--kind", "maxcut", "--n", "5",
+                                   "--gap", "d=1 x=3 L=5", "--json"],
+                                  ["verify", "f.txt", "--perm-budget", "0"]])
 def test_usage_error_exit_1(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -329,6 +333,15 @@ def test_invalid_instance_exit_1(argv, capsys):
     assert code == 1
     assert err.startswith("error: ") and "Traceback" not in err
     assert out == ""
+
+
+def test_gen_into_missing_directory_exit_1(tmp_path, capsys):
+    path = tmp_path / "missing" / "f.txt"
+    code, out, err = run(["gen", "tsp", "--n", "3", "--gap", "d=1 x=1 L=3",
+                          "-o", str(path)], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == "" and not path.parent.exists()
 
 
 def test_solve_negative_sequence_exit_1(tmp_path, capsys):

@@ -18,6 +18,7 @@ from functools import partial
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
 from gapsolve import (
@@ -37,7 +38,7 @@ from gapsolve import (
 )
 from gapsolve.errors import (
     Disconnected,
-    EmptyPolynomial,
+    InfeasibleInstance,
     InvariantViolated,
     KNotDivisibleBy3,
 )
@@ -248,13 +249,12 @@ def ref_select_optimum(terms, g, sense):
     the order `encoding.value_rank` counts positions in; ties break toward
     the smaller encoding under either sense.  Distinct exponents can share
     a true value, so `count` sums the coefficients of every exponent on the
-    optimal value.  Raises EmptyPolynomial for an empty map (infeasible
-    instance).
+    optimal value.  Raises InfeasibleInstance for an empty map.
     """
     if sense not in ("min", "max"):
         raise ValueError("sense must be 'min' or 'max'")
     if not terms:
-        raise EmptyPolynomial("no feasible solution")
+        raise InfeasibleInstance("no feasible solution")
     sign = 1 if sense == "min" else -1
     best = value = None
     count = 0
@@ -385,8 +385,8 @@ def assert_same_optimum(terms, egap):
     for sense in ("min", "max"):
         try:
             expected = ref_select_optimum(terms, egap, sense)
-        except EmptyPolynomial:
-            with pytest.raises(EmptyPolynomial):
+        except InfeasibleInstance:
+            with pytest.raises(InfeasibleInstance):
                 select_optimum(terms, egap, sense)
         else:
             assert select_optimum(terms, egap, sense) == expected
@@ -446,8 +446,14 @@ def test_maxcut_matches_loop_reference(family):
 def test_ewclique_matches_loop_reference(family):
     for inst in ewclique_cases(family):
         egap, enc = encoded(inst)
-        aux = build_auxiliary_graph(inst, enc, inst.k)
-        assert aux == ref_build_auxiliary_graph(inst, enc, inst.k), inst
+        nodes, internal, hedges = build_auxiliary_graph(inst, enc, inst.k)
+        ref_nodes, ref_internal, ref_hedges = ref_build_auxiliary_graph(inst, enc, inst.k)
+        assert nodes.shape == (len(ref_nodes), inst.k // 3), inst
+        assert hedges.shape == (len(ref_hedges), 3), inst
+        assert nodes.dtype == internal.dtype == hedges.dtype == np.int64
+        assert list(map(tuple, nodes.tolist())) == ref_nodes, inst
+        assert internal.tolist() == ref_internal, inst
+        assert hedges.tolist() == [[i, j, w] for (i, j), w in ref_hedges.items()], inst
         terms = ewclique_algebraic(inst, enc, inst.k)
         assert terms == ref_ewclique_algebraic(inst, enc, inst.k), inst
         assert_same_optimum(terms, egap)

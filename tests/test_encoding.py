@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 from gapsolve import (
     CoordTuple,
     Gap,
-    build_permutation,
     enlarge,
     kappa,
     kappa_inv,
@@ -15,7 +15,33 @@ from gapsolve import (
     true_values,
     value_rank,
 )
+from gapsolve.cli import DEFAULT_PERM_BUDGET
 from gapsolve.errors import BoundExceeded, BudgetExceeded, OutOfBounds, OutOfRange
+
+
+@dataclass(frozen=True)
+class PermutationTable:
+    """Rank table over all encodable values, sorted by (true value, encoding)."""
+
+    sorted_entries: tuple  # (encoded, true_value) pairs, ascending
+    rank_of: dict
+
+    def rank(self, e):
+        return self.rank_of[e]
+
+
+def build_permutation(g, budget=DEFAULT_PERM_BUDGET):
+    """Materialize the rank-restoring permutation over [0, range_bound).
+
+    Ties on true value break by encoded value ascending.  Raises
+    BudgetExceeded above `budget`.  This is the reference `value_rank` is
+    tested against; it sorts the whole range, so nothing else builds it.
+    """
+    n = g.range_bound
+    if n > budget:
+        raise BudgetExceeded(f"permutation size {n} exceeds budget {budget}")
+    entries = sorted(((e, true_value(g, e)) for e in range(n)), key=lambda p: (p[1], p[0]))
+    return PermutationTable(tuple(entries), {e: r for r, (e, _) in enumerate(entries)})
 
 
 def egap_of(gens, bounds, lam=1):

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gapsolve import CoordTuple, Gap, enlarge, kappa, select_optimum, true_value
-from gapsolve.errors import EmptyPolynomial
+from gapsolve.errors import InfeasibleInstance
 
 
 def test_select_optimum_single_term():
@@ -51,7 +51,7 @@ def test_select_optimum_brute_force(all_terms):
 
 def test_select_optimum_empty():
     g = enlarge(Gap((1,), (5,)), 1)
-    with pytest.raises(EmptyPolynomial):
+    with pytest.raises(InfeasibleInstance, match="no feasible solution"):
         select_optimum({}, g, "min")
 
 

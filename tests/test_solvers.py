@@ -163,7 +163,7 @@ def test_clique_k3_triangle_weight_doubling():
                            edges=((0, 1, 1), (1, 2, 2), (0, 2, 3)))
     egap, enc = identity_enc(inst)
     nodes, internal, hedges = build_auxiliary_graph(inst, enc, 3)
-    tri_weight = sum(hedges.values())  # single triangle
+    tri_weight = int(hedges[:, 2].sum())  # single triangle
     assert tri_weight == 2 * 6
     assert ewclique_algebraic(inst, enc, 3) == {6: 1}
 
@@ -191,17 +191,19 @@ def test_clique_triangle_identity_and_weight_bound_random():
         inst = random_instance("ewclique", n, rng, [1, 3, 5, 9], density=0.8, k=6)
         egap, enc = identity_enc(inst)
         nodes, internal, hedges = build_auxiliary_graph(inst, enc, 6)
+        rows = hedges.tolist()
+        internal = internal.tolist()
         nbr = {}
-        for (i, j), w in hedges.items():
+        for i, j, w in rows:
             nbr.setdefault(i, {})[j] = w
             nbr.setdefault(j, {})[i] = w
         w_enc = max(enc.values())
         kk = 2  # k/3
-        assert all(w <= (3 * kk**2 - kk) * w_enc for w in hedges.values())
+        assert all(w <= (3 * kk**2 - kk) * w_enc for *_, w in rows)
         cross = {}
-        for (i, j), w in hedges.items():
+        for i, j, w in rows:
             cross[(i, j)] = (w - internal[i] - internal[j]) // 2
-        for (i, j), wij in hedges.items():
+        for i, j, wij in rows:
             for l in nbr.get(j, {}):
                 if l <= j or l not in nbr.get(i, {}):
                     continue
@@ -402,7 +404,7 @@ def test_ewclique_invariant_holds_under_python_O():
 
         def odd_edges(*args):
             nodes, internal, hedges = build(*args)
-            return nodes, internal, {ij: w + 1 for ij, w in hedges.items()}
+            return nodes, internal, hedges + [0, 0, 1]
 
         solvers.build_auxiliary_graph = odd_edges
         inst = generate_instance("ewclique", n=6, gap=Gap((3,), (9,)), seed=1, k=3)

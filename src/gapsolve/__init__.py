@@ -6,7 +6,6 @@ bounded-input algebraic algorithms, and decoded back to the original scale.
 """
 
 from .additive import (
-    CoordTuple,
     Gap,
     WeightSet,
     doubling_constant,
@@ -41,7 +40,6 @@ from .solvers import (
 )
 
 __all__ = [
-    "CoordTuple",
     "EnlargedGap",
     "Gap",
     "MetaResult",

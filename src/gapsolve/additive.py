@@ -80,25 +80,6 @@ class Gap:
         return v
 
 
-@dataclass(frozen=True)
-class CoordTuple:
-    """GAP coordinates <l_1, ..., l_d> of one weight."""
-
-    coords: tuple
-
-    def __post_init__(self):
-        cs = tuple(self.coords)
-        if any(c < 0 for c in cs):
-            raise ValueError("coordinates must be non-negative")
-        object.__setattr__(self, "coords", cs)
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __len__(self):
-        return len(self.coords)
-
-
 def sumset(a, b):
     """Minkowski sum {x + y : x in a, y in b} as a WeightSet."""
     return WeightSet.of(x + y for x in a for y in b)
@@ -139,28 +120,52 @@ def gap_enumerate(g, budget=DEFAULT_ENUM_BUDGET):
     return WeightSet.of(vals)
 
 
-def get_gap_coordinates(a, g, budget=DEFAULT_ENUM_BUDGET):
+def get_gap_coordinates(a, g):
     """Coordinates of each weight of `a` inside GAP `g`, in order of `a`.
 
-    Recovered by naive iteration of the coordinate box; when a weight has
-    several representations the lexicographically smallest tuple wins
-    (itertools.product yields tuples in lex order).  Raises NotCovered for
-    any weight outside the GAP.
+    Each weight is solved on its own, so the GAP's volume does not matter;
+    when it has several representations the lexicographically smallest
+    tuple wins.  An outer dimension tries its coordinates l in ascending
+    order, but only those with 0 <= w - x*l <= reach[i + 1], the most the
+    later dimensions sum to.  The last two dimensions are one congruence:
+    the smallest l in range with x*l = w (mod y).  A remainder that the
+    gcd of the later generators does not divide fails at once, so a
+    non-proper GAP such as (2, 4, 6) does not loop over every l for an odd
+    weight.  Raises NotCovered for any weight outside the GAP.
     """
-    if g.volume > budget:
-        raise BudgetExceeded(f"GAP volume {g.volume} exceeds budget {budget}")
-    wanted = set(a.elements)
-    found = {}
-    for tup in product(*(range(b + 1) for b in g.bounds)):
-        v = sum(x * l for x, l in zip(g.generators, tup))
-        if v in wanted and v not in found:
-            found[v] = tup
-            if len(found) == len(wanted):
-                break
+    gens, bounds, d = g.generators, g.bounds, g.dim
+    reach = [0] * (d + 1)  # reach[i]: the largest sum of dimensions i..
+    div = [0] * (d + 1)  # div[i]: the gcd of the generators of dimensions i..
+    for i in range(d - 1, -1, -1):
+        reach[i] = reach[i + 1] + gens[i] * bounds[i]
+        div[i] = gcd(div[i + 1], gens[i])
+    j = max(d - 2, 0)  # the congruence's first dimension
+    m = gens[-1] // div[j]
+    inv = pow(gens[j] // div[j], -1, m)
+
+    def solve(w, i):  # coordinates of w over dimensions i.., or None
+        if w % div[i]:
+            return None
+        x = gens[i]
+        if i == d - 1:
+            return None if w // x > bounds[i] else (w // x,)
+        lo, hi = max(0, -((reach[i + 1] - w) // x)), min(bounds[i], w // x)
+        if i == d - 2:
+            l = lo + (w // div[i] * inv - lo) % m
+            return None if l > hi else (l, (w - x * l) // gens[-1])
+        for l in range(lo, hi + 1):
+            rest = solve(w - x * l, i + 1)
+            if rest is not None:
+                return (l,) + rest
+        return None
+
+    coords = []
     for w in a:
-        if w not in found:
+        c = solve(w, 0)
+        if c is None:
             raise NotCovered(w)
-    return [CoordTuple(found[w]) for w in a]
+        coords.append(c)
+    return coords
 
 
 def _candidate_diffs(shifted, cap=64):

@@ -5,7 +5,9 @@ Exit codes (`EXIT_CODES` maps each error to its code):
   1  bad input: a malformed file, flag or --gap, an unwritable gen -o
      path, an invalid instance, a given GAP that misses a weight, or an
      ewclique k not divisible by 3
-  2  no usable cover: none found, or the encoded range exceeds a budget
+  2  no usable cover: none found, or a budget is exceeded (gen's GAP
+     enumeration, a solver's encoded range or int64 limit, an oracle's
+     size limit)
   3  infeasible instance
   4  verification mismatch
   5  internal fault: an invariant check failed

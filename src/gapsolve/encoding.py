@@ -12,7 +12,7 @@ materializing the whole permutation.
 
 from dataclasses import dataclass, field
 
-from .additive import CoordTuple, Gap
+from .additive import Gap
 from .errors import BoundExceeded, OutOfBounds, OutOfRange
 
 # the numpy paths hold encodings and their sums in int64; below 2^62 the
@@ -64,7 +64,7 @@ def kappa(g, t):
         raise OutOfBounds(len(coords))
     e = 0
     for i, (l, b) in enumerate(zip(coords, g.enlarged_bounds)):
-        if l > b:
+        if not 0 <= l <= b:
             raise OutOfBounds(i)
         e = e * (b + 1) + l
     return e
@@ -78,7 +78,7 @@ def kappa_inv(g, e):
     for b in reversed(g.enlarged_bounds):
         e, l = divmod(e, b + 1)
         coords.append(l)
-    return CoordTuple(tuple(reversed(coords)))
+    return tuple(reversed(coords))
 
 
 def true_value(g, e):
@@ -92,19 +92,21 @@ def true_values(g, exps):
 
     The mixed-radix digits are split off in int64, and the sums of
     x_i * l_i are taken over Python ints, so generators at 2^63 scale stay
-    exact.  Raises BoundExceeded for an encoding of EXPONENT_LIMIT or more.
+    exact.  Raises OutOfRange, an InvariantViolated, for an encoding outside
+    [0, range_bound), and then BoundExceeded for one of EXPONENT_LIMIT or
+    more.  An `exps` outside int64 is read twice, so it must be a collection.
     """
     import numpy as np
 
     try:
         rest = np.fromiter(exps, dtype=np.int64)
-        top = int(rest.max()) if rest.size else 0
-    except OverflowError:
-        top = EXPONENT_LIMIT
+        lo, top = (int(rest.min()), int(rest.max())) if rest.size else (0, 0)
+    except OverflowError:  # beyond int64
+        lo, top = min(exps), max(exps)
+    if lo < 0 or top >= g.range_bound:
+        raise OutOfRange(f"encoded values outside [0, {g.range_bound})")
     if top >= EXPONENT_LIMIT:
         raise BoundExceeded("an encoded value is not below 2^62")
-    if rest.size and (rest.min() < 0 or top >= g.range_bound):
-        raise OutOfRange(f"encoded values outside [0, {g.range_bound})")
     values = np.zeros(rest.shape, dtype=object)
     for x, b in zip(reversed(g.generators), reversed(g.enlarged_bounds)):
         # a radix above every value splits off the same digit as 2^62 does

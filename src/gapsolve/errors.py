@@ -22,15 +22,11 @@ class NoCoverFound(GapsolveError):
 
 
 class OutOfBounds(GapsolveError):
-    """A coordinate exceeds its (enlarged) dimension bound."""
+    """A coordinate lies outside [0, its (enlarged) dimension bound]."""
 
     def __init__(self, dim):
         self.dim = dim
-        super().__init__(f"coordinate {dim} exceeds its enlarged bound")
-
-
-class OutOfRange(GapsolveError):
-    """An encoded value lies outside the encodable range."""
+        super().__init__(f"coordinate {dim} lies outside [0, its enlarged bound]")
 
 
 class InfeasibleInstance(GapsolveError):
@@ -55,6 +51,10 @@ class BoundExceeded(GapsolveError):
 
 class InvariantViolated(GapsolveError):
     """An internal consistency check failed; the result cannot be trusted."""
+
+
+class OutOfRange(InvariantViolated):
+    """An encoded value lies outside the encodable range."""
 
 
 class InvalidInstance(GapsolveError, ValueError):

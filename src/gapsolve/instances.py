@@ -16,7 +16,7 @@ with a fixed seed is byte-identical.
 import random
 
 from .additive import Gap, gap_enumerate
-from .errors import ParseError
+from .errors import InvalidInstance, KNotDivisibleBy3, ParseError
 from .solvers import ProblemInstance
 
 SECTIONS = ("problem", "edges", "sequence", "gap", "seed")
@@ -164,8 +164,14 @@ def generate_instance(kind, n, gap, seed, density=1.0, k=3, n_terminals=3):
 
     Graph kinds draw each candidate edge with probability `density`
     (steiner instances always keep a random spanning chain so the
-    terminals stay connected; tsp keeps the complete graph).
+    terminals stay connected; tsp keeps the complete graph).  Raises
+    KNotDivisibleBy3 for an ewclique k the solver refuses, and
+    InvalidInstance for more steiner terminals than vertices.
     """
+    if kind == "ewclique" and (k % 3 or k == 0):
+        raise KNotDivisibleBy3(f"k = {k}")
+    if kind == "steiner" and n_terminals > n:
+        raise InvalidInstance(f"{n_terminals} terminals exceed n = {n}")
     rng = random.Random(seed)
     values = list(gap_enumerate(gap))
 
@@ -195,7 +201,7 @@ def generate_instance(kind, n, gap, seed, density=1.0, k=3, n_terminals=3):
                 if rng.random() < density:
                     edges.append((u, v, draw()))
 
-    terminals = tuple(sorted(rng.sample(range(n), min(n_terminals, n)))) \
+    terminals = tuple(sorted(rng.sample(range(n), n_terminals))) \
         if kind == "steiner" else ()
     return ProblemInstance(
         kind=kind, n=n, edges=tuple(edges), k=k if kind == "ewclique" else 0,

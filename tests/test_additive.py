@@ -103,11 +103,76 @@ def test_get_gap_coordinates_not_covered():
 
 
 def test_get_gap_coordinates_lex_smallest():
-    # 6 = 6*1 + 2*0 = 2*3; lex order prefers the tuple with larger dim-1 coord 0?
-    # dims ordered (6, 2): (0,3) < (1,0) lexicographically
+    # 6 = 6*1 + 2*0 = 6*0 + 2*3; of the tuples (1, 0) and (0, 3) over the
+    # generators (6, 2), the lexicographically smaller (0, 3) wins
     g = Gap((6, 2), (2, 4))
     [c] = get_gap_coordinates(WeightSet.of([6]), g)
-    assert tuple(c) == (0, 3)
+    assert c == (0, 3)
+
+
+def test_get_gap_coordinates_ignores_volume():
+    # a box of 10^12 points, far past what a walk could visit
+    g = Gap((10**9 + 7, 1000003, 13), (9999, 9999, 9999))
+    w = 1234 * (10**9 + 7) + 5678 * 1000003 + 91 * 13
+    assert get_gap_coordinates(WeightSet.of([w]), g) == [(1234, 5678, 91)]
+    with pytest.raises(NotCovered):
+        get_gap_coordinates(WeightSet.of([w + 1]), Gap((1,), (w,)))
+    # an odd weight fails on the gcd, not after 5*10^8 tries of l_1
+    with pytest.raises(NotCovered):
+        get_gap_coordinates(WeightSet.of([10**9 + 1]), Gap((2, 4, 6), (10**9,) * 3))
+
+
+# Reference for get_gap_coordinates: the walk over the whole coordinate box,
+# which finds each weight's lexicographically smallest tuple first.
+
+def _walk_gap_coordinates(a, g, budget=10**7):
+    """Coordinates of each weight of `a` inside GAP `g`, in order of `a`.
+
+    Recovered by naive iteration of the coordinate box; when a weight has
+    several representations the lexicographically smallest tuple wins
+    (itertools.product yields tuples in lex order).  Raises NotCovered for
+    any weight outside the GAP.
+    """
+    if g.volume > budget:
+        raise BudgetExceeded(f"GAP volume {g.volume} exceeds budget {budget}")
+    wanted = set(a.elements)
+    found = {}
+    for tup in product(*(range(b + 1) for b in g.bounds)):
+        v = sum(x * l for x, l in zip(g.generators, tup))
+        if v in wanted and v not in found:
+            found[v] = tup
+            if len(found) == len(wanted):
+                break
+    for w in a:
+        if w not in found:
+            raise NotCovered(w)
+    return [found[w] for w in a]
+
+
+def _coords_outcome(coords, a, g):
+    try:
+        return coords(a, g)
+    except NotCovered as exc:
+        return NotCovered, exc.weight
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.data())
+def test_get_gap_coordinates_equals_walk(data):
+    # small generators make most GAPs non-proper (weights with several
+    # tuples); weights past the box, or off the lattice, are not covered
+    dim = data.draw(st.integers(1, 4))
+    gens = data.draw(st.lists(st.integers(1, 2 ** data.draw(st.sampled_from((2, 5, 40)))),
+                              min_size=dim, max_size=dim))
+    bounds = data.draw(st.lists(st.integers(0, 5), min_size=dim, max_size=dim))
+    g = Gap(tuple(gens), tuple(bounds))
+    points = gap_enumerate(g).elements
+    top = sum(x * b for x, b in zip(gens, bounds))
+    inside = st.sampled_from(points)
+    weight = inside if data.draw(st.booleans()) else st.one_of(inside, st.integers(0, top + 9))
+    a = WeightSet.of(data.draw(st.lists(weight, min_size=1, max_size=8)))
+    assert _coords_outcome(get_gap_coordinates, a, g) == \
+        _coords_outcome(_walk_gap_coordinates, a, g)
 
 
 @given(st.data())

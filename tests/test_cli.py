@@ -194,8 +194,7 @@ def test_solve_infeasible_exit_3(tmp_path, capsys):
 
 def test_solve_k_not_divisible_by_3_exit_1(tmp_path, capsys):
     path = tmp_path / "k4.txt"
-    run(["gen", "ewclique", "--n", "6", "--gap", "d=1 x=3 L=9", "--k", "4",
-         "-o", str(path)], capsys)
+    path.write_text("problem\nkind ewclique\nn 6\nk 4\nedges\n0 1 3\n1 2 6\n")
     code, out, err = run(["solve", str(path)], capsys)
     assert code == 1
     assert err == "error: k = 4\n" and out == ""
@@ -327,6 +326,10 @@ def test_usage_error_exit_1(argv, capsys):
     ["gen", "ewclique", "--n", "4", "--k", "-3", "--gap", "d=1 x=3 L=5"],
     ["verify", "--sweep", "1", "--kind", "minplusconv", "--n", "0",
      "--gap", "d=1 x=3 L=5"],
+    # gen refuses what solve would refuse
+    ["gen", "ewclique", "--n", "6", "--k", "4", "--gap", "d=1 x=3 L=5"],
+    ["gen", "ewclique", "--n", "6", "--k", "0", "--gap", "d=1 x=3 L=5"],
+    ["gen", "steiner", "--n", "3", "--terminals", "9", "--gap", "d=1 x=3 L=5"],
 ])
 def test_invalid_instance_exit_1(argv, capsys):
     code, out, err = run(argv, capsys)

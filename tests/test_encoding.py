@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gapsolve import (
-    CoordTuple,
     Gap,
     enlarge,
     kappa,
@@ -50,29 +49,31 @@ def egap_of(gens, bounds, lam=1):
 
 def test_kappa_base_case():
     g = egap_of([1], [10])
-    assert kappa(g, CoordTuple((7,))) == 7
+    assert kappa(g, (7,)) == 7
 
 
 def test_kappa_two_dims():
     g = egap_of([1, 1], [4, 5])
-    assert kappa(g, CoordTuple((2, 3))) == 3 + 6 * 2
+    assert kappa(g, (2, 3)) == 3 + 6 * 2
 
 
 def test_kappa_zero():
     g = egap_of([3, 5, 7], [2, 2, 2])
-    assert kappa(g, CoordTuple((0, 0, 0))) == 0
+    assert kappa(g, (0, 0, 0)) == 0
 
 
 def test_kappa_out_of_bounds():
     g = egap_of([1, 1], [4, 5])
     with pytest.raises(OutOfBounds):
-        kappa(g, CoordTuple((5, 0)))
+        kappa(g, (5, 0))
+    with pytest.raises(OutOfBounds):  # a negative coordinate, too
+        kappa(g, (-1, 0))
 
 
 def test_kappa_inv_examples():
     g = egap_of([1, 1], [4, 5])
-    assert tuple(kappa_inv(g, 15)) == (2, 3)
-    assert tuple(kappa_inv(g, 0)) == (0, 0)
+    assert kappa_inv(g, 15) == (2, 3)  # a plain tuple
+    assert kappa_inv(g, 0) == (0, 0)
     with pytest.raises(OutOfRange):
         kappa_inv(g, g.range_bound)
 
@@ -98,8 +99,8 @@ def test_enlarged_volume_chain(lam, data):
 def test_true_value_paper_ordering():
     # generators (3, 10): tuple (2,1) has smaller value than (1,2)
     g = egap_of([3, 10], [2, 2])
-    e12 = kappa(g, CoordTuple((1, 2)))
-    e21 = kappa(g, CoordTuple((2, 1)))
+    e12 = kappa(g, (1, 2))
+    e21 = kappa(g, (2, 1))
     assert true_value(g, e12) == 23
     assert true_value(g, e21) == 16
     assert e12 < e21  # lexicographic encoding order...
@@ -129,16 +130,14 @@ def test_kappa_homomorphism(data):
         for a, b in zip(alpha, g.enlarged_bounds)
     )
     both = tuple(x + y for x, y in zip(alpha, beta))
-    assert kappa(g, CoordTuple(both)) == kappa(g, CoordTuple(alpha)) + kappa(
-        g, CoordTuple(beta)
-    )
+    assert kappa(g, both) == kappa(g, alpha) + kappa(g, beta)
 
 
 @given(st.data())
 def test_kappa_roundtrip(data):
     g = _random_egap(data)
     t = tuple(data.draw(st.integers(0, b)) for b in g.enlarged_bounds)
-    e = kappa(g, CoordTuple(t))
+    e = kappa(g, t)
     assert tuple(kappa_inv(g, e)) == t
     assert true_value(g, e) == sum(x * l for x, l in zip(g.generators, t))
 
@@ -151,20 +150,20 @@ def test_kappa_lex_monotonicity(data):
     if a == b:
         return
     lo, hi = (a, b) if a < b else (b, a)
-    assert kappa(g, CoordTuple(lo)) < kappa(g, CoordTuple(hi))
+    assert kappa(g, lo) < kappa(g, hi)
 
 
 def test_lex_monotonicity_both_branches():
     # prefix-equal branch: tuples differ only in the last coordinate
     g = egap_of([5, 7, 11], [3, 3, 3])
-    assert kappa(g, CoordTuple((1, 2, 0))) < kappa(g, CoordTuple((1, 2, 3)))
+    assert kappa(g, (1, 2, 0)) < kappa(g, (1, 2, 3))
     # prefix-strict branch: earlier coordinate decides despite larger tail
-    assert kappa(g, CoordTuple((1, 2, 3))) < kappa(g, CoordTuple((2, 0, 0)))
+    assert kappa(g, (1, 2, 3)) < kappa(g, (2, 0, 0))
 
 
 def test_kappa_range_attained():
     g = egap_of([3, 10], [2, 1], lam=4)
-    top = kappa(g, CoordTuple(g.enlarged_bounds))
+    top = kappa(g, g.enlarged_bounds)
     assert top == g.range_bound - 1
 
 
@@ -177,8 +176,8 @@ def test_build_permutation_identity():
 def test_build_permutation_restores_value_order():
     g = egap_of([3, 10], [2, 2])
     table = build_permutation(g)
-    e12 = kappa(g, CoordTuple((1, 2)))
-    e21 = kappa(g, CoordTuple((2, 1)))
+    e12 = kappa(g, (1, 2))
+    e21 = kappa(g, (2, 1))
     assert table.rank(e21) < table.rank(e12)
     tvs = [tv for _, tv in table.sorted_entries]
     assert tvs == sorted(tvs)
@@ -232,7 +231,7 @@ def test_value_rank_equals_permutation_table_exhaustively():
 def test_value_rank_breaks_ties_by_encoding():
     # 2*3 + 3*0 == 2*0 + 3*2: equal true values rank in encoding order
     g = egap_of([2, 3], [6, 4])
-    a, b = kappa(g, CoordTuple((0, 2))), kappa(g, CoordTuple((3, 0)))
+    a, b = kappa(g, (0, 2)), kappa(g, (3, 0))
     assert true_value(g, a) == true_value(g, b) and a < b
     assert value_rank(g, b) == value_rank(g, a) + 1
 
@@ -266,3 +265,8 @@ def test_true_values_limit_2_62():
     for big in (2**62, 2**63, 2**80):
         with pytest.raises(BoundExceeded):
             true_values(g, [big])
+    # outside the range they are an internal fault (exit 5), not exit 2
+    small = egap_of([3, 10], [2, 2])
+    for bad in (2**62, 2**63, 2**80, -2**70):
+        with pytest.raises(OutOfRange):
+            true_values(small, [1, bad])

@@ -23,7 +23,6 @@ from gapsolve.errors import (
     NoCoverFound,
 )
 from gapsolve.instances import generate_instance, parse_gap_spec
-from gapsolve.meta import _check_exponents
 from gapsolve.oracle import maxcut_bf, minplus_naive, steiner_bf, tsp_bf
 from gapsolve.solvers import SOLVER_SPECS
 
@@ -125,12 +124,44 @@ def test_meta_reconstruction_consistency():
     assert sum(x * l for x, l in zip(res.gap_used.generators, res.coords)) == res.optimum
 
 
-def test_check_exponents_raises_typed_error():
-    # a typed error, not an assert, so the check survives `python -O`
-    egap = enlarge(Gap((3, 10**12), (2, 1)), 2)
-    _check_exponents([0, egap.range_bound - 1], egap)
-    with pytest.raises(InvariantViolated):
-        _check_exponents([egap.range_bound], egap)
+def test_escaping_exponent_raises_invariant_violated(monkeypatch, tmp_path, capsys):
+    # a typed error, not an assert, so the check survives `python -O`; an
+    # exponent past 2^62 is still an escape (exit 5), not BoundExceeded (exit 2)
+    from dataclasses import replace
+
+    from gapsolve.cli import main
+    from gapsolve.instances import serialize_instance
+
+    spec = SOLVER_SPECS["maxcut"]
+    inst = generate_instance("maxcut", 5, Gap((3,), (4,)), seed=1)
+    bound = enlarge(inst.gap, spec.lambda_bound(inst)).range_bound
+    assert bound < 100
+    path = tmp_path / "cut.txt"
+    path.write_text(serialize_instance(inst))
+    for bad in (bound, 2**62):
+        def escaping(inst, enc, egap):
+            return {**spec.solve(inst, enc, egap), bad: 1}
+
+        monkeypatch.setitem(SOLVER_SPECS, "maxcut", replace(spec, solve=escaping))
+        with pytest.raises(InvariantViolated, match="outside"):
+            run_meta(inst)
+        assert main(["solve", str(path)]) == 5
+        out = capsys.readouterr()
+        assert out.err.startswith("internal error: encoded values outside")
+        assert out.out == ""
+
+
+def test_raw_cover_of_huge_volume():
+    # the d=1 cover x=1, L=10^12 has 10^12 + 1 points; the coordinates are
+    # solved, not walked, so it reaches the solver
+    rng = random.Random(11)
+    inst = ProblemInstance(kind="maxcut", n=8,
+                           edges=complete(8, lambda u, v: rng.randrange(10**12)),
+                           gap=Gap((1,), (10**12,)))
+    res = run_meta(inst)
+    ref = maxcut_bf(inst)
+    assert (res.optimum, res.stats["optimal_count"]) == (ref.optimum, ref.count)
+    assert res.coords == (res.optimum,)
 
 
 def test_meta_minplus_2_63_generators():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gapsolve import CoordTuple, Gap, enlarge, kappa, select_optimum, true_value
+from gapsolve import Gap, enlarge, kappa, select_optimum, true_value
 from gapsolve.errors import InfeasibleInstance
 
 
@@ -15,8 +15,8 @@ def test_select_optimum_single_term():
 def test_select_optimum_uses_true_values():
     # encodings are ordered lexicographically but values reverse the order
     g = enlarge(Gap((3, 10), (2, 2)), 1)
-    e12 = kappa(g, CoordTuple((1, 2)))
-    e21 = kappa(g, CoordTuple((2, 1)))
+    e12 = kappa(g, (1, 2))
+    e21 = kappa(g, (2, 1))
     terms = {e12: 1, e21: 1}
     assert select_optimum(terms, g, "min") == (e21, 16, 1)
     assert select_optimum(terms, g, "max") == (e12, 23, 1)
@@ -25,9 +25,9 @@ def test_select_optimum_uses_true_values():
 def test_select_optimum_counts_every_exponent_on_the_value():
     # 2*3 = 3*2: <3, 0> and <0, 2> both have value 6 in the non-proper GAP
     g = enlarge(Gap((2, 3), (6, 4)), 1)
-    e30 = kappa(g, CoordTuple((3, 0)))
-    e02 = kappa(g, CoordTuple((0, 2)))
-    e10 = kappa(g, CoordTuple((1, 0)))
+    e30 = kappa(g, (3, 0))
+    e02 = kappa(g, (0, 2))
+    e10 = kappa(g, (1, 0))
     terms = {e30: 2, e02: 5, e10: 1}
     assert e02 < e30
     assert select_optimum(terms, g, "max") == (e02, 6, 7)

@@ -9,8 +9,10 @@ dimension).
 """
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import nsmallest
 from itertools import product
 from math import gcd
 
@@ -231,6 +233,51 @@ def _two_gen_bounds(values, x1, x2, cap):
     return None
 
 
+def _scale_generators(values):
+    """Generators proposed by the scale structure of sorted distinct `values`.
+
+    A cut is a size of the gaps between consecutive values that is at least
+    twice the next smaller size.  Splitting the values at every gap of at
+    least a cut leaves clusters; when the values lie in a GAP with separated
+    scales (x1 much larger than the span of the later dimensions), the
+    coarsest cut splits them by l1, and x1 is a frequent difference between
+    elements of adjacent clusters.  Cuts are tried coarsest first.  Each
+    proposes the four most frequent differences, if seen at least twice,
+    between the first 64 elements of adjacent clusters among the first 64
+    clusters, so the work per cut stays bounded on large sets.  Sampling
+    noise makes a neighbour such as x1 - x3 about as frequent as x1, so a
+    cut's proposals are tried in order of the largest residue w mod x they
+    leave: x1 leaves only the span of the later dimensions.  A generator,
+    so a caller that stops early does not pay for the finer cuts.
+    """
+    sizes = sorted({b - a for a, b in zip(values, values[1:])})
+    seen = set()
+    for cut in reversed([t for s, t in zip(sizes, sizes[1:]) if t >= 2 * s]):
+        starts = [0] + [i for i in range(1, len(values)) if values[i] - values[i - 1] >= cut]
+        clusters = [values[i:min(j, i + 64)]
+                    for i, j in zip(starts[:64], starts[1:] + [len(values)])]
+        counts = Counter(b - a for lo, hi in zip(clusters, clusters[1:])
+                         for a in lo for b in hi)
+        common = [d for d, n in nsmallest(4, counts.items(), key=lambda kv: (-kv[1], kv[0]))
+                  if n >= 2 and d not in seen]
+        seen.update(common)
+        yield from sorted(common, key=lambda x: (max(w % x for w in values), x))
+
+
+def _scale_proposals(values):
+    """(x1, residues, (x2, x3) pairs) proposed for a 3-dim cover of `values`.
+
+    x1 comes from the scale structure of the values, x2 from that of the
+    sorted residues w mod x1, and x3 is the gcd of the residues mod x2 (x2
+    itself when x2 divides every residue).  The pairs are a generator, so
+    the work on the residues is done only for an x1 that is tried.
+    """
+    for x1 in _scale_generators(values):
+        resid = sorted({w % x1 for w in values})
+        yield x1, resid, ((x2, gcd(*(r % x2 for r in resid)) or x2)
+                          for x2 in _scale_generators(resid))
+
+
 def gap_cover_search(a, max_dim=3, volume_budget=DEFAULT_ENUM_BUDGET):
     """Find a GAP of core dimension <= max_dim covering all of `a`.
 
@@ -241,13 +288,19 @@ def gap_cover_search(a, max_dim=3, volume_budget=DEFAULT_ENUM_BUDGET):
     and bound 1, so downstream encoding stays uniform.  Deterministic for
     a fixed budget and candidate order.
 
+    The 3-dim phase first tries the generators that `_scale_proposals`
+    reads off the scale structure of the values, then scans x1 over the
+    200 largest candidate differences and (x2, x3) over the small pool.
+    When every phase fails, NoCoverFound names |A|, max_dim, the budget and
+    the candidates each phase tried.
+
     Three prunings make a rejected candidate cheap without changing which
     candidates are visited, in which order, or which cover is accepted:
 
     - Divisibility: a value w < x1 has l1 = 0 in every solution, so x2
       must divide w.  x2 is skipped unless it divides the gcd of the values
       below x1 (taken from prefix gcds, so x2 > that gcd is skipped too).
-      The 3-dim search applies the same rule to x3 and the residues
+      The 3-dim scan applies the same rule to x3 and the residues
       w mod x1 below x2.
     - Budget: the volume is the extra (translation) volume times
       (b1+1)(b2+1) (times (b3+1) for d=3), and the running maxima only
@@ -294,6 +347,7 @@ def gap_cover_search(a, max_dim=3, volume_budget=DEFAULT_ENUM_BUDGET):
         for db in cands[i + 1:40]:
             small.add(gcd(da, db))
     small = sorted(small)
+    tried = {"d=2 scan": 0, "d=3 proposals": 0, "d=3 scan": 0}
     # each extra (translation) dimension has bound 1, so its volume is 2
     if max_dim >= 2:
         for values, extra in variants:
@@ -306,31 +360,43 @@ def gap_cover_search(a, max_dim=3, volume_budget=DEFAULT_ENUM_BUDGET):
                 for x2 in small[:bisect_left(small, hi)]:
                     if below % x2:
                         continue
+                    tried["d=2 scan"] += 1
                     bounds = _two_gen_bounds(work, x1, x2, cap)
                     if bounds is None:
                         continue
                     gap = assemble_with(extra, [(x1, bounds[0]), (x2, bounds[1])])
                     if gap is not None:
                         return gap
-    if max_dim >= 3:
-        for values, extra in variants:
-            for x1 in reversed(cands[-200:]):
-                b1 = values[-1] // x1
-                cap = volume_budget // (2 ** len(extra) * (b1 + 1))
-                if not cap:
+
+    def scanned(values):
+        for x1 in reversed(cands[-200:]):
+            resid = sorted({w % x1 for w in values})
+            yield x1, resid, scanned_pairs(x1, resid)
+
+    def scanned_pairs(x1, resid):
+        pg = _prefix_gcds(resid)
+        for x2 in reversed(small[-24:]):
+            if x2 >= x1:
+                continue
+            below = pg[bisect_left(resid, x2)]
+            for x3 in small[:24]:
+                if x3 >= x2:
+                    break
+                if below % x3:
                     continue
-                resid = sorted({w % x1 for w in values})
-                pg = _prefix_gcds(resid)
-                work = list(resid)
-                for x2 in reversed(small[-24:]):
-                    if x2 >= x1:
+                yield x2, x3
+
+    if max_dim >= 3:
+        for phase, propose in (("d=3 proposals", _scale_proposals), ("d=3 scan", scanned)):
+            for values, extra in variants:
+                for x1, resid, pairs in propose(values):
+                    b1 = values[-1] // x1
+                    cap = volume_budget // (2 ** len(extra) * (b1 + 1))
+                    if not cap:
                         continue
-                    below = pg[bisect_left(resid, x2)]
-                    for x3 in small[:24]:
-                        if x3 >= x2:
-                            break
-                        if below % x3:
-                            continue
+                    work = list(resid)
+                    for x2, x3 in pairs:
+                        tried[phase] += 1
                         bounds = _two_gen_bounds(work, x2, x3, cap)
                         if bounds is None:
                             continue
@@ -339,5 +405,7 @@ def gap_cover_search(a, max_dim=3, volume_budget=DEFAULT_ENUM_BUDGET):
                         if gap is not None:
                             return gap
     raise NoCoverFound(
-        f"no GAP of dimension <= {max_dim} with volume <= {volume_budget} found"
+        f"no GAP of dimension <= {max_dim} with volume <= {volume_budget} covers "
+        f"the {len(a)} weights; candidates tried: "
+        + ", ".join(f"{phase} {n}" for phase, n in tried.items())
     )

@@ -58,10 +58,14 @@ def enlarge(g, lam):
 
 
 def kappa(g, t):
-    """Encode a coordinate tuple as a mixed-radix integer."""
+    """Encode a coordinate tuple as a mixed-radix integer.
+
+    Raises ValueError for a tuple whose length is not the GAP's dimension,
+    and OutOfBounds for a coordinate outside [0, its enlarged bound].
+    """
     coords = tuple(t)
     if len(coords) != g.dim:
-        raise OutOfBounds(len(coords))
+        raise ValueError(f"{len(coords)} coordinates for a GAP of dimension {g.dim}")
     e = 0
     for i, (l, b) in enumerate(zip(coords, g.enlarged_bounds)):
         if not 0 <= l <= b:

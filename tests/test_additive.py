@@ -1,4 +1,6 @@
 import random
+import re
+import time
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -17,7 +19,7 @@ from gapsolve import (
     hfold,
     sumset,
 )
-from gapsolve.additive import _candidate_diffs
+from gapsolve.additive import _candidate_diffs, _scale_proposals
 from gapsolve.errors import BudgetExceeded, NoCoverFound, NotCovered
 
 weight_sets = st.sets(st.integers(0, 200), min_size=1, max_size=12).map(WeightSet.of)
@@ -218,8 +220,15 @@ def test_cover_search_hidden_two_dim_gap():
 def test_cover_search_failure():
     rng = random.Random(1)
     ws = WeightSet.of(rng.randrange(10**9) for _ in range(40))
-    with pytest.raises(NoCoverFound):
-        gap_cover_search(ws, max_dim=2, volume_budget=100)
+    # the message names |A|, max_dim, the budget and each phase's candidates;
+    # random weights repeat no difference, so the scale proposals are none
+    for max_dim, budget in ((2, 100), (3, 10**7)):
+        with pytest.raises(NoCoverFound) as exc:
+            gap_cover_search(ws, max_dim=max_dim, volume_budget=budget)
+        m = re.fullmatch(rf"no GAP of dimension <= {max_dim} with volume <= {budget} covers "
+                         r"the 40 weights; candidates tried: d=2 scan (\d+), d=3 proposals 0, "
+                         r"d=3 scan (\d+)", str(exc.value))
+        assert m and int(m[1]) > 0 and (int(m[2]) > 0) == (max_dim == 3)
 
 
 @settings(max_examples=30)
@@ -328,16 +337,20 @@ def _ref_gap_cover_search(a, max_dim=3, volume_budget=10**7):
                     gap = assemble_with(extra, [(x1, b1), (x2, b2)])
                     if gap is not None:
                         return gap
+
+    def scanned(values):
+        for x1 in reversed(cands[-200:]):
+            pairs = [(x2, x3) for x2 in reversed(small[-24:]) if x2 < x1
+                     for x3 in small[:24] if x3 < x2]
+            yield x1, None, pairs
+
     if max_dim >= 3:
-        for values, extra in variants:
-            for x1 in reversed(cands[-200:]):
-                resid = [(w % x1, w // x1) for w in values]
-                for x2 in reversed(small[-24:]):
-                    if x2 >= x1:
-                        continue
-                    for x3 in small[:24]:
-                        if x3 >= x2:
-                            break
+        # the scale proposals first, from the same helper as the search
+        for propose in (_scale_proposals, scanned):
+            for values, extra in variants:
+                for x1, _, pairs in propose(values):
+                    resid = [(w % x1, w // x1) for w in values]
+                    for x2, x3 in pairs:
                         coords = _ref_solve_all_two_gen([r for r, _ in resid], x2, x3)
                         if coords is None:
                             continue
@@ -394,9 +407,30 @@ def test_cover_search_planted_two_dim_675_points():
     assert gap_cover_search(a) == planted == _ref_gap_cover_search(a)
 
 
-def test_cover_search_planted_three_dim_sample_fails():
-    pts = _points((10**9 + 7, 1000003, 13), (8, 8, 8))
-    a = WeightSet.of(random.Random("3-dim").sample(pts, 91))
-    for search in (gap_cover_search, _ref_gap_cover_search):
-        with pytest.raises(NoCoverFound):
-            search(a)
+def test_cover_search_planted_three_dim_sample():
+    # 91 of the 729 points: the 200 largest differences all exceed 6e9, so
+    # only the scale proposals reach x1 = 10^9 + 7
+    planted = Gap((10**9 + 7, 1000003, 13), (8, 8, 8))
+    a = WeightSet.of(random.Random("3-dim").sample(_points(planted.generators, planted.bounds), 91))
+    assert gap_cover_search(a) == planted == _ref_gap_cover_search(a)
+
+
+@pytest.mark.parametrize("planted", [
+    Gap((10**9 + 7, 1000003, 13), (8, 8, 8)),
+    # the 2-dim GAP with bounds 25 joined with its 2^63 translate
+    Gap((2**63, 10**9 + 7, 1000003), (1, 25, 25)),
+], ids=["whole-3dim", "2dim+2^63"])
+def test_cover_search_planted_corpus(planted):
+    a = WeightSet.of(_points(planted.generators, planted.bounds))
+    assert len(a) == planted.volume
+    start = time.perf_counter()
+    assert gap_cover_search(a) == planted
+    assert time.perf_counter() - start < 1.0
+
+
+def test_cover_search_planted_three_dim_bounds_40_sample():
+    # a valid cover, though not the planted one (volume 41^3)
+    pts = _points((10**9 + 7, 1000003, 13), (40, 40, 40))
+    a = WeightSet.of(random.Random("bounds-40").sample(pts, 1964))
+    gap = gap_cover_search(a)
+    assert len(get_gap_coordinates(a, gap)) == 1964

@@ -68,6 +68,9 @@ def test_kappa_out_of_bounds():
         kappa(g, (5, 0))
     with pytest.raises(OutOfBounds):  # a negative coordinate, too
         kappa(g, (-1, 0))
+    # a tuple of the wrong length names both lengths, not a dimension
+    with pytest.raises(ValueError, match="3 coordinates for a GAP of dimension 2"):
+        kappa(g, (1, 2, 3))
 
 
 def test_kappa_inv_examples():

@@ -170,32 +170,34 @@ def get_gap_coordinates(a, g):
     return coords
 
 
-def _candidate_diffs(shifted, cap=64):
+def _candidate_diffs(shifted):
     """Sorted positive pairwise differences, capped for the generator search."""
-    nz = [e for e in shifted if e > 0]
-    diffs = set(nz)
-    elems = shifted
-    if len(elems) <= 80:
-        pairs = ((a, b) for i, a in enumerate(elems) for b in elems[i + 1:])
+    diffs = {e for e in shifted if e > 0}
+    if len(shifted) <= 80:
+        pairs = ((a, b) for i, a in enumerate(shifted) for b in shifted[i + 1:])
     else:
-        pairs = zip(elems, elems[1:])
-    for a, b in pairs:
-        if b != a:
-            diffs.add(abs(b - a))
-    g = 0
-    for d in diffs:
-        g = gcd(g, d)
-    if g:
-        diffs.add(g)
+        pairs = zip(shifted, shifted[1:])
+    diffs.update(b - a for a, b in pairs)
+    if diffs:
+        diffs.add(gcd(*diffs))
     return sorted(diffs)
 
 
-def _prefix_gcds(values):
-    """pg[i] = gcd(values[:i]), so pg[0] = 0."""
-    pg = [0]
+def _pairs(values, outer, inner):
+    """(x, y) with x from `outer` and y < x from the sorted `inner`.
+
+    y must divide the gcd of the sorted `values` below x (the divisibility
+    pruning of `gap_cover_search`), which also cuts off every y above it.
+    """
+    pg = [0]  # pg[i] = gcd(values[:i])
     for v in values:
         pg.append(gcd(pg[-1], v))
-    return pg
+    for x in outer:
+        below = pg[bisect_left(values, x)]
+        hi = min(x, below + 1) if below else x
+        for y in inner[:bisect_left(inner, hi)]:
+            if not below % y:
+                yield x, y
 
 
 def _two_gen_bounds(values, x1, x2, cap):
@@ -281,35 +283,36 @@ def _scale_proposals(values):
 def gap_cover_search(a, max_dim=3, volume_budget=DEFAULT_ENUM_BUDGET):
     """Find a GAP of core dimension <= max_dim covering all of `a`.
 
-    d=1 uses the GCD of pairwise differences anchored at min(a); d=2,3
-    search generator candidates drawn from differences, accepting the
-    first cover whose volume fits the budget.  When min(a) > 0 the
-    translation is folded in as an extra dimension with generator min(a)
-    and bound 1, so downstream encoding stays uniform.  Deterministic for
-    a fixed budget and candidate order.
+    d=1 uses the GCD of pairwise differences anchored at min(a).  When
+    min(a) > 0 the translation is folded in as an extra dimension with
+    generator min(a) and bound 1, so downstream encoding stays uniform.
 
-    The 3-dim phase first tries the generators that `_scale_proposals`
-    reads off the scale structure of the values, then scans x1 over the
-    200 largest candidate differences and (x2, x3) over the small pool.
-    When every phase fails, NoCoverFound names |A|, max_dim, the budget and
-    the candidates each phase tried.
+    Each phase of dimension >= 2 is one entry of a table, tried in order up
+    to max_dim: the d=2 scan pairs every candidate difference x, largest
+    first, with a y from the small pool; the d=3 proposals take x1 and
+    (x2, x3) from `_scale_proposals`; the d=3 scan takes x1 from the 200
+    largest candidate differences and (x2, x3) from the small pool.  For
+    each variant of the values (raw, and anchored at min(a) when min(a) >
+    0) a phase yields (x1 or None, values to solve, (x, y) pairs); with an
+    x1 the values are the residues w mod x1 and x1's bound is
+    max(a) // x1.  One accept step serves every phase: it solves the
+    values over (x, y) and returns the first cover whose volume fits the
+    budget.  When every phase fails, NoCoverFound names |A|, max_dim, the
+    budget and the candidates each phase tried.
 
     Three prunings make a rejected candidate cheap without changing which
-    candidates are visited, in which order, or which cover is accepted:
+    cover is accepted:
 
-    - Divisibility: a value w < x1 has l1 = 0 in every solution, so x2
-      must divide w.  x2 is skipped unless it divides the gcd of the values
-      below x1 (taken from prefix gcds, so x2 > that gcd is skipped too).
-      The 3-dim scan applies the same rule to x3 and the residues
-      w mod x1 below x2.
-    - Budget: the volume is the extra (translation) volume times
-      (b1+1)(b2+1) (times (b3+1) for d=3), and the running maxima only
-      grow as values are solved, so a pair is dropped as soon as that
-      product passes the budget; it would fail the final budget test.
-      In the 3-dim search b1 = max(a) // x1 is known before any residue
-      is solved, and an x1 whose b1 alone passes the budget is skipped.
-    - Hoisting: gcd(x1, x2) and the modular inverse are taken once per
-      pair, and the value that rejected the previous pair is tried first.
+    - Divisibility (`_pairs`): a value w < x has coordinate 0 on x in every
+      solution, so y is skipped unless it divides the gcd of the values
+      below x.
+    - Budget: the volume is the extra (translation) volume times (b1+1)
+      for an x1 times the (b+1) of x and y.  The running maxima only grow
+      as values are solved, so a pair is dropped as soon as that product
+      passes the budget, and an item whose fixed factors alone pass it is
+      skipped.
+    - Hoisting: gcd(x, y) and the modular inverse are taken once per pair,
+      and the value that rejected the previous pair is tried first.
       Neither changes any coordinate, and the maxima do not depend on the
       order of the values.
     """
@@ -347,63 +350,41 @@ def gap_cover_search(a, max_dim=3, volume_budget=DEFAULT_ENUM_BUDGET):
         for db in cands[i + 1:40]:
             small.add(gcd(da, db))
     small = sorted(small)
-    tried = {"d=2 scan": 0, "d=3 proposals": 0, "d=3 scan": 0}
-    # each extra (translation) dimension has bound 1, so its volume is 2
-    if max_dim >= 2:
-        for values, extra in variants:
-            cap = volume_budget // 2 ** len(extra)
-            pg = _prefix_gcds(values)
-            work = list(values)
-            for x1 in reversed(cands):
-                below = pg[bisect_left(values, x1)]
-                hi = min(x1, below + 1) if below else x1
-                for x2 in small[:bisect_left(small, hi)]:
-                    if below % x2:
-                        continue
-                    tried["d=2 scan"] += 1
-                    bounds = _two_gen_bounds(work, x1, x2, cap)
-                    if bounds is None:
-                        continue
-                    gap = assemble_with(extra, [(x1, bounds[0]), (x2, bounds[1])])
-                    if gap is not None:
-                        return gap
+
+    def two_dim(values):
+        yield None, values, _pairs(values, reversed(cands), small)
 
     def scanned(values):
         for x1 in reversed(cands[-200:]):
             resid = sorted({w % x1 for w in values})
-            yield x1, resid, scanned_pairs(x1, resid)
+            yield x1, resid, _pairs(resid, [x2 for x2 in reversed(small[-24:]) if x2 < x1],
+                                    small[:24])
 
-    def scanned_pairs(x1, resid):
-        pg = _prefix_gcds(resid)
-        for x2 in reversed(small[-24:]):
-            if x2 >= x1:
-                continue
-            below = pg[bisect_left(resid, x2)]
-            for x3 in small[:24]:
-                if x3 >= x2:
-                    break
-                if below % x3:
+    phases = (("d=2 scan", 2, two_dim), ("d=3 proposals", 3, _scale_proposals),
+              ("d=3 scan", 3, scanned))
+    tried = {name: 0 for name, _, _ in phases}
+    for name, dim, propose in phases:
+        if dim > max_dim:
+            break
+        for values, extra in variants:
+            for x1, solved, pairs in propose(values):
+                # each extra (translation) dimension has bound 1, so its volume is 2
+                cap = volume_budget // 2 ** len(extra)
+                head = []
+                if x1 is not None:
+                    head = [(x1, values[-1] // x1)]
+                    cap //= head[0][1] + 1
+                if not cap:
                     continue
-                yield x2, x3
-
-    if max_dim >= 3:
-        for phase, propose in (("d=3 proposals", _scale_proposals), ("d=3 scan", scanned)):
-            for values, extra in variants:
-                for x1, resid, pairs in propose(values):
-                    b1 = values[-1] // x1
-                    cap = volume_budget // (2 ** len(extra) * (b1 + 1))
-                    if not cap:
+                work = list(solved)
+                for x, y in pairs:
+                    tried[name] += 1
+                    bounds = _two_gen_bounds(work, x, y, cap)
+                    if bounds is None:
                         continue
-                    work = list(resid)
-                    for x2, x3 in pairs:
-                        tried[phase] += 1
-                        bounds = _two_gen_bounds(work, x2, x3, cap)
-                        if bounds is None:
-                            continue
-                        gap = assemble_with(
-                            extra, [(x1, b1), (x2, bounds[0]), (x3, bounds[1])])
-                        if gap is not None:
-                            return gap
+                    gap = assemble_with(extra, head + [(x, bounds[0]), (y, bounds[1])])
+                    if gap is not None:
+                        return gap
     raise NoCoverFound(
         f"no GAP of dimension <= {max_dim} with volume <= {volume_budget} covers "
         f"the {len(a)} weights; candidates tried: "

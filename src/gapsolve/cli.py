@@ -223,10 +223,14 @@ def cmd_analyze(args):
     return 0
 
 
-def _add_common_solve_flags(p):
-    p.add_argument("--gap", help="override GAP, e.g. 'd=1 x=7 L=20 offset=10^12'")
+def _add_search_flags(p):
     p.add_argument("--max-dim", type=int, default=3, choices=(1, 2, 3))
     p.add_argument("--volume-budget", type=int, default=DEFAULT_ENUM_BUDGET)
+
+
+def _add_common_solve_flags(p):
+    p.add_argument("--gap", help="override GAP, e.g. 'd=1 x=7 L=20 offset=10^12'")
+    _add_search_flags(p)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -277,8 +281,7 @@ def main(argv=None):
 
     p = sub.add_parser("analyze", help="doubling analytics of the weight set")
     p.add_argument("path")
-    p.add_argument("--max-dim", type=int, default=3, choices=(1, 2, 3))
-    p.add_argument("--volume-budget", type=int, default=DEFAULT_ENUM_BUDGET)
+    _add_search_flags(p)
     p.set_defaults(func=cmd_analyze)
 
     args = parser.parse_args(argv)

@@ -129,12 +129,12 @@ def _mst_weight(vertices, edges):
     return total if len(seen) == len(verts) else None
 
 
-def steiner_bf(inst, terminals=None):
+def steiner_bf(inst):
     """Minimum over all vertex supersets of the terminals of their MST."""
     n = inst.n
     if n > 12:
         raise TooLarge(f"n = {n} > 12")
-    K = set(terminals if terminals is not None else inst.terminals)
+    K = set(inst.terminals)
     others = [v for v in range(n) if v not in K]
     best, count = None, 0
     for r in range(len(others) + 1):

@@ -1,5 +1,4 @@
 import random
-import re
 import time
 from fractions import Fraction
 from itertools import product
@@ -221,14 +220,20 @@ def test_cover_search_failure():
     rng = random.Random(1)
     ws = WeightSet.of(rng.randrange(10**9) for _ in range(40))
     # the message names |A|, max_dim, the budget and each phase's candidates;
-    # random weights repeat no difference, so the scale proposals are none
-    for max_dim, budget in ((2, 100), (3, 10**7)):
+    # random weights repeat no difference, so the scale proposals are none.
+    # The counts are exact: a search that visits other candidates fails here.
+    for max_dim, budget, tried in ((2, 100, "d=2 scan 3130, d=3 proposals 0, d=3 scan 0"),
+                                   (3, 10**7, "d=2 scan 3130, d=3 proposals 0, d=3 scan 9600")):
         with pytest.raises(NoCoverFound) as exc:
             gap_cover_search(ws, max_dim=max_dim, volume_budget=budget)
-        m = re.fullmatch(rf"no GAP of dimension <= {max_dim} with volume <= {budget} covers "
-                         r"the 40 weights; candidates tried: d=2 scan (\d+), d=3 proposals 0, "
-                         r"d=3 scan (\d+)", str(exc.value))
-        assert m and int(m[1]) > 0 and (int(m[2]) > 0) == (max_dim == 3)
+        assert str(exc.value) == (f"no GAP of dimension <= {max_dim} with volume <= {budget} "
+                                  f"covers the 40 weights; candidates tried: {tried}")
+    # the 91-point sample of the planted 3-dim GAP, one short of its volume
+    planted = Gap((10**9 + 7, 1000003, 13), (8, 8, 8))
+    a = WeightSet.of(random.Random("3-dim").sample(_points(planted.generators, planted.bounds), 91))
+    with pytest.raises(NoCoverFound, match=r"the 91 weights; candidates tried: d=2 scan 401, "
+                       r"d=3 proposals 78, d=3 scan 3432$"):
+        gap_cover_search(a, volume_budget=728)
 
 
 @settings(max_examples=30)

@@ -16,7 +16,6 @@ from .additive import (
     sumset,
 )
 from .encoding import (
-    EnlargedGap,
     enlarge,
     kappa,
     kappa_inv,
@@ -40,7 +39,6 @@ from .solvers import (
 )
 
 __all__ = [
-    "EnlargedGap",
     "Gap",
     "MetaResult",
     "ProblemInstance",

@@ -47,9 +47,6 @@ class WeightSet:
     def __iter__(self):
         return iter(self.elements)
 
-    def __contains__(self, x):
-        return x in set(self.elements)
-
 
 @dataclass(frozen=True)
 class Gap:

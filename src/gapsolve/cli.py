@@ -2,9 +2,9 @@
 
 Exit codes (`EXIT_CODES` maps each error to its code):
   0  ok
-  1  bad input: a malformed file, flag or --gap, an unwritable gen -o
-     path, an invalid instance, a given GAP that misses a weight, or an
-     ewclique k not divisible by 3
+  1  bad input: a missing, unreadable or malformed file, a bad flag or
+     --gap, an unwritable gen -o path, an invalid instance, a given GAP
+     that misses a weight, or an ewclique k not divisible by 3
   2  no usable cover: none found, or a budget is exceeded (gen's GAP
      enumeration, a solver's encoded range or int64 limit, an oracle's
      size limit)
@@ -47,9 +47,11 @@ from .solvers import SOLVER_SPECS
 SCHEMA_VERSION = 1
 DEFAULT_PERM_BUDGET = 10**7
 # (errors, exit code, message prefix); the first row that matches wins, and
-# the last row catches every other GapsolveError
+# the last row catches every other GapsolveError.  OSError and
+# UnicodeDecodeError come from reading an instance file or writing gen -o.
 EXIT_CODES = (
-    ((ParseError, InvalidInstance, NotCovered, KNotDivisibleBy3), 1, "error"),
+    ((ParseError, InvalidInstance, NotCovered, KNotDivisibleBy3, OSError,
+      UnicodeDecodeError), 1, "error"),
     ((NoCoverFound, BudgetExceeded, BoundExceeded, TooLarge), 2, "error"),
     ((InfeasibleInstance, Disconnected), 3, "infeasible"),
     ((GapsolveError,), 5, "internal error"),
@@ -57,12 +59,8 @@ EXIT_CODES = (
 
 
 def _read_instance(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return parse_instance(fh.read())
-    except (OSError, ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(1)
+    with open(path, encoding="utf-8") as fh:
+        return parse_instance(fh.read())
 
 
 def cmd_gen(args):
@@ -72,12 +70,8 @@ def cmd_gen(args):
     )
     text = serialize_instance(inst, seed=args.seed)
     if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     return 0
@@ -92,9 +86,9 @@ def _rank_fields(res, args):
     if not args.perm_budget:
         return {}
     egap = enlarge(res.gap_used, res.lam)
-    if egap.range_bound > args.perm_budget:
+    if egap.volume > args.perm_budget:
         return {"permutation_size": None}
-    return {"permutation_size": egap.range_bound,
+    return {"permutation_size": egap.volume,
             "optimum_rank": value_rank(egap, res.encoded_optimum)}
 
 
@@ -287,7 +281,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GapsolveError as exc:
+    except (GapsolveError, OSError, UnicodeDecodeError) as exc:
         _, code, prefix = next(row for row in EXIT_CODES if isinstance(exc, row[0]))
         print(f"{prefix}: {exc}", file=sys.stderr)
         return code

@@ -88,36 +88,36 @@ def parse_instance(text):
     if kind is None:
         raise ParseError("problem section missing kind")
 
-    edges = []
-    for ln in sections.get("edges", []):
-        toks = ln.split()
-        if len(toks) != 3:
-            raise ParseError(f"bad edge line {ln!r}")
-        edges.append((int(toks[0]), int(toks[1]), parse_int(toks[2])))
+    try:  # a bad integer or an invalid Gap or instance is a ParseError
+        edges = []
+        for ln in sections.get("edges", []):
+            toks = ln.split()
+            if len(toks) != 3:
+                raise ParseError(f"bad edge line {ln!r}")
+            edges.append((int(toks[0]), int(toks[1]), parse_int(toks[2])))
 
-    sequence = []
-    for ln in sections.get("sequence", []):
-        sequence.extend(parse_int(t) for t in ln.split())
+        sequence = []
+        for ln in sections.get("sequence", []):
+            sequence.extend(parse_int(t) for t in ln.split())
 
-    gap = None
-    if "gap" in sections:
-        gl = sections["gap"]
-        if len(gl) != 3:
-            raise ParseError("gap section must be 3 lines: d, generators, bounds")
-        d = int(gl[0])
-        gens = tuple(parse_int(t) for t in gl[1].split())
-        bounds = tuple(parse_int(t) for t in gl[2].split())
-        if len(gens) != d or len(bounds) != d:
-            raise ParseError("gap dimension mismatch")
-        gap = Gap(gens, bounds)
+        gap = None
+        if "gap" in sections:
+            gl = sections["gap"]
+            if len(gl) != 3:
+                raise ParseError("gap section must be 3 lines: d, generators, bounds")
+            d = int(gl[0])
+            gens = tuple(parse_int(t) for t in gl[1].split())
+            bounds = tuple(parse_int(t) for t in gl[2].split())
+            if len(gens) != d or len(bounds) != d:
+                raise ParseError("gap dimension mismatch")
+            gap = Gap(gens, bounds)
 
-    seed = None
-    if "seed" in sections:
-        if len(sections["seed"]) != 1:
-            raise ParseError("seed section must be a single line")
-        seed = int(sections["seed"][0])
+        seed = None
+        if "seed" in sections:
+            if len(sections["seed"]) != 1:
+                raise ParseError("seed section must be a single line")
+            seed = int(sections["seed"][0])
 
-    try:
         inst = ProblemInstance(
             kind=kind,
             n=int(meta.get("n", "0")),

@@ -44,15 +44,10 @@ def run_meta(inst, *, max_dim=3, volume_budget=DEFAULT_ENUM_BUDGET):
     lam = spec.lambda_bound(inst)
     egap = enlarge(gap, lam)
     enc = {w: kappa(egap, c) for w, c in zip(weights, coords)}
-    stats = {
-        "weight_count": len(weights),
-        "gap_volume": gap.volume,
-        "encoded_range_bound": egap.range_bound,
-        "lambda": lam,
-    }
+    stats = {"weight_count": len(weights), "encoded_range_bound": egap.volume}
 
     # true_values, in the select below, raises OutOfRange (an
-    # InvariantViolated) for any exponent outside [0, range_bound)
+    # InvariantViolated) for any exponent outside [0, egap.volume)
     terms = spec.solve(inst, enc, egap)
     if inst.kind == "minplusconv":  # its solver returns each index's minimum
         stats["sequence"] = true_values(egap, terms).tolist()

@@ -105,8 +105,9 @@ class ProblemInstance:
 class SolverSpec:
     """Everything the pipeline needs to know about one problem kind.
 
-    `solve(inst, enc, egap)` runs the kind's solver on encoded weights and
-    returns its {exponent: count} dict; for min-plus it returns the
+    `solve(inst, enc, egap)` runs the kind's solver on the weights encoded
+    over `egap`, the cover with its bounds scaled by `lambda_bound(inst)`,
+    and returns its {exponent: count} dict; for min-plus it returns the
     per-index minimum encodings instead.  `oracle(inst)` returns the
     brute-force optimum (the min-plus sequence).  `counts` is False where
     the coefficients do not count the optima: steiner keeps one optimal
@@ -144,7 +145,7 @@ SOLVER_SPECS = {
     "minplusconv": SolverSpec(
         "min", lambda inst: 2,
         lambda inst, enc, egap: minplus_selfconv_min(
-            [enc[v] for v in inst.sequence], egap.range_bound,
+            [enc[v] for v in inst.sequence], egap.volume,
             keys=lambda sums: true_values(egap, sums)),
         lambda inst: minplus_naive(list(inst.sequence)),
         counts=False),

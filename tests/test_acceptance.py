@@ -68,12 +68,12 @@ def test_encoding_algebra():
     checked = 0
     branch_first = branch_later = 0
     for g, lam, egap, tuples in _corpus(11, 1000):
-        top = tuple(egap.enlarged_bounds)
-        assert kappa(egap, top) == egap.range_bound - 1
+        top = tuple(egap.bounds)
+        assert kappa(egap, top) == egap.volume - 1
         seen = {}
         for s in tuples:
             e = kappa(egap, s)
-            assert 0 <= e < egap.range_bound
+            assert 0 <= e < egap.volume
             if s in seen:
                 continue
             seen[s] = e
@@ -118,11 +118,11 @@ def test_rank_table_agreement():
         g = _random_gap(rng, max_dim=3, max_bound=6, max_gen=10**9)
         lam = rng.randint(2, 3)
         egap = enlarge(g, lam)
-        if egap.range_bound > 10**5:
+        if egap.volume > 10**5:
             continue
         table = build_permutation(egap)
         expected = sorted(
-            ((e, true_value(egap, e)) for e in range(egap.range_bound)),
+            ((e, true_value(egap, e)) for e in range(egap.volume)),
             key=lambda p: (p[1], p[0]))
         assert list(table.sorted_entries) == expected
         for i, (e, _) in enumerate(expected):
@@ -219,7 +219,7 @@ def test_auxiliary_graph_identities():
 
 
 def test_encoded_range_bounds():
-    # the size chain range_bound <= lambda^d * |G| holds by construction;
+    # the size chain |G'| <= lambda^d * |G| holds by construction;
     # re-derive it here from the reported stats for a handful of fresh runs
     # across all kinds
     rng = random.Random(53)

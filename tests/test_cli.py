@@ -62,10 +62,19 @@ def test_solve_text_and_json(tmp_path, capsys):
 
 def test_solve_parse_error(tmp_path, capsys):
     path = tmp_path / "bad.txt"
-    path.write_text("nonsense\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", str(path)])
-    assert exc.value.code == 1
+    for text, msg in [("nonsense\n", "content outside any section: 'nonsense'"),
+                      ("problem\nkind maxcut\nn 3\nedges\n0 1 x\n",
+                       "invalid literal for int() with base 10: 'x'"),
+                      ("problem\nkind maxcut\nn 3\ngap\n1\n5\n-1\n",
+                       "bounds must be non-negative")]:
+        path.write_text(text)
+        assert run(["solve", str(path)], capsys) == (1, "", f"error: {msg}\n")
+    missing = tmp_path / "missing.txt"
+    assert run(["solve", str(missing)], capsys) == (
+        1, "", f"error: [Errno 2] No such file or directory: '{missing}'\n")
+    path.write_bytes(b"\xff\n")
+    code, out, err = run(["solve", str(path)], capsys)
+    assert (code, out) == (1, "") and err.startswith("error: 'utf-8' codec")
 
 
 @pytest.mark.parametrize("spec", ["d=2 x=zz L=1", "d=2 x=3 L=1", "x=3,5 L=1"])
@@ -268,6 +277,16 @@ def test_unknown_section_rejected():
         parse_instance("problem\nkind tsp\nn 3\nmystery\nx y z\n")
 
 
+@pytest.mark.parametrize("body", ["n x", "n 3\nedges\n0 1 x", "n 3\nedges\n0 1 2^x",
+                                  "n 3\nterminals a", "n 3\ngap\nq\n1\n3",
+                                  "n 3\ngap\n1\n5\n-1", "n 3\nseed\nzz"])
+def test_parse_instance_bad_token(body):
+    from gapsolve.errors import ParseError
+
+    with pytest.raises(ParseError):
+        parse_instance(f"problem\nkind maxcut\n{body}\n")
+
+
 def test_solve_json_rank_matches_permutation_table(tmp_path, capsys):
     path = tmp_path / "inst.txt"
     run(["gen", "maxcut", "--n", "6", "--gap", "d=2 x=10^12,7 L=1,4",
@@ -276,11 +295,11 @@ def test_solve_json_rank_matches_permutation_table(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     egap = enlarge(parse_gap_spec("d=2 x=10^12,7 L=1,4"), report["lambda"])
-    assert report["permutation_size"] == report["encoded_range_bound"] == egap.range_bound
+    assert report["permutation_size"] == report["encoded_range_bound"] == egap.volume
     assert report["optimum_rank"] == build_permutation(egap).rank(report["encoded_optimum"])
     # above --perm-budget: no rank, a null size
     code, out, _ = run(["solve", str(path), "--json", "--perm-budget",
-                        str(egap.range_bound - 1)], capsys)
+                        str(egap.volume - 1)], capsys)
     report = json.loads(out)
     assert report["permutation_size"] is None and "optimum_rank" not in report
 
@@ -330,6 +349,10 @@ def test_usage_error_exit_1(argv, capsys):
     ["gen", "ewclique", "--n", "6", "--k", "4", "--gap", "d=1 x=3 L=5"],
     ["gen", "ewclique", "--n", "6", "--k", "0", "--gap", "d=1 x=3 L=5"],
     ["gen", "steiner", "--n", "3", "--terminals", "9", "--gap", "d=1 x=3 L=5"],
+    # a missing instance file
+    ["solve", "no-such-file.txt"],
+    ["verify", "no-such-file.txt"],
+    ["analyze", "no-such-file.txt"],
 ])
 def test_invalid_instance_exit_1(argv, capsys):
     code, out, err = run(argv, capsys)
@@ -350,10 +373,9 @@ def test_gen_into_missing_directory_exit_1(tmp_path, capsys):
 def test_solve_negative_sequence_exit_1(tmp_path, capsys):
     path = tmp_path / "neg.txt"
     path.write_text("problem\nkind minplusconv\nsequence\n-1 2\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", str(path)])
-    assert exc.value.code == 1
-    assert capsys.readouterr().err == "error: weights must be non-negative\n"
+    code, _, err = run(["solve", str(path)], capsys)
+    assert code == 1
+    assert err == "error: weights must be non-negative\n"
 
 
 def test_graph_without_edges(tmp_path, capsys):

@@ -547,5 +547,5 @@ def test_select_optimum_matches_loop_reference_on_ties():
     egap = enlarge(Gap((2, 3), (6, 4)), 3)
     for size in (1, 2, 5, 40, 200):
         terms = {e: rng.randint(1, 5)
-                 for e in rng.sample(range(egap.range_bound), size)}
+                 for e in rng.sample(range(egap.volume), size)}
         assert_same_optimum(terms, egap)

@@ -30,13 +30,13 @@ class PermutationTable:
 
 
 def build_permutation(g, budget=DEFAULT_PERM_BUDGET):
-    """Materialize the rank-restoring permutation over [0, range_bound).
+    """Materialize the rank-restoring permutation over [0, g.volume).
 
     Ties on true value break by encoded value ascending.  Raises
     BudgetExceeded above `budget`.  This is the reference `value_rank` is
     tested against; it sorts the whole range, so nothing else builds it.
     """
-    n = g.range_bound
+    n = g.volume
     if n > budget:
         raise BudgetExceeded(f"permutation size {n} exceeds budget {budget}")
     entries = sorted(((e, true_value(g, e)) for e in range(n)), key=lambda p: (p[1], p[0]))
@@ -78,16 +78,17 @@ def test_kappa_inv_examples():
     assert kappa_inv(g, 15) == (2, 3)  # a plain tuple
     assert kappa_inv(g, 0) == (0, 0)
     with pytest.raises(OutOfRange):
-        kappa_inv(g, g.range_bound)
+        kappa_inv(g, g.volume)
 
 
 def test_enlarge():
     g = Gap((3, 10), (2, 1))
-    eg = enlarge(g, 4)
-    assert eg.enlarged_bounds == (8, 4)
-    assert eg.generators == (3, 10)
-    e1 = enlarge(g, 1)
-    assert e1.enlarged_bounds == g.bounds
+    assert enlarge(g, 4) == Gap(g.generators, (8, 4))
+    assert enlarge(g, 4).volume == 9 * 5
+    assert enlarge(g, 1) == g
+    for lam in (0, -1):
+        with pytest.raises(ValueError, match="lambda must be >= 1"):
+            enlarge(g, lam)
 
 
 @given(st.integers(1, 6), st.data())
@@ -96,7 +97,7 @@ def test_enlarged_volume_chain(lam, data):
     bounds = tuple(data.draw(st.lists(st.integers(0, 8), min_size=dim, max_size=dim)))
     g = Gap((1,) * dim, bounds)
     eg = enlarge(g, lam)
-    assert eg.range_bound <= lam**dim * g.volume
+    assert eg.volume <= lam**dim * g.volume
 
 
 def test_true_value_paper_ordering():
@@ -126,11 +127,11 @@ def _random_egap(data, max_dim=5, max_bound=8, max_gen=2**63):
 @given(st.data())
 def test_kappa_homomorphism(data):
     g = _random_egap(data)
-    halves = [b // 2 for b in g.enlarged_bounds]
+    halves = [b // 2 for b in g.bounds]
     alpha = tuple(data.draw(st.integers(0, h)) for h in halves)
     beta = tuple(
         data.draw(st.integers(0, b - a))
-        for a, b in zip(alpha, g.enlarged_bounds)
+        for a, b in zip(alpha, g.bounds)
     )
     both = tuple(x + y for x, y in zip(alpha, beta))
     assert kappa(g, both) == kappa(g, alpha) + kappa(g, beta)
@@ -139,7 +140,7 @@ def test_kappa_homomorphism(data):
 @given(st.data())
 def test_kappa_roundtrip(data):
     g = _random_egap(data)
-    t = tuple(data.draw(st.integers(0, b)) for b in g.enlarged_bounds)
+    t = tuple(data.draw(st.integers(0, b)) for b in g.bounds)
     e = kappa(g, t)
     assert tuple(kappa_inv(g, e)) == t
     assert true_value(g, e) == sum(x * l for x, l in zip(g.generators, t))
@@ -148,8 +149,8 @@ def test_kappa_roundtrip(data):
 @given(st.data())
 def test_kappa_lex_monotonicity(data):
     g = _random_egap(data)
-    a = tuple(data.draw(st.integers(0, b)) for b in g.enlarged_bounds)
-    b = tuple(data.draw(st.integers(0, bb)) for bb in g.enlarged_bounds)
+    a = tuple(data.draw(st.integers(0, b)) for b in g.bounds)
+    b = tuple(data.draw(st.integers(0, bb)) for bb in g.bounds)
     if a == b:
         return
     lo, hi = (a, b) if a < b else (b, a)
@@ -166,8 +167,8 @@ def test_lex_monotonicity_both_branches():
 
 def test_kappa_range_attained():
     g = egap_of([3, 10], [2, 1], lam=4)
-    top = kappa(g, g.enlarged_bounds)
-    assert top == g.range_bound - 1
+    top = kappa(g, g.bounds)
+    assert top == g.volume - 1
 
 
 def test_build_permutation_identity():
@@ -196,7 +197,7 @@ def test_build_permutation_budget():
 def test_permutation_agrees_with_decode_and_evaluate(data):
     g = _random_egap(data, max_dim=3, max_bound=4, max_gen=100)
     table = build_permutation(g)
-    n = g.range_bound
+    n = g.volume
     e1 = data.draw(st.integers(0, n - 1))
     e2 = data.draw(st.integers(0, n - 1))
     lhs = table.rank(e1) < table.rank(e2)
@@ -216,7 +217,7 @@ def _seeded_egaps():
                                  2**63 + rng.randint(0, 99)]) for _ in range(dim))
         bounds = tuple(rng.randint(0, 5) for _ in range(dim))
         g = enlarge(Gap(gens, bounds), rng.randint(1, 2))
-        if g.range_bound <= 3000:
+        if g.volume <= 3000:
             gaps.append(g)
     return gaps
 
@@ -226,9 +227,9 @@ def test_value_rank_equals_permutation_table_exhaustively():
     assert {g.dim for g in gaps} == {1, 2, 3, 4}
     for g in gaps:
         table = build_permutation(g)
-        for e in range(g.range_bound):
+        for e in range(g.volume):
             assert value_rank(g, e) == table.rank(e), (g, e)
-    assert sum(g.range_bound for g in gaps) > 10000
+    assert sum(g.volume for g in gaps) > 10000
 
 
 def test_value_rank_breaks_ties_by_encoding():
@@ -242,20 +243,20 @@ def test_value_rank_breaks_ties_by_encoding():
 def test_value_rank_out_of_range():
     g = egap_of([3, 10], [2, 2])
     with pytest.raises(OutOfRange):
-        value_rank(g, g.range_bound)
+        value_rank(g, g.volume)
 
 
 def test_true_values_matches_true_value():
     # 2^63-scale generators: the values need Python ints, the digits do not
     rng = random.Random(3)
     g = enlarge(Gap((2**63 + 29, 2**61 + 3, 5), (3, 12, 4)), 9)
-    exps = [rng.randrange(g.range_bound) for _ in range(300)] + [0, g.range_bound - 1]
+    exps = [rng.randrange(g.volume) for _ in range(300)] + [0, g.volume - 1]
     values = true_values(g, exps).tolist()
     assert values == [true_value(g, e) for e in exps]
     assert all(type(v) is int for v in values)
     assert true_values(g, []).tolist() == []
     with pytest.raises(OutOfRange):
-        true_values(g, [g.range_bound])
+        true_values(g, [g.volume])
     with pytest.raises(OutOfRange):
         true_values(g, [-1])
 

@@ -134,7 +134,7 @@ def test_escaping_exponent_raises_invariant_violated(monkeypatch, tmp_path, caps
 
     spec = SOLVER_SPECS["maxcut"]
     inst = generate_instance("maxcut", 5, Gap((3,), (4,)), seed=1)
-    bound = enlarge(inst.gap, spec.lambda_bound(inst)).range_bound
+    bound = enlarge(inst.gap, spec.lambda_bound(inst)).volume
     assert bound < 100
     path = tmp_path / "cut.txt"
     path.write_text(serialize_instance(inst))
@@ -185,7 +185,7 @@ def test_meta_minplus_kappa_order_differs_from_true_order():
     egap = enlarge(gap, res.lam)
     enc = {w: kappa(egap, c) for w, c in
            zip(inst.weights, get_gap_coordinates(inst.weights, gap))}
-    by_code = minplus_selfconv_min([enc[v] for v in inst.sequence], egap.range_bound)
+    by_code = minplus_selfconv_min([enc[v] for v in inst.sequence], egap.volume)
     assert [true_value(egap, e) for e in by_code] != naive
 
 

@@ -39,7 +39,7 @@ def test_select_optimum_brute_force(all_terms):
     # Gap((2, 3), (6, 4)) is not proper: distinct exponents share a value
     for gap in (Gap((5, 3), (4, 4)), Gap((2, 3), (6, 4))):
         g = enlarge(gap, 1)
-        terms = {e: c for e, c in all_terms.items() if e < g.range_bound}
+        terms = {e: c for e, c in all_terms.items() if e < g.volume}
         if not terms:
             continue
         for sense, pick in (("min", min), ("max", max)):

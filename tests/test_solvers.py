@@ -65,7 +65,7 @@ def random_instance(kind, n, rng, weight_pool, **kw):
 
 
 def assert_exponents_bounded(terms, egap):
-    lam_bounds = egap.enlarged_bounds
+    lam_bounds = egap.bounds
     for e in terms:
         coords = kappa_inv(egap, e)
         assert all(l <= b for l, b in zip(coords, lam_bounds))

@@ -1,16 +1,17 @@
 """Command-line front end: gen / solve / verify / analyze.
 
-Exit codes (`EXIT_CODES` maps each error to its code):
+Exit codes (`EXIT_CODES` maps each base error class to its code):
   0  ok
-  1  bad input: a missing, unreadable or malformed file, a bad flag or
-     --gap, an unwritable gen -o path, an invalid instance, a given GAP
-     that misses a weight, or an ewclique k not divisible by 3
-  2  no usable cover: none found, or a budget is exceeded (gen's GAP
-     enumeration, a solver's encoded range or int64 limit, an oracle's
-     size limit)
-  3  infeasible instance
+  1  bad input (ParseError, InvalidInstance, OSError, UnicodeDecodeError):
+     a missing, unreadable or malformed file, a bad flag or --gap, an
+     unwritable gen -o path, an invalid instance, a given GAP that misses a
+     weight, or an ewclique k not divisible by 3
+  2  no usable cover (BudgetExceeded): none found, or a budget is exceeded
+     (gen's GAP enumeration, a solver's encoded range, table size or int64
+     limit, an oracle's size limit)
+  3  infeasible instance (InfeasibleInstance)
   4  verification mismatch
-  5  internal fault: an invariant check failed
+  5  internal fault (any other GapsolveError): an invariant check failed
 """
 
 import argparse
@@ -23,17 +24,12 @@ from fractions import Fraction
 from .additive import DEFAULT_ENUM_BUDGET, doubling_constant, gap_cover_search, sumset
 from .encoding import enlarge, value_rank
 from .errors import (
-    BoundExceeded,
     BudgetExceeded,
-    Disconnected,
     GapsolveError,
     InfeasibleInstance,
     InvalidInstance,
-    KNotDivisibleBy3,
     NoCoverFound,
-    NotCovered,
     ParseError,
-    TooLarge,
 )
 from .instances import (
     generate_instance,
@@ -46,14 +42,13 @@ from .solvers import SOLVER_SPECS
 
 SCHEMA_VERSION = 1
 DEFAULT_PERM_BUDGET = 10**7
-# (errors, exit code, message prefix); the first row that matches wins, and
-# the last row catches every other GapsolveError.  OSError and
+# (base classes, exit code, message prefix); the first row that matches
+# wins, and the last row catches every other GapsolveError.  OSError and
 # UnicodeDecodeError come from reading an instance file or writing gen -o.
 EXIT_CODES = (
-    ((ParseError, InvalidInstance, NotCovered, KNotDivisibleBy3, OSError,
-      UnicodeDecodeError), 1, "error"),
-    ((NoCoverFound, BudgetExceeded, BoundExceeded, TooLarge), 2, "error"),
-    ((InfeasibleInstance, Disconnected), 3, "infeasible"),
+    ((ParseError, InvalidInstance, OSError, UnicodeDecodeError), 1, "error"),
+    ((BudgetExceeded,), 2, "error"),
+    ((InfeasibleInstance,), 3, "infeasible"),
     ((GapsolveError,), 5, "internal error"),
 )
 
@@ -148,14 +143,14 @@ def _verify_one(inst, args):
     """Returns (status, message); status in {'pass', 'fail', 'infeasible'}."""
     try:
         res = _solve(inst, args)
-        meta_opt = res.stats["sequence"] if inst.kind == "minplusconv" else res.optimum
+        meta_opt = res.stats.get("sequence", res.optimum)
         meta_ok = True
-    except (InfeasibleInstance, Disconnected):
+    except InfeasibleInstance:
         meta_ok = False
     try:
         oracle_opt = SOLVER_SPECS[inst.kind].oracle(inst)
         oracle_ok = True
-    except (InfeasibleInstance, Disconnected):
+    except InfeasibleInstance:
         oracle_ok = False
     if not meta_ok or not oracle_ok:
         if meta_ok == oracle_ok:
@@ -175,7 +170,7 @@ def cmd_verify(args):
         failures = 0
         for i in range(args.sweep):
             inst = generate_instance(
-                args.kind, args.n, gap, (args.seed or 0) + i,
+                args.kind, args.n, gap, args.seed + i,
                 density=args.density, k=args.k, n_terminals=args.terminals,
             )
             status, msg = _verify_one(inst, args)

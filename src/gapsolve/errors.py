@@ -1,15 +1,24 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit; a base class fixes the CLI exit code."""
 
 
 class GapsolveError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; those of no family below exit 5."""
 
 
-class BudgetExceeded(GapsolveError):
-    """An enumeration or table would exceed its configured budget."""
+class ParseError(GapsolveError):
+    """An instance file or GAP spec breaks the format (exit 1).  Not a ValueError,
+    which `parse_gap_spec` would re-wrap with a second prefix."""
 
 
-class NotCovered(GapsolveError):
+class InvalidInstance(GapsolveError, ValueError):
+    """An instance breaks a rule: kind, n, edges, terminals, sequence (exit 1)."""
+
+
+class KNotDivisibleBy3(InvalidInstance):
+    """Edge-weighted k-clique solver only handles k divisible by 3."""
+
+
+class NotCovered(InvalidInstance):
     """A weight is not representable in the given GAP."""
 
     def __init__(self, weight):
@@ -17,36 +26,28 @@ class NotCovered(GapsolveError):
         super().__init__(f"weight {weight} is not covered by the GAP")
 
 
-class NoCoverFound(GapsolveError):
+class BudgetExceeded(GapsolveError):
+    """An enumeration or table would exceed its configured budget (exit 2)."""
+
+
+class NoCoverFound(BudgetExceeded):
     """The cover search failed; an explicit GAP must be supplied."""
 
 
-class OutOfBounds(GapsolveError):
-    """A coordinate lies outside [0, its (enlarged) dimension bound]."""
-
-    def __init__(self, dim):
-        self.dim = dim
-        super().__init__(f"coordinate {dim} lies outside [0, its enlarged bound]")
+class BoundExceeded(BudgetExceeded):
+    """Encoded values or a solver's tables exceed a solver's fixed bound."""
 
 
-class InfeasibleInstance(GapsolveError):
-    """The instance admits no feasible solution."""
-
-
-class KNotDivisibleBy3(GapsolveError):
-    """Edge-weighted k-clique solver only handles k divisible by 3."""
-
-
-class Disconnected(GapsolveError):
-    """Steiner terminals span multiple connected components."""
-
-
-class TooLarge(GapsolveError):
+class TooLarge(BudgetExceeded):
     """Instance exceeds a brute-force oracle's size limit."""
 
 
-class BoundExceeded(GapsolveError):
-    """Encoded value bound too large for the dense convolution."""
+class InfeasibleInstance(GapsolveError):
+    """The instance admits no feasible solution (exit 3)."""
+
+
+class Disconnected(InfeasibleInstance):
+    """Steiner terminals span multiple connected components."""
 
 
 class InvariantViolated(GapsolveError):
@@ -57,9 +58,9 @@ class OutOfRange(InvariantViolated):
     """An encoded value lies outside the encodable range."""
 
 
-class InvalidInstance(GapsolveError, ValueError):
-    """A problem instance breaks a rule: its kind, n, edges, terminals or sequence."""
+class OutOfBounds(GapsolveError):
+    """A coordinate lies outside [0, its (enlarged) dimension bound]."""
 
-
-class ParseError(GapsolveError):
-    """Instance file does not conform to the expected format."""
+    def __init__(self, dim):
+        self.dim = dim
+        super().__init__(f"coordinate {dim} lies outside [0, its enlarged bound]")

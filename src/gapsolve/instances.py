@@ -23,10 +23,12 @@ SECTIONS = ("problem", "edges", "sequence", "gap", "seed")
 
 
 def parse_int(tok):
-    """Integer literal, allowing 10^12-style exponent shorthand."""
+    """Integer literal, allowing 10^12-style shorthand with a non-negative exponent."""
     if "^" in tok:
-        base, exp = tok.split("^", 1)
-        return int(base) ** int(exp)
+        base, exp = (int(t) for t in tok.split("^", 1))
+        if exp < 0:
+            raise ValueError(f"negative exponent in {tok!r}")
+        return base ** exp
     return int(tok)
 
 
@@ -34,13 +36,14 @@ def parse_gap_spec(spec):
     """Gap from a 'd=2 x=3,10 L=2,1 offset=10^12' style string.
 
     A positive offset becomes a leading dimension with generator `offset`
-    and bound 1, keeping translated weight sets inside one GAP.
+    and bound 1, keeping translated weight sets inside one GAP.  Unknown
+    fields and a negative offset are refused.
     """
     fields = {}
     for tok in spec.split():
-        if "=" not in tok:
+        key, eq, val = tok.partition("=")
+        if not eq or key not in ("d", "x", "L", "offset"):
             raise ParseError(f"bad gap token {tok!r}")
-        key, val = tok.split("=", 1)
         fields[key] = val
     try:
         gens = [parse_int(t) for t in fields["x"].split(",")]
@@ -48,6 +51,8 @@ def parse_gap_spec(spec):
         if "d" in fields and parse_int(fields["d"]) != len(gens):
             raise ParseError("gap spec dimension disagrees with generators")
         offset = parse_int(fields.get("offset", "0"))
+        if offset < 0:
+            raise ParseError(f"negative gap offset {offset}")
         if offset > 0:
             gens = [offset] + gens
             bounds = [1] + bounds
@@ -182,24 +187,13 @@ def generate_instance(kind, n, gap, seed, density=1.0, k=3, n_terminals=3):
         seq = tuple(draw() for _ in range(n))
         return ProblemInstance(kind=kind, sequence=seq, gap=gap)
 
-    edges = []
-    if kind == "tsp":
-        for u in range(n):
-            for v in range(u + 1, n):
-                edges.append((u, v, draw()))
-    elif kind == "steiner":
+    chain = set()
+    if kind == "steiner":
         order = list(range(n))
         rng.shuffle(order)
         chain = {(min(a, b), max(a, b)) for a, b in zip(order, order[1:])}
-        for u in range(n):
-            for v in range(u + 1, n):
-                if (u, v) in chain or rng.random() < density:
-                    edges.append((u, v, draw()))
-    else:
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.random() < density:
-                    edges.append((u, v, draw()))
+    edges = [(u, v, draw()) for u in range(n) for v in range(u + 1, n)
+             if kind == "tsp" or (u, v) in chain or rng.random() < density]
 
     terminals = tuple(sorted(rng.sample(range(n), n_terminals))) \
         if kind == "steiner" else ()

@@ -38,7 +38,7 @@ from itertools import combinations
 from math import comb, factorial
 
 from .additive import Gap, WeightSet
-from .encoding import EXPONENT_LIMIT, true_value, true_values
+from .encoding import EXPONENT_LIMIT, true_values
 from .errors import (
     BoundExceeded,
     Disconnected,
@@ -138,8 +138,7 @@ SOLVER_SPECS = {
         lambda inst: clique_bf(inst, inst.k).optimum),
     "steiner": SolverSpec(
         "min", lambda inst: max(1, inst.n - 1),
-        lambda inst, enc, egap: steiner_algebraic(
-            inst, enc, lambda e: true_value(egap, e)),
+        lambda inst, enc, egap: steiner_algebraic(inst, enc),
         lambda inst: steiner_bf(inst).optimum,
         counts=False),
     "minplusconv": SolverSpec(
@@ -267,11 +266,15 @@ def maxcut_algebraic(inst, enc):
     part i's internal cut weights.  One broadcast adds them over all
     compatible triples of assignments, and np.unique counts the sums, so
     memory stays O(2^(n-1)).  Vertex 0 is pinned outside the cut side so
-    each bipartition {S, V\\S} counts exactly once.
+    each bipartition {S, V\\S} counts exactly once.  BoundExceeded is
+    raised before any table is built when the 2^(n-1) int64 cut sums pass
+    2^32 bits, tsp_algebraic's budget: n >= 28 is refused.
     """
     import numpy as np
 
     n = inst.n
+    if 64 << max(n - 1, 0) > 2**32:
+        raise BoundExceeded(f"2^{n - 1} int64 cut sums at n = {n} exceed 2^32 bits")
     _, weight = _int64_edges(inst, enc, max(1, len(inst.edges)))
     size = -(-n // 3)
     sides = []
@@ -423,11 +426,11 @@ def _limb_min(x, axis):
     return np.stack(lows).squeeze(axis + 1)
 
 
-def steiner_algebraic(inst, enc, tv):
+def steiner_algebraic(inst, enc):
     """Dreyfus-Wagner DP over (terminal subset, root) on one exact integer key.
 
     Only the first terminal's component is kept; n is its vertex count.
-    Encoded weight e has the key tv(e) * R + e, R = (n - 1) * max(enc) + 1,
+    Edge weight w has the key w * R + enc[w], R = (n - 1) * max(enc) + 1,
     above the encodings of any tree: key sums order trees by (true value,
     encoding), each DP candidate, an edge multiset, holds a tree of no
     larger key, and the optimum's encoding is its key mod R.  Keys are
@@ -454,10 +457,9 @@ def steiner_algebraic(inst, enc, tv):
             raise Disconnected(f"terminal {t} unreachable from {terms[0]}")
     at = {v: i for i, v in enumerate(sorted(seen))}
     n = len(at)
-    edges = [(at[u], at[v], enc[w]) for u, v, w in inst.edges if u in seen]
-    codes = {e for *_, e in edges}
-    radix = (n - 1) * max(codes, default=0) + 1
-    key = {e: tv(e) * radix + e for e in codes}
+    edges = [(at[u], at[v], w) for u, v, w in inst.edges if u in seen]
+    radix = (n - 1) * max((enc[w] for *_, w in edges), default=0) + 1
+    key = {w: w * radix + enc[w] for *_, w in edges}
     # a DP value sums fewer than 2 * len(terms) paths of fewer than n edges,
     # so `inf` lies above all; the limbs hold 2 * inf, Floyd-Warshall's sum
     inf = 2 * len(terms) * (n - 1) * max(key.values(), default=0) + 1
@@ -471,7 +473,7 @@ def steiner_algebraic(inst, enc, tv):
     dist = np.tile(top[:, :, None], (1, n, n))
     dist[:, range(n), range(n)] = 0
     u, v = np.array([e[:2] for e in edges], dtype=np.int64).reshape(-1, 2).T
-    dist[:, u, v] = dist[:, v, u] = limbs([key[e] for *_, e in edges])
+    dist[:, u, v] = dist[:, v, u] = limbs([key[w] for *_, w in edges])
     # ties in golden-ratio order: a path pivoted along itself costs n^3 / 2
     for m in np.lexsort((np.arange(n) * 0.618034 % 1,
                          np.bincount(np.r_[u, v], minlength=n))):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gapsolve import SOLVER_SPECS, enlarge
+from gapsolve import SOLVER_SPECS, enlarge, errors
 import gapsolve.cli as cli
 
 from gapsolve.cli import main
@@ -262,7 +262,9 @@ def test_analyze_sidon_doubling(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("spec", ["d=2 x=zz L=1", "d=2 x=3 L=1", "x=3,5 L=1",
-                                  "x=3 L=-1", "x=3", "x=3 L=1 offset=q"])
+                                  "x=3 L=-1", "x=3", "x=3 L=1 offset=q",
+                                  "x=2^-1 L=3", "x=3 L=1 ofset=5", "x=3 L=1 offset=-5",
+                                  "x=3 L=1 offset=0^-1"])
 def test_parse_gap_spec_errors(spec):
     from gapsolve.errors import ParseError
 
@@ -279,7 +281,8 @@ def test_unknown_section_rejected():
 
 @pytest.mark.parametrize("body", ["n x", "n 3\nedges\n0 1 x", "n 3\nedges\n0 1 2^x",
                                   "n 3\nterminals a", "n 3\ngap\nq\n1\n3",
-                                  "n 3\ngap\n1\n5\n-1", "n 3\nseed\nzz"])
+                                  "n 3\ngap\n1\n5\n-1", "n 3\nseed\nzz",
+                                  "n 3\nedges\n0 1 2^-1", "n 3\ngap\n1\n0^-1\n3"])
 def test_parse_instance_bad_token(body):
     from gapsolve.errors import ParseError
 
@@ -349,6 +352,10 @@ def test_usage_error_exit_1(argv, capsys):
     ["gen", "ewclique", "--n", "6", "--k", "4", "--gap", "d=1 x=3 L=5"],
     ["gen", "ewclique", "--n", "6", "--k", "0", "--gap", "d=1 x=3 L=5"],
     ["gen", "steiner", "--n", "3", "--terminals", "9", "--gap", "d=1 x=3 L=5"],
+    # a negative exponent, an unknown or a negative gap field
+    ["gen", "tsp", "--n", "4", "--gap", "d=1 x=2^-1 L=3"],
+    ["gen", "tsp", "--n", "4", "--gap", "d=1 x=3 L=5 ofset=5"],
+    ["verify", "--sweep", "1", "--gap", "d=1 x=3 L=5 offset=-5"],
     # a missing instance file
     ["solve", "no-such-file.txt"],
     ["verify", "no-such-file.txt"],
@@ -408,6 +415,19 @@ def test_tsp_without_vertices_is_infeasible(tmp_path, capsys):
 
 
 
+def test_maxcut_too_many_vertices_exit_2(tmp_path, capsys):
+    # 2^33 int64 cut sums would take 64 GiB: refused before any allocation
+    from gapsolve import ProblemInstance, maxcut_algebraic
+
+    with pytest.raises(errors.BoundExceeded, match="n = 28 exceed 2\\^32 bits"):
+        maxcut_algebraic(ProblemInstance(kind="maxcut", n=28), {})
+    path = tmp_path / "big.txt"
+    path.write_text("problem\nkind maxcut\nn 34\nedges\n0 33 5\n")
+    code, out, err = run(["solve", str(path)], capsys)
+    assert (code, out) == (2, "") and "Traceback" not in err
+    assert err == "error: 2^33 int64 cut sums at n = 34 exceed 2^32 bits\n"
+
+
 def test_solve_tsp_wide_spread_exit_2(tmp_path, capsys):
     # weights spread over 10^5 make Held-Karp cells too wide for the budget
     path = tmp_path / "wide.txt"
@@ -451,3 +471,33 @@ def test_verify_sweep_every_kind_under_python_O():
     for kind in SOLVER_SPECS:
         assert f"{kind} 0" in lines, out.stdout
     assert sum("] PASS: " in ln for ln in lines) == 2 * len(SOLVER_SPECS), out.stdout
+
+
+
+ERROR_EXITS = {
+    errors.ParseError: 1, errors.InvalidInstance: 1,
+    errors.KNotDivisibleBy3: 1, errors.NotCovered: 1,
+    errors.BudgetExceeded: 2, errors.NoCoverFound: 2,
+    errors.BoundExceeded: 2, errors.TooLarge: 2,
+    errors.InfeasibleInstance: 3, errors.Disconnected: 3,
+    errors.GapsolveError: 5, errors.InvariantViolated: 5,
+    errors.OutOfRange: 5, errors.OutOfBounds: 5,
+}
+
+
+@pytest.mark.parametrize("exc, code", [
+    *((cls("boom"), code) for cls, code in ERROR_EXITS.items()),
+    (OSError("boom"), 1),
+    (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "boom"), 1),
+], ids=lambda v: str(v) if isinstance(v, int) else type(v).__name__)
+def test_every_error_type_has_its_exit_code(exc, code, capsys, monkeypatch):
+    # a new error type must declare its exit family in ERROR_EXITS
+    assert set(ERROR_EXITS) == {cls for cls in vars(errors).values()
+                                if isinstance(cls, type) and issubclass(cls, errors.GapsolveError)}
+
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_analyze", fail)
+    prefix = {3: "infeasible", 5: "internal error"}.get(code, "error")
+    assert run(["analyze", "f.txt"], capsys) == (code, "", f"{prefix}: {exc}\n")

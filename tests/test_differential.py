@@ -505,10 +505,10 @@ def test_steiner_matches_loop_reference(family):
             expected = ref_steiner(inst, enc, tv)
         except Disconnected as err:
             with pytest.raises(Disconnected, match=re.escape(str(err))):
-                steiner_algebraic(inst, enc, tv)
+                steiner_algebraic(inst, enc)
             disconnected += 1
         else:
-            assert steiner_algebraic(inst, enc, tv) == expected, inst
+            assert steiner_algebraic(inst, enc) == expected, inst
     assert disconnected >= 3
 
 
@@ -518,9 +518,9 @@ def test_steiner_duplicate_terminals_collapse(terminals):
         inst = steiner_case(family, 6, 1.0, 7, terminals)
         egap, enc = encoded(inst)
         tv = partial(true_value, egap)
-        assert steiner_algebraic(inst, enc, tv) == ref_steiner(inst, enc, tv)
+        assert steiner_algebraic(inst, enc) == ref_steiner(inst, enc, tv)
         if len(set(terminals)) == 1:
-            assert steiner_algebraic(inst, enc, tv) == {0: 1}
+            assert steiner_algebraic(inst, enc) == {0: 1}
 
 
 def test_steiner_matches_bruteforce_on_2_200_generators():
@@ -528,14 +528,13 @@ def test_steiner_matches_bruteforce_on_2_200_generators():
     for seed in range(12):
         inst = steiner_case("B200", 8, 0.5, seed, 3 + seed % 4)
         egap, enc = encoded(inst)
-        tv = partial(true_value, egap)
         try:
             optimum = steiner_bf(inst).optimum
         except Disconnected:
             with pytest.raises(Disconnected):
-                steiner_algebraic(inst, enc, tv)
+                steiner_algebraic(inst, enc)
             continue
-        [(e, count)] = steiner_algebraic(inst, enc, tv).items()
+        [(e, count)] = steiner_algebraic(inst, enc).items()
         assert (true_value(egap, e), count) == (optimum, 1)
         checked += 1
     assert checked >= 6

@@ -210,14 +210,38 @@ def test_solve_k_not_divisible_by_3_exit_1(tmp_path, capsys):
 
 
 def test_solve_minplus_fft_grid_over_budget_exit_2(tmp_path, capsys):
-    # two values, but a GAP bound of 9*10^6 makes the encoded range 1.8*10^7
-    # wide, so the padded FFT grid passes its 5*10^7-slot budget
+    # two values whose sums reach 1.8*10^7, so the padded FFT grid of
+    # 3 x 18874368 slots passes its 5*10^7-slot budget
     path = tmp_path / "wide.txt"
-    path.write_text("problem\nkind minplusconv\nsequence\n0 1\n"
+    path.write_text("problem\nkind minplusconv\nsequence\n0 9000000\n"
                     "gap\n1\n1\n9000000\n")
     code, out, err = run(["solve", str(path)], capsys)
     assert code == 2
-    assert err.startswith("error: FFT grid of ") and out == ""
+    assert err.startswith("error: FFT grid of 3x18874368 ") and out == ""
+
+
+def test_solve_minplus_small_sums_on_wide_gap(tmp_path, capsys):
+    # the GAP bound of 9*10^6 makes the encoded range 1.8*10^7 wide, but the
+    # sums of 0 and 1 stay below 3, so the FFT grid is 3 x 3
+    path = tmp_path / "narrow.txt"
+    path.write_text("problem\nkind minplusconv\nsequence\n0 1\n"
+                    "gap\n1\n1\n9000000\n")
+    code, out, err = run(["solve", str(path), "--json"], capsys)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["sequence"] == [0, 1, 2]
+    assert report["encoded_range_bound"] == 18000001
+
+
+def test_solve_ewclique_auxiliary_matrix_over_budget_exit_2(tmp_path, capsys):
+    # k = 9 on the complete graph K_40: C(40, 3) = 9880 triangles would need
+    # a 9880 x 9880 float64 product, past the 2^32-bit budget
+    path = tmp_path / "k40.txt"
+    path.write_text("problem\nkind ewclique\nn 40\nk 9\nedges\n" + "".join(
+        f"{u} {v} {1 + (u + v) % 3}\n" for u in range(40) for v in range(u + 1, 40)))
+    code, out, err = run(["solve", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: 9880 x 9880 float64 node products exceed 2^32 bits\n"
 
 
 def test_verify_pass_and_sweep(tmp_path, capsys):

@@ -375,8 +375,60 @@ def test_tsp_small_n_wide_spread_decodes_in_slot_bytes():
 def test_minplus_bound_errors():
     with pytest.raises(BoundExceeded):
         minplus_selfconv_min([5], 4)
+    # sums reach 2 * (10^7 - 1): a 216 x 20155392 grid
     with pytest.raises(BoundExceeded):
-        minplus_selfconv_min([1] * 100, 10**7, budget=10**6)
+        minplus_selfconv_min([0, 10**7 - 1] * 50, 10**7, budget=10**6)
+
+
+def test_minplus_grid_spans_sums_not_bound():
+    # sums of ones reach 2, so a bound of 10^7 still gives a 216 x 3 grid
+    assert minplus_selfconv_min([1] * 100, 10**7, budget=10**6) == minplus_naive([1] * 100)
+    assert _selfconv_support([1] * 100, 10**7, 216 * 3).shape == (199, 3)
+    with pytest.raises(BoundExceeded):
+        _selfconv_support([1] * 100, 10**7, 216 * 3 - 1)
+
+
+def test_minplus_exact_for_any_bound():
+    rng = random.Random(16)
+    cases = [[0], [7], [0] * 9, [0, 0]]
+    for _ in range(60):
+        top = rng.choice([1, 5, 63, 1000])
+        cases.append([rng.randint(0, top) for _ in range(rng.randint(1, 80))])
+    for seq in cases:
+        for bound in (max(seq) + 1, 10 * max(seq) + 1, 2**20):
+            assert minplus_selfconv_min(seq, bound) == minplus_naive(seq)
+
+
+def test_minplus_support_peak_per_padded_slot():
+    # n = 1000 with entries up to 2000 on the lambda = 2 bound: the budget
+    # counts a 2048 x 4096 grid, and one complex spectrum of half of it
+    # plus 4 MB blocks must stay within 12 bytes per slot
+    rng = random.Random(3)
+    seq = [rng.randint(0, 2000) for _ in range(999)] + [2000]
+    _selfconv_support([0, 1, 2], 3, 54)  # numpy's one-time FFT setup
+    tracemalloc.start()
+    try:
+        support = _selfconv_support(seq, 4001, 5 * 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert support.shape == (1999, 4001)
+    assert peak <= 12 * 2048 * 4096
+
+
+def test_ewclique_auxiliary_matrix_refused_before_product():
+    # K_40 with k = 9 has C(40, 3) = 9880 nodes in H: 64 * 9880^2 bits pass
+    # 2^32, and nothing of that size may be allocated before the refusal
+    inst = ProblemInstance(kind="ewclique", n=40, k=9, edges=tuple(
+        (u, v, 1 + (u + v) % 3) for u in range(40) for v in range(u + 1, 40)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoundExceeded, match="9880 x 9880"):
+            ewclique_algebraic(inst, {1: 1, 2: 2, 3: 3}, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_minplus_budget_counts_padded_grid():

@@ -60,19 +60,20 @@ def true_value(g, e):
     return sum(x * l for x, l in zip(g.generators, coords))
 
 
-def true_values(g, exps):
-    """true_value of every encoded weight in `exps`, as an object ndarray.
+def radix_digits(g, exps):
+    """The mixed-radix digits of every encoded weight in `exps`.
 
-    The mixed-radix digits are split off in int64, and the sums of
-    x_i * l_i are taken over Python ints, so generators at 2^63 scale stay
-    exact.  Raises OutOfRange, an InvariantViolated, for an encoding outside
-    [0, g.volume), and then BoundExceeded for one of EXPONENT_LIMIT or
-    more.  An `exps` outside int64 is read twice, so it must be a collection.
+    Returns one int64 ndarray per dimension, dimension 1 first, so that
+    kappa_inv(g, exps[j]) is the tuple of the j-th entries.  The digits are
+    split off in int64.  Raises OutOfRange, an InvariantViolated, for an
+    encoding outside [0, g.volume), and then BoundExceeded for one of
+    EXPONENT_LIMIT or more.  An `exps` outside int64 is read twice, so it
+    must be a collection.
     """
     import numpy as np
 
     try:
-        rest = np.fromiter(exps, dtype=np.int64)
+        rest = np.asarray(exps, dtype=np.int64)
         lo, top = (int(rest.min()), int(rest.max())) if rest.size else (0, 0)
     except OverflowError:  # beyond int64
         lo, top = min(exps), max(exps)
@@ -80,10 +81,26 @@ def true_values(g, exps):
         raise OutOfRange(f"encoded values outside [0, {g.volume})")
     if top >= EXPONENT_LIMIT:
         raise BoundExceeded("an encoded value is not below 2^62")
-    values = np.zeros(rest.shape, dtype=object)
-    for x, b in zip(reversed(g.generators), reversed(g.bounds)):
+    digits = []
+    for b in reversed(g.bounds):
         # a radix above every value splits off the same digit as 2^62 does
         rest, digit = np.divmod(rest, min(b + 1, EXPONENT_LIMIT))
+        digits.append(digit)
+    return digits[::-1]
+
+
+def true_values(g, exps):
+    """true_value of every encoded weight in `exps`, as an object ndarray.
+
+    The digits come from `radix_digits`, with its range checks, and the
+    sums of x_i * l_i are taken over Python ints, so generators at 2^63
+    scale stay exact.
+    """
+    import numpy as np
+
+    digits = radix_digits(g, exps)
+    values = np.zeros(digits[0].shape, dtype=object)
+    for x, digit in zip(g.generators, digits):
         values += digit.astype(object) * x
     return values
 

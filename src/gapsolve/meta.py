@@ -34,6 +34,8 @@ def run_meta(inst, *, max_dim=3, volume_budget=DEFAULT_ENUM_BUDGET):
     A user-supplied GAP on the instance takes precedence over the cover
     search.  Raises NoCoverFound / InfeasibleInstance / solver errors.
     """
+    import numpy as np
+
     spec = SOLVER_SPECS[inst.kind]
     t0 = time.perf_counter()
     weights = inst.weights
@@ -46,17 +48,18 @@ def run_meta(inst, *, max_dim=3, volume_budget=DEFAULT_ENUM_BUDGET):
     enc = {w: kappa(egap, c) for w, c in zip(weights, coords)}
     stats = {"encoded_range_bound": egap.volume}
 
-    # true_values, in the select below, raises OutOfRange (an
-    # InvariantViolated) for any exponent outside [0, egap.volume)
+    # the select below raises OutOfRange (an InvariantViolated) for any
+    # exponent outside [0, egap.volume)
     terms = spec.solve(inst, enc, egap)
     if inst.kind == "minplusconv":  # its solver returns each index's minimum
         stats["sequence"] = true_values(egap, terms).tolist()
-        terms = dict.fromkeys(terms, 1)
+        exps = np.unique(terms)
+        terms = exps, np.ones_like(exps)
     best, optimum, count = select_optimum(terms, egap, spec.sense)
     coords_opt = kappa_inv(egap, best)
     if optimum != sum(x * l for x, l in zip(egap.generators, coords_opt)):
         raise InvariantViolated(f"exponent {best} decodes inconsistently")
-    stats["solution_terms"] = len(terms)
+    stats["solution_terms"] = len(terms[0])
     stats["optimal_count"] = count if spec.counts else None
     stats["wall_time"] = time.perf_counter() - t0
     return MetaResult(optimum, best, coords_opt, gap, lam, stats)

@@ -1,10 +1,11 @@
 """Bounded-input algebraic solvers operating on encoded integer weights.
 
 Each solver receives a problem instance together with a map from original
-weight values to their encoded integers, and returns a plain dict that maps
-each exponent, a sum of encoded weights, to the number of solutions with
-that sum.  Every exponent stays within the lambda-enlarged GAP bounds of
-its problem:
+weight values to their encoded integers, and returns its terms as one pair
+`(exps, counts)` of equal-length int64 ndarrays: `exps` holds each
+exponent, a sum of encoded weights, strictly ascending, and `counts` the
+number of solutions with that sum; two empty arrays mean no solution.
+Every exponent stays within the lambda-enlarged GAP bounds of its problem:
 
   TSP        lambda = n        (a tour sums n edge weights)
   Max-Cut    lambda = m        (a cut sums at most m edge weights)
@@ -16,9 +17,9 @@ Each lambda is at least 1, also for graphs without vertices or edges.
 
 Coefficients are exact integers, normalized so they are checkable against
 brute force: each undirected tour, each bipartition, and each k-clique
-counts once.  Steiner keeps one optimal tree, {exponent: 1}, and min-plus
-returns each output index's minimum instead of a dict.  SOLVER_SPECS is the
-one table of the supported kinds.
+counts once.  Steiner keeps one optimal tree, one term of count 1, and
+min-plus returns each output index's minimum instead of terms.
+SOLVER_SPECS is the one table of the supported kinds.
 
 The cores work on exponents as machine integers: max-cut and the k-clique
 auxiliary graph on int64 numpy arrays, TSP on Held-Karp cells that are
@@ -28,9 +29,12 @@ checked once per call (BoundExceeded above it), so int64 never wraps.
 TSP and min-plus are dense in the exponent: their memory grows with the
 spread of the encoded weights, and each raises BoundExceeded above a
 fixed budget.  Steiner's key, exact at any generator size, is split into
-as many 61-bit int64 limbs as its sums need.  The optimum and min-plus's
-sums are decoded in one `encoding.true_values` call, over Python ints.
-numpy is imported inside the functions that use it.
+as many 61-bit int64 limbs as its sums need, and its table is refused above
+2^32 bits, the budget of tsp, maxcut and ewclique.  The terms stay int64
+arrays up to `poly.select_optimum`, which decodes exactly, over Python
+ints, only the exponents near the optimum; min-plus's sums are decoded in
+one `encoding.true_values` call.  numpy is imported inside the functions
+that use it.
 """
 
 from dataclasses import dataclass, field
@@ -107,8 +111,9 @@ class SolverSpec:
 
     `solve(inst, enc, egap)` runs the kind's solver on the weights encoded
     over `egap`, the cover with its bounds scaled by `lambda_bound(inst)`,
-    and returns its {exponent: count} dict; for min-plus it returns the
-    per-index minimum encodings instead.  `oracle(inst)` returns the
+    and returns its `(exps, counts)` pair of int64 ndarrays, `exps`
+    strictly ascending; for min-plus it returns the per-index minimum
+    encodings instead.  `oracle(inst)` returns the
     brute-force optimum (the min-plus sequence).  `counts` is False where
     the coefficients do not count the optima: steiner keeps one optimal
     tree, and min-plus keeps one minimum per index.  Both callables look
@@ -192,7 +197,8 @@ def tsp_algebraic(inst, enc, budget=2**32):
     directed Hamiltonian cycles through vertex 0, so a sum never carries
     into the next slot.  Closing every path with the edge back to 0 counts
     each undirected tour twice (once per orientation, same weight), so
-    final counts are halved.  Returns {} when no Hamiltonian cycle exists.
+    final counts are halved.  Returns two empty arrays when no Hamiltonian
+    cycle exists.
 
     A cell takes up to ((n-1) * spread + 1) slots, where spread is the
     largest encoded edge weight minus w_min, so memory grows with the
@@ -207,7 +213,7 @@ def tsp_algebraic(inst, enc, budget=2**32):
 
     n = inst.n
     if n < 3 or not inst.edges:
-        return {}
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     _check_int64(inst, enc, n)
     width = -(-factorial(n - 1).bit_length() // 8)  # bytes per slot
     if width > 8:
@@ -251,8 +257,8 @@ def tsp_algebraic(inst, enc, budget=2**32):
     hit = np.flatnonzero(raw.max(axis=1))
     words = np.zeros((len(hit), 8), dtype=np.uint8)
     words[:, :width] = raw[hit]
-    counts = words.view("<u8")[:, 0]
-    return dict(zip((hit + n * w_min).tolist(), (counts // 2).tolist()))
+    counts = words.view("<u8")[:, 0] // 2  # below 2^63: (n-1)! fits 64 bits
+    return hit + n * w_min, counts.astype(np.int64)
 
 
 def maxcut_algebraic(inst, enc):
@@ -298,8 +304,7 @@ def maxcut_algebraic(inst, enc):
     right = int2[None, :] + between(1, 2)                   # s1 x s2
     sums = left[:, :, None] + right[None, :, :]
     sums += between(0, 2)[:, None, :]
-    exps, counts = np.unique(sums, return_counts=True)
-    return dict(zip(exps.tolist(), counts.tolist()))
+    return np.unique(sums, return_counts=True)
 
 
 def build_auxiliary_graph(inst, enc, k):
@@ -406,7 +411,7 @@ def ewclique_algebraic(inst, enc, k):
         raise InvariantViolated(
             f"{listed} k-cliques listed, but H has {in_h} triangles, "
             f"not {per_clique} per clique")
-    return dict(zip((sums // 2).tolist(), counts.tolist()))
+    return sums // 2, counts
 
 
 def _limb_add(a, b):
@@ -443,7 +448,11 @@ def steiner_algebraic(inst, enc):
     only the rows that reach its pivot, low-degree pivots first, so sparse
     graphs cost less than n^3.  Subsets of one size are solved at once, in
     blocks that bound the (block, n, n) temporaries.  Raises Disconnected
-    when the terminals span components.
+    when the terminals span components.  Before Floyd-Warshall,
+    BoundExceeded is raised when the DP table, limbs x 2^(t-1) subsets x n
+    int64 keys, plus the 2^(t-1) x (t-1) subset bits, passes 2^32 bits,
+    tsp_algebraic's budget (24 terminals on n = 100 are refused), and after
+    the DP when the optimal tree's encoding reaches EXPONENT_LIMIT.
     """
     import numpy as np
 
@@ -469,6 +478,11 @@ def steiner_algebraic(inst, enc):
     # so `inf` lies above all; the limbs hold 2 * inf, Floyd-Warshall's sum
     inf = 2 * len(terms) * (n - 1) * max(key.values(), default=0) + 1
     count = -(-(2 * inf).bit_length() // _LIMB)
+    k = len(terms) - 1
+    if 64 * ((count * n + k) << k) > 2**32:
+        raise BoundExceeded(
+            f"Dreyfus-Wagner tables of {count} limbs x 2^{k} subsets x {n} "
+            f"vertices exceed 2^32 bits")
 
     def limbs(values):
         return np.array([[v >> (_LIMB * j) & _LIMB_MASK for v in values]
@@ -495,7 +509,6 @@ def steiner_algebraic(inst, enc):
         np.copyto(old, via, where=less)
         dist[:, rows] = old
     root, *leaves = (at[t] for t in terms)
-    k = len(leaves)
     # dp[:, S, v]: least key of a tree joining {terms[i+1] : i in S} and v
     dp = np.zeros((count, 1 << k, n), dtype=np.int64)
     dp[:, 1 << np.arange(k)] = dist[:, leaves]
@@ -515,7 +528,10 @@ def steiner_algebraic(inst, enc):
             dp[:, level[part]] = _limb_min(
                 _limb_add(merged[:, :, :, None], dist[:, None]), 1)
     best = sum(limb << _LIMB * j for j, limb in enumerate(dp[::-1, -1, root].tolist()))
-    return {best % radix: 1}
+    best %= radix
+    if best >= EXPONENT_LIMIT:
+        raise BoundExceeded(f"the optimal tree's encoding {best} is not below 2^62")
+    return np.array([best], dtype=np.int64), np.ones(1, dtype=np.int64)
 
 
 def _fft_len(m):

@@ -244,6 +244,21 @@ def test_solve_ewclique_auxiliary_matrix_over_budget_exit_2(tmp_path, capsys):
     assert err == "error: 9880 x 9880 float64 node products exceed 2^32 bits\n"
 
 
+def test_solve_steiner_table_over_budget_exit_2(tmp_path, capsys):
+    # 30 terminals on a 40-vertex path: the Dreyfus-Wagner table of 2^29
+    # subsets x 40 roots is refused before it is built
+    from gapsolve import ProblemInstance
+
+    path = tmp_path / "path40.txt"
+    path.write_text(serialize_instance(ProblemInstance(
+        kind="steiner", n=40, terminals=tuple(range(30)),
+        edges=tuple((v, v + 1, 1 + v % 3) for v in range(39)))))
+    code, out, err = run(["solve", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err == ("error: Dreyfus-Wagner tables of 1 limbs x 2^29 subsets x 40 "
+                   "vertices exceed 2^32 bits\n")
+
+
 def test_verify_pass_and_sweep(tmp_path, capsys):
     path = tmp_path / "inst.txt"
     run(GEN_ARGS + ["-o", str(path)], capsys)

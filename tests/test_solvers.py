@@ -7,6 +7,7 @@ import tracemalloc
 from math import comb, factorial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gapsolve import (
@@ -19,6 +20,7 @@ from gapsolve import (
     kappa_inv,
     maxcut_algebraic,
     minplus_selfconv_min,
+    run_meta,
     select_optimum,
     steiner_algebraic,
     true_value,
@@ -64,9 +66,18 @@ def random_instance(kind, n, rng, weight_pool, **kw):
                            k=kw.get("k", 0), terminals=terminals)
 
 
+def as_dict(terms):
+    """A solver's (exps, counts) pair as {exponent: count}, after checking
+    that both are int64 arrays of one length and exps strictly ascend."""
+    exps, counts = terms
+    assert exps.dtype == counts.dtype == np.int64
+    assert exps.shape == counts.shape and (np.diff(exps) > 0).all()
+    return dict(zip(exps.tolist(), counts.tolist()))
+
+
 def assert_exponents_bounded(terms, egap):
     lam_bounds = egap.bounds
-    for e in terms:
+    for e in as_dict(terms):
         coords = kappa_inv(egap, e)
         assert all(l <= b for l, b in zip(coords, lam_bounds))
 
@@ -77,14 +88,14 @@ def assert_exponents_bounded(terms, egap):
 def test_tsp_k4_unit_weights():
     inst = ProblemInstance(kind="tsp", n=4, edges=complete_graph(4, [1]))
     egap, enc = identity_enc(inst)
-    assert tsp_algebraic(inst, enc) == {4: 3}  # three undirected tours, each of weight 4
+    assert as_dict(tsp_algebraic(inst, enc)) == {4: 3}  # three undirected tours, each of weight 4
 
 
 def test_tsp_triangle_unique_tour():
     inst = ProblemInstance(kind="tsp", n=3,
                            edges=((0, 1, 3), (1, 2, 5), (0, 2, 9)))
     egap, enc = identity_enc(inst)
-    assert tsp_algebraic(inst, enc) == {17: 1}
+    assert as_dict(tsp_algebraic(inst, enc)) == {17: 1}
 
 
 def test_tsp_no_tour():
@@ -92,7 +103,7 @@ def test_tsp_no_tour():
     inst = ProblemInstance(kind="tsp", n=4,
                            edges=((0, 1, 1), (1, 2, 1), (2, 3, 1)))
     egap, enc = identity_enc(inst)
-    assert tsp_algebraic(inst, enc) == {}
+    assert as_dict(tsp_algebraic(inst, enc)) == {}
 
 
 def test_tsp_fullest_slots_on_complete_graphs():
@@ -101,7 +112,7 @@ def test_tsp_fullest_slots_on_complete_graphs():
     # whole bytes, must hold
     for n in range(3, 12):
         inst = ProblemInstance(kind="tsp", n=n, edges=complete_graph(n, [7]))
-        assert tsp_algebraic(inst, {7: 5}) == {n * 5: factorial(n - 1) // 2}
+        assert as_dict(tsp_algebraic(inst, {7: 5})) == {n * 5: factorial(n - 1) // 2}
 
 
 def test_tsp_matches_bruteforce_random():
@@ -123,7 +134,7 @@ def test_tsp_matches_bruteforce_random():
 def test_maxcut_single_edge():
     inst = ProblemInstance(kind="maxcut", n=2, edges=((0, 1, 9),))
     egap, enc = identity_enc(inst)
-    assert maxcut_algebraic(inst, enc) == {0: 1, 9: 1}
+    assert as_dict(maxcut_algebraic(inst, enc)) == {0: 1, 9: 1}
 
 
 def test_maxcut_triangle():
@@ -136,7 +147,7 @@ def test_maxcut_triangle():
 
 def test_maxcut_empty_graph():
     inst = ProblemInstance(kind="maxcut", n=0)
-    assert maxcut_algebraic(inst, {}) == {0: 1}
+    assert as_dict(maxcut_algebraic(inst, {})) == {0: 1}
 
 
 def test_maxcut_matches_bruteforce_random():
@@ -151,7 +162,7 @@ def test_maxcut_matches_bruteforce_random():
         ref = maxcut_bf(inst)
         _, value, count = select_optimum(terms, egap, "max")
         assert (value, count) == (ref.optimum, ref.count)
-        assert sum(terms.values()) == 2 ** (n - 1)  # one term per bipartition
+        assert sum(as_dict(terms).values()) == 2 ** (n - 1)  # one term per bipartition
         assert_exponents_bounded(terms, egap)
 
 
@@ -165,7 +176,7 @@ def test_clique_k3_triangle_weight_doubling():
     nodes, internal, hedges = build_auxiliary_graph(inst, enc, 3)
     tri_weight = int(hedges[:, 2].sum())  # single triangle
     assert tri_weight == 2 * 6
-    assert ewclique_algebraic(inst, enc, 3) == {6: 1}
+    assert as_dict(ewclique_algebraic(inst, enc, 3)) == {6: 1}
 
 
 def test_clique_unique_triangle():
@@ -174,7 +185,7 @@ def test_clique_unique_triangle():
         edges=((0, 1, 2), (1, 2, 4), (0, 2, 6), (2, 3, 8)),
     )
     egap, enc = identity_enc(inst)
-    assert ewclique_algebraic(inst, enc, 3) == {12: 1}
+    assert as_dict(ewclique_algebraic(inst, enc, 3)) == {12: 1}
 
 
 def test_clique_k_not_divisible():
@@ -224,7 +235,7 @@ def test_clique_k6_matches_bruteforce():
         try:
             ref = clique_bf(inst, 6)
         except Exception:
-            assert terms == {}
+            assert as_dict(terms) == {}
             continue
         _, value, count = select_optimum(terms, egap, "max")
         assert (value, count) == (ref.optimum, ref.count)
@@ -236,7 +247,7 @@ def test_clique_k6_counts_every_clique_of_k8():
                            edges=complete_graph(8, [1, 2, 4, 8, 16]))
     egap, enc = identity_enc(inst)
     terms = ewclique_algebraic(inst, enc, 6)
-    assert sum(terms.values()) == comb(8, 6)
+    assert sum(as_dict(terms).values()) == comb(8, 6)
     ref = clique_bf(inst, 6)
     _, value, count = select_optimum(terms, egap, "max")
     assert (value, count) == (ref.optimum, ref.count)
@@ -251,14 +262,14 @@ def test_steiner_two_terminals_is_shortest_path():
         edges=((0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 3, 100)),
     )
     _, enc = identity_enc(inst)
-    assert steiner_algebraic(inst, enc) == {9: 1}
+    assert as_dict(steiner_algebraic(inst, enc)) == {9: 1}
 
 
 def test_steiner_star_graph():
     edges = tuple((0, v, v * 10) for v in range(1, 5))
     inst = ProblemInstance(kind="steiner", n=5, terminals=(1, 2, 3, 4), edges=edges)
     egap, enc = identity_enc(inst)
-    [(e, c)] = steiner_algebraic(inst, enc).items()
+    [(e, c)] = as_dict(steiner_algebraic(inst, enc)).items()
     assert true_value(egap, e) == 10 + 20 + 30 + 40 and c == 1
 
 
@@ -288,6 +299,32 @@ def test_steiner_matches_bruteforce_random():
         assert (value, count) == (ref.optimum, 1)
         checked += 1
     assert checked >= 10
+
+
+def test_steiner_table_refused_before_floyd_warshall():
+    # 30 terminals on a 40-vertex path: 2^29 subsets x 40 roots of int64
+    # keys pass 2^32 bits, and nothing of that size may be allocated first
+    inst = ProblemInstance(kind="steiner", n=40, terminals=tuple(range(30)),
+                           edges=tuple((v, v + 1, 1 + v % 3) for v in range(39)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoundExceeded, match="2\\^29 subsets x 40 vertices"):
+            steiner_algebraic(inst, {1: 1, 2: 2, 3: 3})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_steiner_encoding_from_2_62_raises_bound_exceeded():
+    # a path of 2^62-scale weights on the unit cover: the optimal tree's
+    # encoding is its weight, 2^62 and then 3 * 2^62, past int64
+    for n, w in ((3, 2**61), (4, 2**62)):
+        inst = ProblemInstance(kind="steiner", n=n, terminals=(0, n - 1),
+                               edges=tuple((v, v + 1, w) for v in range(n - 1)),
+                               gap=Gap((1,), (w,)))
+        with pytest.raises(BoundExceeded, match="2\\^62"):
+            run_meta(inst)
 
 
 # --- min-plus self-convolution ------------------------------------------
@@ -329,7 +366,7 @@ def test_int64_cores_exact_below_2_62_and_raise_above(kind):
         "maxcut": {0: 1, 2 * top - 1: 1, 2 * top - 3: 1, 2 * top - 2: 1},
         "ewclique": {3 * top - 3: 1},
     }[kind]
-    assert solve(inst, enc) == expected
+    assert as_dict(solve(inst, enc)) == expected
     with pytest.raises(BoundExceeded):
         solve(inst, {1: top + 1, 2: 0, 3: 0})
 
@@ -340,7 +377,7 @@ def test_tsp_budget_counts_widest_cells():
     # (2 * 2 + 1) * 8 bits make 160 bits
     inst = ProblemInstance(kind="tsp", n=3, edges=((0, 1, 1), (1, 2, 2), (0, 2, 3)))
     enc = {1: 5, 2: 6, 3: 7}
-    assert tsp_algebraic(inst, enc, budget=160) == {18: 1}
+    assert as_dict(tsp_algebraic(inst, enc, budget=160)) == {18: 1}
     with pytest.raises(BoundExceeded):
         tsp_algebraic(inst, enc, budget=159)
 
@@ -365,7 +402,7 @@ def test_tsp_small_n_wide_spread_decodes_in_slot_bytes():
     # with one occupied, and the decode must not widen every slot to 64 bits
     tracemalloc.start()
     try:
-        assert tsp_algebraic(inst, {1: 1, 2: 1, 3: 10**6}) == {10**6 + 2: 1}
+        assert as_dict(tsp_algebraic(inst, {1: 1, 2: 1, 3: 10**6})) == {10**6 + 2: 1}
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

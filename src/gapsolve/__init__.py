@@ -12,7 +12,6 @@ from .additive import (
     gap_cover_search,
     gap_enumerate,
     get_gap_coordinates,
-    hfold,
     sumset,
 )
 from .encoding import (
@@ -53,7 +52,6 @@ __all__ = [
     "gap_enumerate",
     "generate_instance",
     "get_gap_coordinates",
-    "hfold",
     "kappa",
     "kappa_inv",
     "maxcut_algebraic",

@@ -84,16 +84,6 @@ def sumset(a, b):
     return WeightSet.of(x + y for x in a for y in b)
 
 
-def hfold(a, h):
-    """h-fold iterated sumset hA = (h-1)A + A, with 1A = A."""
-    if h < 1:
-        raise ValueError("h must be >= 1")
-    acc = a
-    for _ in range(h - 1):
-        acc = sumset(acc, a)
-    return acc
-
-
 def doubling_constant(a):
     """Exact |A+A| / |A| as a Fraction.
 
@@ -105,14 +95,15 @@ def doubling_constant(a):
     return Fraction(len(sums), len(e))
 
 
-def gap_enumerate(g, budget=DEFAULT_ENUM_BUDGET):
+def gap_enumerate(g):
     """All values of the GAP as a WeightSet.
 
-    Raises BudgetExceeded when the coordinate box has more than `budget`
-    points, so callers avoid materializing huge GAPs.
+    Raises BudgetExceeded when the coordinate box has more than
+    DEFAULT_ENUM_BUDGET points, so callers avoid materializing huge GAPs.
     """
-    if g.volume > budget:
-        raise BudgetExceeded(f"GAP volume {g.volume} exceeds budget {budget}")
+    if g.volume > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceeded(
+            f"GAP volume {g.volume} exceeds budget {DEFAULT_ENUM_BUDGET}")
     vals = set()
     for tup in product(*(range(b + 1) for b in g.bounds)):
         vals.add(sum(x * l for x, l in zip(g.generators, tup)))

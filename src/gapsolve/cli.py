@@ -7,8 +7,8 @@ Exit codes (`EXIT_CODES` maps each base error class to its code):
      unwritable gen -o path, an invalid instance, a given GAP that misses a
      weight, or an ewclique k not divisible by 3
   2  no usable cover (BudgetExceeded): none found, or a budget is exceeded
-     (gen's GAP enumeration, a solver's encoded range, table size or int64
-     limit, an oracle's size limit)
+     (gen's GAP enumeration, a solver's table over the one 2^32-bit table
+     budget or its int64 limit, an oracle's size limit)
   3  infeasible instance (InfeasibleInstance)
   4  verification mismatch
   5  internal fault (any other GapsolveError): an invariant check failed
@@ -189,14 +189,16 @@ def cmd_verify(args):
 def cmd_analyze(args):
     inst, _ = _read_instance(args.path)
     a = inst.weights
-    folds = [a]  # folds[h - 1] is hA = (h-1)A + A
-    for _ in range(3):
+    folds = [a, sumset(a, a)]  # folds[h - 1] is hA = (h-1)A + A
+    # 3A and 4A only while the |(h-1)A| * |A| sums fit --volume-budget
+    while len(folds) < 4 and len(folds[-1]) * len(a) <= args.volume_budget:
         folds.append(sumset(folds[-1], a))
     print(f"|A|        {len(a)}")
     print(f"|A+A|      {len(folds[1])}")
     print(f"C(A)       {Fraction(len(folds[1]), len(a))}")
-    for h, ha in enumerate(folds, 1):
-        print(f"|{h}A|{' ' * (7 - len(str(h)))}{len(ha)}")
+    for h in range(1, 5):
+        size = len(folds[h - 1]) if h <= len(folds) else "skipped"
+        print(f"|{h}A|{' ' * (7 - len(str(h)))}{size}")
     gap = inst.gap
     if gap is None:
         try:

@@ -89,20 +89,26 @@ def radix_digits(g, exps):
     return digits[::-1]
 
 
-def true_values(g, exps):
-    """true_value of every encoded weight in `exps`, as an object ndarray.
+def digit_values(g, digits):
+    """sum(x_i * l_i) over digit arrays shaped as `radix_digits` returns them.
 
-    The digits come from `radix_digits`, with its range checks, and the
-    sums of x_i * l_i are taken over Python ints, so generators at 2^63
-    scale stay exact.
+    The sums are taken over Python ints in an object ndarray, so
+    generators at 2^63 scale stay exact.
     """
     import numpy as np
 
-    digits = radix_digits(g, exps)
     values = np.zeros(digits[0].shape, dtype=object)
     for x, digit in zip(g.generators, digits):
         values += digit.astype(object) * x
     return values
+
+
+def true_values(g, exps):
+    """true_value of every encoded weight in `exps`, as an object ndarray.
+
+    The digits come from `radix_digits`, with its range checks.
+    """
+    return digit_values(g, radix_digits(g, exps))
 
 
 def value_rank(g, e):

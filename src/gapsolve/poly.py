@@ -7,7 +7,7 @@ number of solutions attaining `exps[j]`.  Two empty arrays mean no
 solution.
 """
 
-from .encoding import radix_digits, true_values
+from .encoding import digit_values, radix_digits
 from .errors import InfeasibleInstance
 
 
@@ -37,7 +37,8 @@ def select_optimum(terms, g, sense):
     estimates a value not below the optimum V*, so E* >= V*/2^s - tau, and
     every exponent on V* has E_j <= V*/2^s + tau <= E* + 2 tau (for max,
     symmetrically, E_j >= E* - 2 tau).  Keeping the exponents within 2 tau
-    of E* therefore keeps all of them, and `true_values` decodes just those.
+    of E* therefore keeps all of them, and `digit_values` decodes just
+    those from the digits already split.
     """
     if sense not in ("min", "max"):
         raise ValueError("sense must be 'min' or 'max'")
@@ -59,7 +60,7 @@ def select_optimum(terms, g, sense):
         near = np.flatnonzero(estimate <= estimate.min() + 2.0 * tau)
     else:
         near = np.flatnonzero(estimate >= estimate.max() - 2.0 * tau)
-    values = true_values(g, exps[near])
+    values = digit_values(g, [digit[near] for digit in digits])
     value = values.min() if sense == "min" else values.max()
     on_value = near[values == value]
     # exps ascend, so the first exponent on the value is the smallest

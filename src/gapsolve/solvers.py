@@ -27,10 +27,11 @@ each one int packing a count per exponent, and min-plus on a float FFT.
 Sums of at most lambda encoded weights stay below EXPONENT_LIMIT = 2^62,
 checked once per call (BoundExceeded above it), so int64 never wraps.
 TSP and min-plus are dense in the exponent: their memory grows with the
-spread of the encoded weights, and each raises BoundExceeded above a
-fixed budget.  Steiner's key, exact at any generator size, is split into
-as many 61-bit int64 limbs as its sums need, and its table is refused above
-2^32 bits, the budget of tsp, maxcut and ewclique.  The terms stay int64
+spread of the encoded weights.  Steiner's key, exact at any generator
+size, is split into as many 61-bit int64 limbs as its sums need.  Every
+solver prices its largest table in bits where it builds it and raises
+BoundExceeded through `_refuse_over` above TABLE_BITS = 2^32 (512 MiB),
+before the table is allocated.  The terms stay int64
 arrays up to `poly.select_optimum`, which decodes exactly, over Python
 ints, only the exponents near the optimum; min-plus's sums are decoded in
 one `encoding.true_values` call.  numpy is imported inside the functions
@@ -55,6 +56,8 @@ from .oracle import clique_bf, maxcut_bf, minplus_naive, steiner_bf, tsp_bf
 # steiner's keys are int64 limbs of _LIMB bits; two limbs add below 2^62
 _LIMB = 61
 _LIMB_MASK = (1 << _LIMB) - 1
+# the largest table any solver may build, in bits (512 MiB)
+TABLE_BITS = 2**32
 
 
 @dataclass(frozen=True)
@@ -156,6 +159,12 @@ SOLVER_SPECS = {
 }
 
 
+def _refuse_over(bits, what):
+    """Raise BoundExceeded when a table of `bits` bits passes TABLE_BITS."""
+    if bits > TABLE_BITS:
+        raise BoundExceeded(f"{what} exceed 2^32 bits")
+
+
 def _check_int64(inst, enc, lam):
     """Raise BoundExceeded unless lam * max(enc) < EXPONENT_LIMIT.
 
@@ -182,7 +191,7 @@ def _int64_edges(inst, enc, lam):
     return adj, weight
 
 
-def tsp_algebraic(inst, enc, budget=2**32):
+def tsp_algebraic(inst, enc):
     """Held-Karp subset DP whose cells are packed generating functions.
 
     dp[mask][v] stands for the simple paths from vertex 0 to v visiting
@@ -202,12 +211,11 @@ def tsp_algebraic(inst, enc, budget=2**32):
 
     A cell takes up to ((n-1) * spread + 1) slots, where spread is the
     largest encoded edge weight minus w_min, so memory grows with the
-    spread, not with the number of distinct path weights.  `budget` caps
-    2^(n-1) widest cells, in bits (2^32, 512 MiB; complete graphs peaked
-    at a quarter to a third of that); above it BoundExceeded is raised
-    before any cell is built.  The decode widens only the occupied slots
-    of the total to 64 bits: beyond a byte copy of the total it needs one
-    byte per slot and 16 per occupied slot.
+    spread, not with the number of distinct path weights.  2^(n-1) widest
+    cells are priced against TABLE_BITS before any cell is built (complete
+    graphs peaked at a quarter to a third of that price).  The decode
+    widens only the occupied slots of the total to 64 bits: beyond a byte
+    copy of the total it needs one byte per slot and 16 per occupied slot.
     """
     import numpy as np
 
@@ -221,10 +229,8 @@ def tsp_algebraic(inst, enc, budget=2**32):
     slot = 8 * width
     w_min = min(enc[w] for _, _, w in inst.edges)
     spread = max(enc[w] for _, _, w in inst.edges) - w_min
-    if ((n - 1) * spread + 1) * slot << (n - 1) > budget:
-        raise BoundExceeded(
-            f"Held-Karp cells for n = {n} and encoded weight spread {spread} "
-            f"exceed budget {budget} bits")
+    _refuse_over(((n - 1) * spread + 1) * slot << (n - 1),
+                 f"Held-Karp cells for n = {n} and encoded weight spread {spread}")
     # out[v]: (u, bit of u, bits a cell moves when it takes edge (v, u))
     out = [[] for _ in range(n)]
     for u, v, w in inst.edges:
@@ -272,15 +278,14 @@ def maxcut_algebraic(inst, enc):
     part i's internal cut weights.  One broadcast adds them over all
     compatible triples of assignments, and np.unique counts the sums, so
     memory stays O(2^(n-1)).  Vertex 0 is pinned outside the cut side so
-    each bipartition {S, V\\S} counts exactly once.  BoundExceeded is
-    raised before any table is built when the 2^(n-1) int64 cut sums pass
-    2^32 bits, tsp_algebraic's budget: n >= 28 is refused.
+    each bipartition {S, V\\S} counts exactly once.  The 2^(n-1) int64
+    cut sums are priced against TABLE_BITS before any table is built:
+    n >= 28 is refused.
     """
     import numpy as np
 
     n = inst.n
-    if 64 << max(n - 1, 0) > 2**32:
-        raise BoundExceeded(f"2^{n - 1} int64 cut sums at n = {n} exceed 2^32 bits")
+    _refuse_over(64 << max(n - 1, 0), f"2^{n - 1} int64 cut sums at n = {n}")
     _, weight = _int64_edges(inst, enc, max(1, len(inst.edges)))
     size = -(-n // 3)
     sides = []
@@ -321,9 +326,8 @@ def build_auxiliary_graph(inst, enc, k):
     internal, hedges): nodes is N x k/3, each row a node's sorted vertices,
     rows in lexicographic order; internal[i] is node i's internal encoded
     weight; hedges is E x 3, rows (i, j, encoded H-edge weight) with i < j,
-    in row-major order of (i, j).  BoundExceeded is raised before the
-    product when its N^2 float64 entries pass 2^32 bits, tsp_algebraic's
-    budget: N > 8192 is refused.
+    in row-major order of (i, j).  The product's N^2 float64 entries are
+    priced against TABLE_BITS before it is formed: N > 8192 is refused.
     """
     import numpy as np
 
@@ -334,9 +338,8 @@ def build_auxiliary_graph(inst, enc, k):
     combos = np.array(list(combinations(range(inst.n), kk)), dtype=np.int64).reshape(-1, kk)
     a, b = np.triu_indices(kk, 1)  # the vertex pairs inside a node
     combos = combos[adj_m[combos[:, a], combos[:, b]].all(axis=1)]
-    if 64 * len(combos) ** 2 > 2**32:
-        raise BoundExceeded(
-            f"{len(combos)} x {len(combos)} float64 node products exceed 2^32 bits")
+    _refuse_over(64 * len(combos) ** 2,
+                 f"{len(combos)} x {len(combos)} float64 node products")
     own = weight_m[combos[:, a], combos[:, b]].sum(axis=1)
     inc = np.zeros((len(combos), inst.n))
     inc[np.repeat(np.arange(len(combos)), kk), combos.ravel()] = 1
@@ -448,11 +451,11 @@ def steiner_algebraic(inst, enc):
     only the rows that reach its pivot, low-degree pivots first, so sparse
     graphs cost less than n^3.  Subsets of one size are solved at once, in
     blocks that bound the (block, n, n) temporaries.  Raises Disconnected
-    when the terminals span components.  Before Floyd-Warshall,
-    BoundExceeded is raised when the DP table, limbs x 2^(t-1) subsets x n
-    int64 keys, plus the 2^(t-1) x (t-1) subset bits, passes 2^32 bits,
-    tsp_algebraic's budget (24 terminals on n = 100 are refused), and after
-    the DP when the optimal tree's encoding reaches EXPONENT_LIMIT.
+    when the terminals span components.  Before Floyd-Warshall the DP
+    table, limbs x 2^(t-1) subsets x n int64 keys, plus the 2^(t-1) x (t-1)
+    subset bits, is priced against TABLE_BITS (24 terminals on n = 100 are
+    refused); after the DP, BoundExceeded is raised when the optimal tree's
+    encoding reaches EXPONENT_LIMIT.
     """
     import numpy as np
 
@@ -479,10 +482,9 @@ def steiner_algebraic(inst, enc):
     inf = 2 * len(terms) * (n - 1) * max(key.values(), default=0) + 1
     count = -(-(2 * inf).bit_length() // _LIMB)
     k = len(terms) - 1
-    if 64 * ((count * n + k) << k) > 2**32:
-        raise BoundExceeded(
-            f"Dreyfus-Wagner tables of {count} limbs x 2^{k} subsets x {n} "
-            f"vertices exceed 2^32 bits")
+    _refuse_over(64 * ((count * n + k) << k),
+                 f"Dreyfus-Wagner tables of {count} limbs x 2^{k} subsets x {n} "
+                 "vertices")
 
     def limbs(values):
         return np.array([[v >> (_LIMB * j) & _LIMB_MASK for v in values]
@@ -547,7 +549,7 @@ def _fft_len(m):
     return best
 
 
-def _selfconv_support(seq, bound, budget):
+def _selfconv_support(seq, bound):
     """Attainable (position sum, value sum) pairs as a (2n-1, 2*max(seq)+1) bool array.
 
     Entry [k, s] is True iff some i + j = k has seq[i] + seq[j] = s.  The
@@ -556,17 +558,17 @@ def _selfconv_support(seq, bound, budget):
     2n-1 position sums and 2*max(seq)+1 value sums, so no wrap-around
     occurs.  `bound` only checks that every entry lies in [0, bound).
     Counts are at most n and the float64 rounding error of the transform
-    is far below 0.5 at any size the budget admits, so thresholding at 0.5
+    is far below 0.5 at any size TABLE_BITS admits, so thresholding at 0.5
     is exact.
 
-    `budget` caps the R * C slots of the padded grid, checked before
-    anything is allocated.  One complex128 spectrum of R x (C/2+1) is
-    transformed in place: its first n rows are filled from blocks of
-    indicator rows, and the column inverse runs on the 2n-1 needed rows,
-    one block of at most 4 MB of float64 at a time.  Peak memory is about
-    10 bytes per padded slot (9.2-10.4 bytes measured with tracemalloc at
-    n = 1000..4096, max(seq) = 1020..4000; small grids pay more per slot
-    for the blocks), so the default 5*10^7 slots allow about 0.5 GB.
+    One complex128 spectrum of R x (C/2+1) is transformed in place: its
+    first n rows are filled from blocks of indicator rows, and the column
+    inverse runs on the 2n-1 needed rows, one block of at most 4 MB of
+    float64 at a time.  Peak memory is about 10 bytes per padded slot
+    (9.2-10.4 bytes measured with tracemalloc at n = 1000..4096,
+    max(seq) = 1020..4000; small grids pay more per slot for the blocks),
+    so the R * C slots are priced at 80 bits each against TABLE_BITS
+    before anything is allocated: at most 53,687,091 slots.
     """
     import numpy as np
 
@@ -575,9 +577,8 @@ def _selfconv_support(seq, bound, budget):
         raise BoundExceeded("encoded value outside [0, bound)")
     rows, cols = 2 * n - 1, 2 * max(seq) + 1
     height, width = _fft_len(rows), _fft_len(cols)
-    if height * width > budget:
-        raise BoundExceeded(
-            f"FFT grid of {height}x{width} slots exceeds budget {budget}")
+    _refuse_over(80 * height * width,
+                 f"FFT grid of {height}x{width} slots (80 bits each)")
     step = max(1, (1 << 19) // width)  # rows per 4 MB of float64
     spec = np.zeros((height, width // 2 + 1), dtype=complex)
     for r in range(0, n, step):
@@ -595,7 +596,7 @@ def _selfconv_support(seq, bound, budget):
     return support
 
 
-def minplus_selfconv_min(seq, bound, keys=None, budget=5 * 10**7):
+def minplus_selfconv_min(seq, bound, keys=None):
     """Per-index minimum of the self-convolution, compared by `keys`.
 
     `keys(sums)` gives the sort key of every sum in the int64 array `sums`
@@ -608,7 +609,7 @@ def minplus_selfconv_min(seq, bound, keys=None, budget=5 * 10**7):
     """
     import numpy as np
 
-    support = _selfconv_support(seq, bound, budget)
+    support = _selfconv_support(seq, bound)
     # only attainable sums are guaranteed to be decodable, so evaluate
     # the keys just on columns that occur somewhere
     cols = np.flatnonzero(support.any(axis=0))

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -211,7 +212,7 @@ def test_solve_k_not_divisible_by_3_exit_1(tmp_path, capsys):
 
 def test_solve_minplus_fft_grid_over_budget_exit_2(tmp_path, capsys):
     # two values whose sums reach 1.8*10^7, so the padded FFT grid of
-    # 3 x 18874368 slots passes its 5*10^7-slot budget
+    # 3 x 18874368 slots at 80 bits each passes the 2^32-bit table budget
     path = tmp_path / "wide.txt"
     path.write_text("problem\nkind minplusconv\nsequence\n0 9000000\n"
                     "gap\n1\n1\n9000000\n")
@@ -288,6 +289,21 @@ def test_analyze(tmp_path, capsys):
     code, out, _ = run(["analyze", str(path)], capsys)
     assert code == 0
     assert "|A|" in out and "C(A)" in out and "gap" in out
+
+
+def test_analyze_bounds_sumsets_by_volume_budget(tmp_path, capsys):
+    # 120 random weights: |2A| * |A| = 871,200 sums fit the default budget,
+    # so 3A is formed, but |3A| * |A| = 35.4 M do not, so 4A is skipped
+    weights = random.Random(0).sample(range(10**9), 120)
+    edges = [(u, v) for u in range(16) for v in range(u + 1, 16)]
+    path = tmp_path / "wide.txt"
+    path.write_text("problem\nkind maxcut\nn 16\nedges\n" + "".join(
+        f"{u} {v} {w}\n" for (u, v), w in zip(edges, weights)))
+    code, out, _ = run(["analyze", str(path)], capsys)
+    assert code == 0
+    assert "|A+A|      7260\n" in out
+    assert "|3A|      295218\n" in out and "|4A|      skipped\n" in out
+    assert out.endswith("gap        none found\n")  # the search fails
 
 
 def test_analyze_sidon_doubling(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +15,10 @@ from gapsolve import (
     minplus_selfconv_min,
     run_meta,
     true_value,
-    true_values,
 )
-import gapsolve.meta as meta
+import gapsolve.encoding as encoding
 import gapsolve.poly as poly
+from gapsolve.encoding import radix_digits
 from gapsolve.errors import (
     Disconnected,
     InfeasibleInstance,
@@ -228,23 +229,21 @@ def test_graph_without_edges(gap):
 
 
 def test_each_term_decoded_once(monkeypatch):
-    # one batch decode per run_meta, holding only exponents near the
-    # optimum, each once
+    # one digit split per run_meta, over every term: the exponents near
+    # the optimum are decoded from those digits, not split again
     calls = []
 
     def counting(g, exps):
-        calls.append(list(exps))
-        return true_values(g, exps)
+        calls.append(len(exps))
+        return radix_digits(g, exps)
 
-    monkeypatch.setattr(poly, "true_values", counting)
-    monkeypatch.setattr(meta, "true_values", counting)
-    for n in (6, 8):
-        inst = generate_instance("tsp", n, Gap((10**12, 7), (1, 30)), seed=1)
+    monkeypatch.setattr(poly, "radix_digits", counting)
+    monkeypatch.setattr(encoding, "radix_digits", counting)
+    for kind, n in product(("tsp", "maxcut", "ewclique", "steiner"), (6, 8)):
+        inst = generate_instance(kind, n, Gap((10**12, 7), (1, 30)), seed=1)
         calls.clear()
         res = run_meta(inst)
-        [exps] = calls
-        assert res.encoded_optimum in exps
-        assert len(exps) == len(set(exps)) < res.stats["solution_terms"]
+        assert calls == [res.stats["solution_terms"]]
 
 
 def test_stats_keys_same_for_every_kind():

@@ -27,6 +27,8 @@ from gapsolve import (
     tsp_algebraic,
 )
 from gapsolve.errors import BoundExceeded, Disconnected, KNotDivisibleBy3
+from gapsolve.instances import generate_instance
+import gapsolve.solvers as solvers
 from gapsolve.solvers import _selfconv_support
 from gapsolve.oracle import (
     clique_bf,
@@ -346,9 +348,9 @@ def test_minplus_matches_naive_random():
         assert minplus_selfconv_min(seq, 64) == minplus_naive(seq)
 
 
-def attainable_sums(seq, bound, budget=5 * 10**7):
+def attainable_sums(seq, bound):
     """Attainable encoded sums per output index, one sorted list each."""
-    support = _selfconv_support(seq, bound, budget)
+    support = _selfconv_support(seq, bound)
     return [[int(s) for s in row.nonzero()[0]] for row in support]
 
 
@@ -372,19 +374,21 @@ def test_int64_cores_exact_below_2_62_and_raise_above(kind):
 
 
 
-def test_tsp_budget_counts_widest_cells():
+def test_tsp_budget_counts_widest_cells(monkeypatch):
     # n = 3: slots of one byte, encoded spread 2, so 2^2 cells of
     # (2 * 2 + 1) * 8 bits make 160 bits
     inst = ProblemInstance(kind="tsp", n=3, edges=((0, 1, 1), (1, 2, 2), (0, 2, 3)))
     enc = {1: 5, 2: 6, 3: 7}
-    assert as_dict(tsp_algebraic(inst, enc, budget=160)) == {18: 1}
+    monkeypatch.setattr(solvers, "TABLE_BITS", 160)
+    assert as_dict(tsp_algebraic(inst, enc)) == {18: 1}
+    monkeypatch.setattr(solvers, "TABLE_BITS", 159)
     with pytest.raises(BoundExceeded):
-        tsp_algebraic(inst, enc, budget=159)
+        tsp_algebraic(inst, enc)
 
 
 def test_tsp_wide_spread_raises_before_building_cells():
     # six-digit weights on the unit GAP: each cell would span about 9 * 10^6
-    # slots of 24 bits, so the default budget refuses n = 10 at once
+    # slots of 24 bits, so the 2^32-bit table budget refuses n = 10 at once
     rng = random.Random(1)
     inst = ProblemInstance(kind="tsp", n=10, edges=tuple(
         (u, v, rng.randrange(10**6)) for u in range(10) for v in range(u + 1, 10)))
@@ -394,7 +398,7 @@ def test_tsp_wide_spread_raises_before_building_cells():
 
 def test_tsp_small_n_wide_spread_decodes_in_slot_bytes():
     # n = 3, one tour: a spread of 10^8 needs 2^2 cells of 2 * 10^8 + 1
-    # one-byte slots, 6.4e9 bits, so the default budget refuses it
+    # one-byte slots, 6.4e9 bits, so the 2^32-bit table budget refuses it
     inst = ProblemInstance(kind="tsp", n=3, edges=((0, 1, 1), (1, 2, 2), (0, 2, 3)))
     with pytest.raises(BoundExceeded, match="spread"):
         tsp_algebraic(inst, {1: 1, 2: 1, 3: 10**8})
@@ -409,20 +413,24 @@ def test_tsp_small_n_wide_spread_decodes_in_slot_bytes():
     assert peak < 8 * 10**6
 
 
-def test_minplus_bound_errors():
+def test_minplus_bound_errors(monkeypatch):
     with pytest.raises(BoundExceeded):
         minplus_selfconv_min([5], 4)
     # sums reach 2 * (10^7 - 1): a 216 x 20155392 grid
+    monkeypatch.setattr(solvers, "TABLE_BITS", 80 * 10**6)
     with pytest.raises(BoundExceeded):
-        minplus_selfconv_min([0, 10**7 - 1] * 50, 10**7, budget=10**6)
+        minplus_selfconv_min([0, 10**7 - 1] * 50, 10**7)
 
 
-def test_minplus_grid_spans_sums_not_bound():
+def test_minplus_grid_spans_sums_not_bound(monkeypatch):
     # sums of ones reach 2, so a bound of 10^7 still gives a 216 x 3 grid
-    assert minplus_selfconv_min([1] * 100, 10**7, budget=10**6) == minplus_naive([1] * 100)
-    assert _selfconv_support([1] * 100, 10**7, 216 * 3).shape == (199, 3)
+    monkeypatch.setattr(solvers, "TABLE_BITS", 80 * 10**6)
+    assert minplus_selfconv_min([1] * 100, 10**7) == minplus_naive([1] * 100)
+    monkeypatch.setattr(solvers, "TABLE_BITS", 80 * 216 * 3)
+    assert _selfconv_support([1] * 100, 10**7).shape == (199, 3)
+    monkeypatch.setattr(solvers, "TABLE_BITS", 80 * (216 * 3) - 1)
     with pytest.raises(BoundExceeded):
-        _selfconv_support([1] * 100, 10**7, 216 * 3 - 1)
+        _selfconv_support([1] * 100, 10**7)
 
 
 def test_minplus_exact_for_any_bound():
@@ -437,15 +445,15 @@ def test_minplus_exact_for_any_bound():
 
 
 def test_minplus_support_peak_per_padded_slot():
-    # n = 1000 with entries up to 2000 on the lambda = 2 bound: the budget
-    # counts a 2048 x 4096 grid, and one complex spectrum of half of it
+    # n = 1000 with entries up to 2000 on the lambda = 2 bound: the table
+    # budget prices a 2048 x 4096 grid, and one complex spectrum of half of it
     # plus 4 MB blocks must stay within 12 bytes per slot
     rng = random.Random(3)
     seq = [rng.randint(0, 2000) for _ in range(999)] + [2000]
-    _selfconv_support([0, 1, 2], 3, 54)  # numpy's one-time FFT setup
+    _selfconv_support([0, 1, 2], 3)  # numpy's one-time FFT setup
     tracemalloc.start()
     try:
-        support = _selfconv_support(seq, 4001, 5 * 10**7)
+        support = _selfconv_support(seq, 4001)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -468,13 +476,23 @@ def test_ewclique_auxiliary_matrix_refused_before_product():
     assert peak < 16 * 2**20
 
 
-def test_minplus_budget_counts_padded_grid():
-    # 3 * 2 * 5 = 30 slots fit a budget of 40, but the FFT grid is padded to
-    # _fft_len(5) * _fft_len(9) = 6 * 9 = 54 slots
+@pytest.mark.parametrize("kind", sorted(SOLVER_SPECS))
+def test_every_kind_refuses_through_the_table_budget(monkeypatch, kind):
+    # with no table budget at all, every solver refuses its first table
+    monkeypatch.setattr(solvers, "TABLE_BITS", 0)
+    with pytest.raises(BoundExceeded, match="exceed 2\\^32 bits"):
+        run_meta(generate_instance(kind, 6, Gap((1,), (5,)), seed=1))
+
+
+def test_minplus_budget_counts_padded_grid(monkeypatch):
+    # 3 * 2 * 5 = 30 slots fit a budget of 40 slots of 80 bits, but the FFT
+    # grid is padded to _fft_len(5) * _fft_len(9) = 6 * 9 = 54 slots
+    monkeypatch.setattr(solvers, "TABLE_BITS", 80 * 40)
     with pytest.raises(BoundExceeded):
-        minplus_selfconv_min([0, 1, 4], 5, budget=40)
-    assert attainable_sums([0, 1, 4], 5, budget=54) == [[0], [1], [2, 4], [5], [8]]
-    assert minplus_selfconv_min([0, 1, 4], 5, budget=54) == [0, 1, 2, 5, 8]
+        minplus_selfconv_min([0, 1, 4], 5)
+    monkeypatch.setattr(solvers, "TABLE_BITS", 80 * 54)
+    assert attainable_sums([0, 1, 4], 5) == [[0], [1], [2, 4], [5], [8]]
+    assert minplus_selfconv_min([0, 1, 4], 5) == [0, 1, 2, 5, 8]
 
 
 def test_minplus_attainable_sets():

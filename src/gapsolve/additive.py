@@ -172,10 +172,13 @@ def _candidate_diffs(shifted):
 
 
 def _pairs(values, outer, inner):
-    """(x, y) with x from `outer` and y < x from the sorted `inner`.
+    """(x, y) with x from `outer` and y < x from the sorted `inner`, largest y first.
 
     y must divide the gcd of the sorted `values` below x (the divisibility
     pruning of `gap_cover_search`), which also cuts off every y above it.
+    Each x tries its admissible y in descending order: every y divides the
+    gcd of the values below x, and a cover over (x, y) needs a bound of
+    about (span of the residues) / y on y, so the largest y is the cheap one.
     """
     pg = [0]  # pg[i] = gcd(values[:i])
     for v in values:
@@ -183,7 +186,7 @@ def _pairs(values, outer, inner):
     for x in outer:
         below = pg[bisect_left(values, x)]
         hi = min(x, below + 1) if below else x
-        for y in inner[:bisect_left(inner, hi)]:
+        for y in reversed(inner[:bisect_left(inner, hi)]):
             if not below % y:
                 yield x, y
 
@@ -277,9 +280,12 @@ def gap_cover_search(a, max_dim=3, volume_budget=DEFAULT_ENUM_BUDGET):
 
     Each phase of dimension >= 2 is one entry of a table, tried in order up
     to max_dim: the d=2 scan pairs every candidate difference x, largest
-    first, with a y from the small pool; the d=3 proposals take x1 and
-    (x2, x3) from `_scale_proposals`; the d=3 scan takes x1 from the 200
-    largest candidate differences and (x2, x3) from the small pool.  For
+    first, with a y from the small pool, also largest first; the d=3
+    proposals take x1 and (x2, x3) from `_scale_proposals`; the d=3 scan
+    takes x1 from the 200 largest candidate differences and (x2, x3) from
+    the small pool, each largest first.  A larger y under the same x needs
+    a smaller bound (see `_pairs`), so G = ((10^12, 7), (1, 30)) gets its
+    planted cover, not one over (10^12, 1) of volume 422.  For
     each variant of the values (raw, and anchored at min(a) when min(a) >
     0) a phase yields (x1 or None, values to solve, (x, y) pairs); with an
     x1 the values are the residues w mod x1 and x1's bound is

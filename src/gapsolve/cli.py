@@ -211,6 +211,9 @@ def cmd_analyze(args):
     else:
         print(f"gap gens   {list(gap.generators)}")
         print(f"gap bounds {list(gap.bounds)}")
+        # |A| is a lower bound: a GAP of volume V holds at most V values
+        ratio = (200 * gap.volume + len(a)) // (2 * len(a))  # in hundredths, rounded
+        print(f"gap volume {gap.volume} ({ratio // 100}.{ratio % 100:02d} x |A|)")
     return 0
 
 

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import gcd
 
@@ -246,7 +247,9 @@ def test_gap_invariants():
 # Reference for gap_cover_search: the unpruned search, which solves every
 # candidate pair in full and leaves the budget test to the end.  The pruned
 # search must visit the same candidates in the same order and so return the
-# same cover, or raise NoCoverFound on the same inputs.
+# same cover, or raise NoCoverFound on the same inputs.  Under each outer
+# generator the inner one is tried largest first; `ascending` tries it
+# smallest first instead, so a test can compare the covers of the two orders.
 
 def _ref_solve_two_gen(w, x1, x2):
     if w == 0:
@@ -277,7 +280,7 @@ def _ref_solve_all_two_gen(values, x1, x2):
     return coords
 
 
-def _ref_gap_cover_search(a, max_dim=3, volume_budget=10**7):
+def _ref_gap_cover_search(a, max_dim=3, volume_budget=10**7, ascending=False):
     if not 1 <= max_dim <= 3:
         raise ValueError("max_dim must be in [1, 3]")
     lo = a.elements[0]
@@ -308,12 +311,14 @@ def _ref_gap_cover_search(a, max_dim=3, volume_budget=10**7):
         for db in cands[i + 1:40]:
             small.add(gcd(da, db))
     small = sorted(small)
+
+    def inner(pool):  # the inner generators in the order they are tried
+        return pool if ascending else pool[::-1]
+
     if max_dim >= 2:
         for values, extra in variants:
             for x1 in reversed(cands):
-                for x2 in small:
-                    if x2 >= x1:
-                        break
+                for x2 in inner([x for x in small if x < x1]):
                     coords = _ref_solve_all_two_gen(values, x1, x2)
                     if coords is None:
                         continue
@@ -326,7 +331,7 @@ def _ref_gap_cover_search(a, max_dim=3, volume_budget=10**7):
     def scanned(values):
         for x1 in reversed(cands[-200:]):
             pairs = [(x2, x3) for x2 in reversed(small[-24:]) if x2 < x1
-                     for x3 in small[:24] if x3 < x2]
+                     for x3 in inner(small[:24]) if x3 < x2]
             yield x1, None, pairs
 
     if max_dim >= 3:
@@ -362,16 +367,21 @@ def _search_outcome(search, a, max_dim=3, volume_budget=10**7):
         return NoCoverFound
 
 
+def _sampled_gap(rng, d):
+    """Up to 12 points of a random GAP of dimension d; one set in three is shifted."""
+    gens = [rng.randint(1, 2 ** rng.choice((3, 8, 20, 40, 64))) for _ in range(d)]
+    pts = _points(gens, [rng.randint(0, 6) for _ in range(d)])
+    shift = rng.choice((0, 0, rng.randint(1, 2 ** rng.choice((10, 40, 70)))))
+    return WeightSet.of(shift + p for p in rng.sample(pts, rng.randint(1, min(len(pts), 12))))
+
+
 def test_cover_search_equals_unpruned_reference():
     rng = random.Random(404)
     budgets = (10**2, 10**4, 10**7)
     seen = set()
     for i in range(324):
         d, max_dim, budget = 1 + i % 3, 1 + i // 3 % 3, budgets[i // 9 % 3]
-        gens = [rng.randint(1, 2 ** rng.choice((3, 8, 20, 40, 64))) for _ in range(d)]
-        pts = _points(gens, [rng.randint(0, 6) for _ in range(d)])
-        shift = rng.choice((0, 0, rng.randint(1, 2 ** rng.choice((10, 40, 70)))))
-        a = WeightSet.of(shift + p for p in rng.sample(pts, rng.randint(1, min(len(pts), 12))))
+        a = _sampled_gap(rng, d)
         want = _search_outcome(_ref_gap_cover_search, a, max_dim, budget)
         seen.add(want if want is NoCoverFound else want.dim)
         # a found cover's own volume, and one less, are budgets at the edge
@@ -383,6 +393,32 @@ def test_cover_search_equals_unpruned_reference():
         assert _search_outcome(gap_cover_search, a, max_dim, budget) == want, \
             (a, max_dim, budget)
     assert seen == {NoCoverFound, 1, 2, 3, 4}
+
+
+def test_cover_search_largest_inner_first_is_never_costlier():
+    # the search's covers against those of the inner generator smallest
+    # first: none is costlier, none is found by one order only, and some
+    # are cheaper
+    rng = random.Random(405)
+    cheaper = 0
+    for i in range(324):
+        a = _sampled_gap(rng, 1 + i % 3)
+        old = _search_outcome(partial(_ref_gap_cover_search, ascending=True), a)
+        new = _search_outcome(gap_cover_search, a)
+        assert (old is NoCoverFound) == (new is NoCoverFound), a
+        if new is not NoCoverFound:
+            assert new.volume <= old.volume, (a, old, new)
+            cheaper += new.volume < old.volume
+    assert cheaper
+
+
+def test_cover_search_planted_G():
+    # ascending inner generators accept y = 1 under x = 10^12 before y = 7,
+    # which gives Gap((10**12, 1), (1, 210)) of volume 422
+    planted = Gap((10**12, 7), (1, 30))
+    a = WeightSet.of(_points(planted.generators, planted.bounds))
+    assert len(a) == 62
+    assert gap_cover_search(a) == planted == _ref_gap_cover_search(a)
 
 
 def test_cover_search_planted_two_dim_675_points():

@@ -306,6 +306,18 @@ def test_analyze_bounds_sumsets_by_volume_budget(tmp_path, capsys):
     assert out.endswith("gap        none found\n")  # the search fails
 
 
+def test_analyze_prints_cover_volume(tmp_path, capsys):
+    # G's 62 weights and no gap section: the search finds the planted cover
+    weights = [10**12 * l1 + 7 * l2 for l1 in range(2) for l2 in range(31)]
+    path = tmp_path / "g.txt"
+    path.write_text("problem\nkind minplusconv\nsequence\n"
+                    + " ".join(map(str, weights)) + "\n")
+    code, out, _ = run(["analyze", str(path)], capsys)
+    assert code == 0
+    assert out.endswith("gap gens   [1000000000000, 7]\ngap bounds [1, 30]\n"
+                        "gap volume 62 (1.00 x |A|)\n")
+
+
 def test_analyze_sidon_doubling(tmp_path, capsys):
     lines = ["problem", "kind maxcut", "n 4", "edges",
              "0 1 3", "0 2 5", "0 3 9", "1 2 17"]

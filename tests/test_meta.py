@@ -111,6 +111,16 @@ def test_meta_minplus_sequence():
     assert res.optimum == min(res.stats["sequence"])
 
 
+def test_meta_minplus_searched_cover_of_G():
+    # the 62 points of G with no cover given: the search finds the planted
+    # cover, so the encoded range is (2*1 + 1) * (2*30 + 1) at lambda = 2,
+    # where the cover over (10^12, 1) of volume 422 gave 1263
+    seq = tuple(10**12 * l1 + 7 * l2 for l1 in range(2) for l2 in range(31))
+    res = run_meta(ProblemInstance(kind="minplusconv", sequence=seq))
+    assert res.stats["encoded_range_bound"] == 183
+    assert res.stats["sequence"] == minplus_naive(list(seq))
+
+
 def test_meta_steiner_end_to_end():
     gap = parse_gap_spec("d=2 x=1000,7 L=5,5")
     inst = generate_instance("steiner", 8, gap, seed=12, n_terminals=4)

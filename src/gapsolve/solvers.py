@@ -23,7 +23,8 @@ SOLVER_SPECS is the one table of the supported kinds.
 
 The cores work on exponents as machine integers: max-cut and the k-clique
 auxiliary graph on int64 numpy arrays, TSP on Held-Karp cells that are
-each one int packing a count per exponent, and min-plus on a float FFT.
+each one int packing a count per exponent, and min-plus on an n x 2n int32
+table of pair ranks or a float FFT grid, whichever is less work.
 Sums of at most lambda encoded weights stay below EXPONENT_LIMIT = 2^62,
 checked once per call (BoundExceeded above it), so int64 never wraps.
 TSP and min-plus are dense in the exponent: their memory grows with the
@@ -568,7 +569,9 @@ def _selfconv_support(seq, bound):
     (9.2-10.4 bytes measured with tracemalloc at n = 1000..4096,
     max(seq) = 1020..4000; small grids pay more per slot for the blocks),
     so the R * C slots are priced at 80 bits each against TABLE_BITS
-    before anything is allocated: at most 53,687,091 slots.
+    before anything is allocated: at most 53,687,091 slots.  This is
+    min-plus's FFT core: `minplus_selfconv_min` runs it when its grid has
+    fewer slots than the n^2 pair table has pairs, or the pairs do not fit.
     """
     import numpy as np
 
@@ -606,16 +609,39 @@ def minplus_selfconv_min(seq, bound, keys=None):
     large Python ints: the attainable sums are ranked once by
     (key, encoding), and each row's minimum is its attainable sum of
     lowest rank.
+
+    Two exact cores find those sums: the pair table of `_pair_min`, which
+    forms all n^2 sums seq[i] + seq[j], and the FFT grid of
+    `_selfconv_support`.  Both are priced in bits before anything is
+    allocated: the pair table at 96 bits per pair, 32 per value sum up to
+    2 * max(seq) and 64 per entry and per attainable sum, the FFT grid at
+    80 bits per padded slot.  Among the cores whose price fits TABLE_BITS,
+    the one with less work runs, n^2 pairs against H x W padded slots (ties
+    go to the pairs), and BoundExceeded names both tables when neither
+    fits.  So short sequences over a wide range run on pairs, and long ones
+    over a small range on the FFT: n = 192 over entries <= 91 has 36,864
+    pairs against a 384 x 192 grid, n = 4096 over entries <= 100 has
+    16,777,216 pairs against an 8192 x 216 grid.
     """
     import numpy as np
 
+    if any(not 0 <= v < bound for v in seq):
+        raise BoundExceeded("encoded value outside [0, bound)")
+    n, top = len(seq), max(seq)
+    values = 2 * top + 1
+    height, width = _fft_len(2 * n - 1), _fft_len(values)
+    pair_bits = 96 * n * n + 32 * values + 64 * (n + min(n * n, values))
+    grid_bits = 80 * height * width
+    _refuse_over(min(pair_bits, grid_bits),
+                 f"pair table of {n}x{n} sums ({pair_bits} bits) and FFT grid"
+                 f" of {height}x{width} slots ({grid_bits} bits)")
+    pairs_win = n * n <= height * width or grid_bits > TABLE_BITS
+    if pair_bits <= TABLE_BITS and pairs_win:
+        return _pair_min(seq, top, keys).tolist()
     support = _selfconv_support(seq, bound)
     # only attainable sums are guaranteed to be decodable, so evaluate
     # the keys just on columns that occur somewhere
-    cols = np.flatnonzero(support.any(axis=0))
-    if keys is not None:
-        # cols ascend, so a stable sort keeps ties in encoding order
-        cols = cols[np.argsort(keys(cols), kind="stable")]
+    cols = _ranked(np.flatnonzero(support.any(axis=0)), keys)
     # columns in rank order: the first attainable one in a row has the
     # lowest rank among that row's sums
     ranked = support[:, cols]
@@ -623,3 +649,48 @@ def minplus_selfconv_min(seq, bound, keys=None):
     if not ranked[np.arange(len(first)), first].all():
         raise InvariantViolated("a self-convolution index has no attainable sum")
     return cols[first].tolist()
+
+
+def _ranked(cols, keys):
+    """The ascending attainable sums `cols` by (key, encoding), lowest first."""
+    import numpy as np
+
+    if keys is None:
+        return cols
+    # cols ascend, so a stable sort keeps ties in encoding order
+    return cols[np.argsort(keys(cols), kind="stable")]
+
+
+def _pair_min(seq, top, keys):
+    """Each index's lowest-rank sum from an n x 2n int32 table of pair ranks.
+
+    A value-indexed int32 lookup marks the sums of the distinct entries,
+    ranks them once, and gives each pair (i, j) its rank at table[i, j];
+    the other n columns of a row hold a rank above all.  Re-read row-major
+    with rows of 2n - 1, the table shifts row i right by i, so column k
+    holds the rank of every pair with i + j = k, and one min over the rows
+    gives index k's lowest-rank sum, ties toward the smaller encoding.
+    The table is the n x n int64 sums' own memory, rewritten a block of at
+    most 2 MB of ranks at a time, so the peak is 8 bytes a pair plus one
+    block, the lookup and the attainable sums (tracemalloc: 10.1 MB at
+    n = 1000, 136 MB at n = 4096 with entries <= 1020), within the price.
+    """
+    import numpy as np
+
+    n = len(seq)
+    v = np.array(seq, dtype=np.int64)
+    rank = np.zeros(2 * top + 1, dtype=np.int32)
+    distinct = np.unique(v)
+    rank[distinct[:, None] + distinct] = 1
+    cols = _ranked(np.flatnonzero(rank), keys)
+    rank[cols] = np.arange(len(cols), dtype=np.int32)
+    sums = v[:, None] + v
+    # row i of the int64 sums is rewritten in place as 2n int32: its n
+    # ranks, then n ranks above all, one block of rows at a time
+    table = sums.view(np.int32)
+    step = max(1, (1 << 19) // n)
+    for r in range(0, n, step):
+        table[r:r + step, :n] = np.take(rank, sums[r:r + step])
+        table[r:r + step, n:] = len(cols)
+    shifted = table.reshape(-1)[:n * (2 * n - 1)].reshape(n, 2 * n - 1)
+    return cols[shifted.min(axis=0)]

@@ -210,15 +210,28 @@ def test_solve_k_not_divisible_by_3_exit_1(tmp_path, capsys):
     assert err == "error: k = 4\n" and out == ""
 
 
-def test_solve_minplus_fft_grid_over_budget_exit_2(tmp_path, capsys):
+def test_solve_minplus_fft_grid_over_budget_solves_on_pairs(tmp_path, capsys):
     # two values whose sums reach 1.8*10^7, so the padded FFT grid of
-    # 3 x 18874368 slots at 80 bits each passes the 2^32-bit table budget
+    # 3 x 18874368 slots at 80 bits each passes the 2^32-bit table budget,
+    # while the pair table of 2 x 2 sums and its rank lookup fit
     path = tmp_path / "wide.txt"
     path.write_text("problem\nkind minplusconv\nsequence\n0 9000000\n"
                     "gap\n1\n1\n9000000\n")
+    code, out, err = run(["solve", str(path), "--json"], capsys)
+    assert code == 0 and err == ""
+    assert json.loads(out)["sequence"] == [0, 9000000, 18000000]
+
+
+def test_solve_minplus_both_tables_over_budget_exit_2(tmp_path, capsys):
+    # sums reach 1.4*10^8: the pair table's rank lookup over its value sums
+    # and the 3 x 143327232 FFT grid both pass the 2^32-bit table budget
+    path = tmp_path / "wider.txt"
+    path.write_text("problem\nkind minplusconv\nsequence\n0 70000000\n"
+                    "gap\n1\n1\n70000000\n")
     code, out, err = run(["solve", str(path)], capsys)
-    assert code == 2
-    assert err.startswith("error: FFT grid of 3x18874368 ") and out == ""
+    assert code == 2 and out == ""
+    assert err.startswith("error: pair table of 2x2 sums (")
+    assert "and FFT grid of 3x143327232 slots" in err
 
 
 def test_solve_minplus_small_sums_on_wide_gap(tmp_path, capsys):

@@ -17,6 +17,8 @@ from gapsolve import (
     build_auxiliary_graph,
     enlarge,
     ewclique_algebraic,
+    get_gap_coordinates,
+    kappa,
     kappa_inv,
     maxcut_algebraic,
     minplus_selfconv_min,
@@ -24,6 +26,7 @@ from gapsolve import (
     select_optimum,
     steiner_algebraic,
     true_value,
+    true_values,
     tsp_algebraic,
 )
 from gapsolve.errors import BoundExceeded, Disconnected, KNotDivisibleBy3
@@ -418,7 +421,10 @@ def test_minplus_bound_errors(monkeypatch):
         minplus_selfconv_min([5], 4)
     # sums reach 2 * (10^7 - 1): a 216 x 20155392 grid
     monkeypatch.setattr(solvers, "TABLE_BITS", 80 * 10**6)
-    with pytest.raises(BoundExceeded):
+    with pytest.raises(BoundExceeded, match="FFT grid of 216x20155392"):
+        _selfconv_support([0, 10**7 - 1] * 50, 10**7)
+    # the pair table's rank lookup over 2 * 10^7 value sums passes it too
+    with pytest.raises(BoundExceeded, match="pair table of 100x100 sums"):
         minplus_selfconv_min([0, 10**7 - 1] * 50, 10**7)
 
 
@@ -486,13 +492,137 @@ def test_every_kind_refuses_through_the_table_budget(monkeypatch, kind):
 
 def test_minplus_budget_counts_padded_grid(monkeypatch):
     # 3 * 2 * 5 = 30 slots fit a budget of 40 slots of 80 bits, but the FFT
-    # grid is padded to _fft_len(5) * _fft_len(9) = 6 * 9 = 54 slots
+    # grid is padded to _fft_len(5) * _fft_len(9) = 6 * 9 = 54 slots; the
+    # pair table of 3 x 3 sums fits either budget
     monkeypatch.setattr(solvers, "TABLE_BITS", 80 * 40)
     with pytest.raises(BoundExceeded):
-        minplus_selfconv_min([0, 1, 4], 5)
+        _selfconv_support([0, 1, 4], 5)
+    assert minplus_selfconv_min([0, 1, 4], 5) == [0, 1, 2, 5, 8]
     monkeypatch.setattr(solvers, "TABLE_BITS", 80 * 54)
     assert attainable_sums([0, 1, 4], 5) == [[0], [1], [2, 4], [5], [8]]
     assert minplus_selfconv_min([0, 1, 4], 5) == [0, 1, 2, 5, 8]
+
+
+def spy_fft(monkeypatch):
+    """Record the sequence length of every FFT-core call."""
+    calls = []
+
+    def spy(seq, bound):
+        calls.append(len(seq))
+        return _selfconv_support(seq, bound)
+
+    monkeypatch.setattr(solvers, "_selfconv_support", spy)
+    return calls
+
+
+def pair_bits(seq):
+    """The pair table's price: 96 bits a pair, 32 a value sum up to
+    2 * max(seq), 64 an entry and an attainable sum (at most n^2 of them)."""
+    n, values = len(seq), 2 * max(seq) + 1
+    return 96 * n * n + 32 * values + 64 * (n + min(n * n, values))
+
+
+def test_minplus_core_follows_the_shape(monkeypatch):
+    # n = 192 over entries <= 91: 36,864 pairs against a 384 x 192 grid;
+    # n = 4096 over entries <= 100: 16.8M pairs against an 8192 x 216 grid
+    calls = spy_fft(monkeypatch)
+    rng = random.Random(20)
+    short = [rng.randint(0, 91) for _ in range(192)]
+    assert minplus_selfconv_min(short, 92) == minplus_naive(short)
+    assert calls == []
+    long = [rng.randint(0, 100) for _ in range(4096)]
+    out = minplus_selfconv_min(long, 101)
+    assert calls == [4096]
+    for k in [0, 1, 2, 4095, 8189, 8190] + rng.sample(range(8191), 20):
+        lo = max(0, k - 4095)
+        assert out[k] == min(long[i] + long[k - i] for i in range(lo, k - lo + 1))
+
+
+def test_minplus_both_cores_match_naive_on_either_side():
+    # seeded shapes on both sides of n^2 = H * W, and n = 800, whose pair
+    # table is rewritten in more than one block; every sequence also runs
+    # through both cores directly
+    rng = random.Random(2020)
+    shapes = [(800, 5), (800, 1000)] + [
+        (rng.choice([1, 2, 7, 40, 150, 300, 400]),
+         rng.choice([0, 1, 3, 20, 91, 1000, 5000])) for _ in range(58)]
+    sides = set()
+    for n, top in shapes:
+        seq = [rng.randint(0, top) for _ in range(n)]
+        naive = minplus_naive(seq)
+        height = solvers._fft_len(2 * n - 1)
+        width = solvers._fft_len(2 * max(seq) + 1)
+        sides.add(n * n <= height * width)
+        assert minplus_selfconv_min(seq, top + 1) == naive
+        assert solvers._pair_min(seq, max(seq), None).tolist() == naive
+        assert [row[0] for row in attainable_sums(seq, top + 1)] == naive
+    assert sides == {True, False}
+
+
+def test_minplus_ties_agree_on_both_cores(monkeypatch):
+    # the two equal generators give one true value many encodings: 6 * 3^40
+    # is (0, 6) = 6 and (1, 5) = 16 over the enlarged bounds (10, 10).  At
+    # n = 256 the 65,536 pairs tie the 512 x 128 grid, so the pairs run;
+    # the grid's own price leaves only the FFT
+    calls = spy_fft(monkeypatch)
+    gap = Gap((3**40, 3**40), (5, 5))
+    rng = random.Random(7)
+    seq = tuple(3**40 * rng.randint(0, 10) for _ in range(255)) + (10 * 3**40,)
+    inst = ProblemInstance(kind="minplusconv", sequence=seq, gap=gap)
+    egap = enlarge(gap, 2)
+    enc = {w: kappa(egap, c) for w, c in
+           zip(inst.weights, get_gap_coordinates(inst.weights, gap))}
+    codes = [enc[v] for v in seq]
+    runs = []
+    for budget in (solvers.TABLE_BITS, 80 * 512 * 128):
+        monkeypatch.setattr(solvers, "TABLE_BITS", budget)
+        res = run_meta(inst)
+        by_value = minplus_selfconv_min(
+            codes, egap.volume, keys=lambda sums: true_values(egap, sums))
+        runs.append((res.stats["sequence"], res.optimum, res.encoded_optimum,
+                     res.coords, by_value))
+    assert calls == [256, 256]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == minplus_naive(list(seq))
+    pair_codes = {a + b for a in set(codes) for b in set(codes)}
+    assert len({true_value(egap, c) for c in pair_codes}) < len(pair_codes)
+
+
+def test_minplus_pair_price_boundary(monkeypatch):
+    calls = spy_fft(monkeypatch)
+    # n = 6 over {0, 1}: 36 pairs tie a 12 x 3 grid of 2880 bits, below the
+    # pair table's 4128 bits
+    seq = [0, 1, 1, 0, 1, 0]
+    assert pair_bits(seq) == 4128
+    monkeypatch.setattr(solvers, "TABLE_BITS", 4128)
+    assert minplus_selfconv_min(seq, 2) == minplus_naive(seq) and calls == []
+    monkeypatch.setattr(solvers, "TABLE_BITS", 4127)
+    assert minplus_selfconv_min(seq, 2) == minplus_naive(seq) and calls == [6]
+    # [0, 1, 4]: a 1920-bit pair table and a 6 x 9 grid of 4320 bits
+    assert pair_bits([0, 1, 4]) == 1920
+    monkeypatch.setattr(solvers, "TABLE_BITS", 1920)
+    assert minplus_selfconv_min([0, 1, 4], 5) == [0, 1, 2, 5, 8]
+    monkeypatch.setattr(solvers, "TABLE_BITS", 1919)
+    with pytest.raises(BoundExceeded, match="pair table of 3x3 sums .1920 bits. and "
+                                            "FFT grid of 6x9 slots .4320 bits. exceed"):
+        minplus_selfconv_min([0, 1, 4], 5)
+    assert calls == [6]
+
+
+def test_minplus_pair_peak_within_price():
+    # n = 1000..2000 on the pair core: the tracemalloc peak is at most the
+    # priced bits and at least half of them
+    solvers._pair_min([0, 1], 1, None)  # numpy's one-time setup
+    for n, top in ((1000, 1000), (1500, 20000), (2000, 2000)):
+        rng = random.Random(n)
+        seq = [rng.randint(0, top) for _ in range(n - 1)] + [top]
+        tracemalloc.start()
+        try:
+            minplus_selfconv_min(seq, top + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pair_bits(seq) / 16 <= peak <= pair_bits(seq) / 8, (n, peak)
 
 
 def test_minplus_attainable_sets():

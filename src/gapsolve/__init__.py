@@ -20,7 +20,6 @@ from .encoding import (
     kappa_inv,
     true_value,
     true_values,
-    value_rank,
 )
 from .instances import generate_instance
 from .meta import MetaResult, run_meta
@@ -63,7 +62,6 @@ __all__ = [
     "true_value",
     "true_values",
     "tsp_algebraic",
-    "value_rank",
 ]
 
 __version__ = "0.1.0"

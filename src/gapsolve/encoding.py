@@ -5,10 +5,10 @@ radices <B_i + 1> (dimension 1 most significant), where B_i are the
 bounds of the GAP it is given: the cover's bounds scaled by lambda
 (`enlarge`), so that the encoded range is that GAP's volume.  It is
 additive on tuples that stay inside the box and strictly monotone w.r.t.
-lexicographic tuple order, which makes it injective.  Because encoded
-order differs from true-value order in general, ranks by (true value,
-encoding) restore the order of the represented values: `value_rank`
-counts one rank directly, without materializing the whole permutation.
+lexicographic tuple order, which makes it injective.  Encoded order
+differs from true-value order in general, so optima are compared by
+(true value, encoding): the true value decoded from the coordinates
+first, ties toward the smaller encoding.
 """
 
 from .additive import Gap
@@ -110,41 +110,3 @@ def true_values(g, exps):
     """
     return digit_values(g, radix_digits(g, exps))
 
-
-def value_rank(g, e):
-    """Position of `e` in [0, g.volume) ordered by (true value, encoding).
-
-    The range is not enumerated.  With T = true_value(g, e), the rank
-    counts the tuples of the box of `g` whose value is below T, plus
-    those on value T with a smaller encoding (kappa is lexicographic, so
-    that is the tie order).  For each tuple over every
-    dimension but the widest one j, the t_j below T form a prefix of
-    [0, B_j] whose length is one floor division, and at most one t_j lies
-    on T.  That is g.volume / (B_j + 1) steps.
-    """
-    target = true_value(g, e)
-    bounds = g.bounds
-    j = max(range(g.dim), key=bounds.__getitem__)
-    # kappa(t) = sum(t_i * place[i]), mixed radix, dimension 1 most significant
-    place = [1] * g.dim
-    for i in range(g.dim - 2, -1, -1):
-        place[i] = place[i + 1] * (bounds[i + 1] + 1)
-    # (true value, encoding) of every tuple over the dimensions other than j
-    partial = [(0, 0)]
-    for i, (x, b) in enumerate(zip(g.generators, bounds)):
-        if i != j:
-            w = place[i]
-            partial = [(s + x * l, k + w * l) for s, k in partial for l in range(b + 1)]
-    xj, wj, bj = g.generators[j], place[j], bounds[j]
-    rank = 0
-    for s, k in partial:
-        q, r = divmod(target - s, xj)
-        if q < 0:  # every t_j is above T
-            continue
-        if r:  # t_j = 0..q are below T, none on it
-            rank += min(q + 1, bj + 1)
-        elif q > bj:
-            rank += bj + 1
-        else:  # t_j = 0..q-1 are below T; t_j = q ties and counts if lex-smaller
-            rank += q + (k + wj * q < e)
-    return rank

@@ -171,12 +171,12 @@ def generate_instance(kind, n, gap, seed, density=1.0, k=3, n_terminals=3):
     (steiner instances always keep a random spanning chain so the
     terminals stay connected; tsp keeps the complete graph).  Raises
     KNotDivisibleBy3 for an ewclique k the solver refuses, and
-    InvalidInstance for more steiner terminals than vertices.
+    InvalidInstance for a steiner terminal count outside [2, n].
     """
     if kind == "ewclique" and (k % 3 or k == 0):
         raise KNotDivisibleBy3(f"k = {k}")
-    if kind == "steiner" and n_terminals > n:
-        raise InvalidInstance(f"{n_terminals} terminals exceed n = {n}")
+    if kind == "steiner" and not 2 <= n_terminals <= n:
+        raise InvalidInstance(f"steiner needs 2 to n = {n} terminals, not {n_terminals}")
     rng = random.Random(seed)
     values = list(gap_enumerate(gap))
 

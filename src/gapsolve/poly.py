@@ -15,10 +15,10 @@ def select_optimum(terms, g, sense):
     """(exponent, true value, count) of the optimal term of `terms`, as ints.
 
     `terms` is an `(exps, counts)` pair over the GAP `g`.  Comparison is by
-    (true value, encoding), the order `encoding.value_rank` counts
-    positions in; ties break toward the smaller encoding under either
-    sense.  Distinct exponents can share a true value, so `count` sums the
-    counts of every exponent on the optimal value.  Every exponent is
+    (true value, encoding): the true value first, and ties break toward
+    the smaller encoding under either sense.  Distinct exponents can share
+    a true value, so `count` sums the counts of every exponent on the
+    optimal value.  Every exponent is
     range-checked as in `radix_digits` (OutOfRange, then BoundExceeded);
     an empty pair raises InfeasibleInstance.
 

@@ -33,7 +33,6 @@ from gapsolve.solvers import (
     build_auxiliary_graph,
     minplus_selfconv_min,
 )
-from test_encoding import build_permutation
 
 
 def _line(name, ok, detail=""):
@@ -109,26 +108,6 @@ def test_encoding_roundtrip():
                 x * l for x, l in zip(g.generators, s))
             checked += 1
     _line("encoding roundtrip", True, f"{checked} tuples")
-
-
-def test_rank_table_agreement():
-    rng = random.Random(23)
-    built = 0
-    while built < 30:
-        g = _random_gap(rng, max_dim=3, max_bound=6, max_gen=10**9)
-        lam = rng.randint(2, 3)
-        egap = enlarge(g, lam)
-        if egap.volume > 10**5:
-            continue
-        table = build_permutation(egap)
-        expected = sorted(
-            ((e, true_value(egap, e)) for e in range(egap.volume)),
-            key=lambda p: (p[1], p[0]))
-        assert list(table.sorted_entries) == expected
-        for i, (e, _) in enumerate(expected):
-            assert table.rank(e) == i
-        built += 1
-    _line("rank table agreement", True, "30 gaps, range <= 10^5")
 
 
 def _instance_gap(rng, lam_cap):

@@ -14,7 +14,6 @@ import gapsolve.cli as cli
 
 from gapsolve.cli import main
 from gapsolve.instances import parse_gap_spec, parse_instance, serialize_instance
-from test_encoding import build_permutation
 
 
 def run(argv, capsys):
@@ -51,11 +50,12 @@ def test_solve_text_and_json(tmp_path, capsys):
     assert code == 0
     code, out, _ = run(["solve", str(path)], capsys)
     assert code == 0
-    assert "optimum" in out and "doubling constant" in out
+    assert "optimum" in out and "|G'| bound" in out
+    assert "doubling constant" not in out
     code, out, _ = run(["solve", str(path), "--json"], capsys)
     assert code == 0
     report = json.loads(out)
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     assert report["kind"] == "tsp"
     assert report["optimum"] > 10**12
     assert "permutation_size" in report
@@ -370,21 +370,28 @@ def test_parse_instance_bad_token(body):
         parse_instance(f"problem\nkind maxcut\n{body}\n")
 
 
-def test_solve_json_rank_matches_permutation_table(tmp_path, capsys):
+REPORT_KEYS = {"schema_version", "kind", "optimum", "encoded_optimum", "coords",
+               "gap", "lambda", "encoded_range_bound", "permutation_size",
+               "wall_time"}
+
+
+@pytest.mark.parametrize("kind, cover", [
+    ("maxcut", "d=2 x=10^12,7 L=1,4"),
+    # 15 edges: |G'| = 15 * 10^6 + 1 is above 10^7 and is still reported
+    ("maxcut", "d=1 x=1 L=10^6"),
+    ("minplusconv", "d=2 x=10^12,7 L=1,4"),
+], ids=["maxcut", "maxcut-above-1e7", "minplusconv"])
+def test_solve_json_key_set(tmp_path, capsys, kind, cover):
     path = tmp_path / "inst.txt"
-    run(["gen", "maxcut", "--n", "6", "--gap", "d=2 x=10^12,7 L=1,4",
-         "--seed", "3", "-o", str(path)], capsys)
-    code, out, _ = run(["solve", str(path), "--json"], capsys)
+    run(["gen", kind, "--n", "6", "--gap", "d=1 x=7 L=4", "--seed", "3",
+         "-o", str(path)], capsys)
+    code, out, _ = run(["solve", str(path), "--json", "--gap", cover], capsys)
     assert code == 0
     report = json.loads(out)
-    egap = enlarge(parse_gap_spec("d=2 x=10^12,7 L=1,4"), report["lambda"])
+    assert set(report) == REPORT_KEYS | ({"sequence"} if kind == "minplusconv" else set())
+    assert report["schema_version"] == 2
+    egap = enlarge(parse_gap_spec(cover), report["lambda"])
     assert report["permutation_size"] == report["encoded_range_bound"] == egap.volume
-    assert report["optimum_rank"] == build_permutation(egap).rank(report["encoded_optimum"])
-    # above --perm-budget: no rank, a null size
-    code, out, _ = run(["solve", str(path), "--json", "--perm-budget",
-                        str(egap.volume - 1)], capsys)
-    report = json.loads(out)
-    assert report["permutation_size"] is None and "optimum_rank" not in report
 
 
 def test_solve_wall_time_covers_parse(tmp_path, capsys, monkeypatch):
@@ -413,7 +420,8 @@ def test_solve_wall_time_covers_parse(tmp_path, capsys, monkeypatch):
                                   ["analyze", "f.txt", "--max-dim", "0"],
                                   ["verify", "--sweep", "1", "--kind", "maxcut", "--n", "5",
                                    "--gap", "d=1 x=3 L=5", "--json"],
-                                  ["verify", "f.txt", "--perm-budget", "0"]])
+                                  ["verify", "f.txt", "--perm-budget", "0"],
+                                  ["solve", "f.txt", "--perm-budget", "0"]])
 def test_usage_error_exit_1(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -440,6 +448,12 @@ def test_usage_error_exit_1(argv, capsys):
     ["solve", "no-such-file.txt"],
     ["verify", "no-such-file.txt"],
     ["analyze", "no-such-file.txt"],
+    # a negative steiner terminal count, in gen and in a sweep
+    ["gen", "steiner", "--n", "5", "--terminals", "-1", "--gap", "d=1 x=1 L=3"],
+    ["verify", "--sweep", "1", "--kind", "steiner", "--terminals", "-1",
+     "--gap", "d=1 x=1 L=3"],
+    # a negative sweep count
+    ["verify", "--sweep", "-2", "--gap", "d=1 x=1 L=3"],
 ])
 def test_invalid_instance_exit_1(argv, capsys):
     code, out, err = run(argv, capsys)

@@ -246,9 +246,9 @@ def ref_ewclique_algebraic(inst, enc, k):
 def ref_select_optimum(terms, g, sense):
     """(exponent, true value, count) of the optimal term of `terms`.
 
-    Each exponent is decoded once.  Comparison is by (true value, encoding),
-    the order `encoding.value_rank` counts positions in; ties break toward
-    the smaller encoding under either sense.  Distinct exponents can share
+    Each exponent is decoded once.  Comparison is by (true value, encoding):
+    the true value first, and ties break toward the smaller encoding under
+    either sense.  Distinct exponents can share
     a true value, so `count` sums the coefficients of every exponent on the
     optimal value.  Raises InfeasibleInstance for an empty map.
     """

@@ -1,5 +1,4 @@
 import random
-from dataclasses import dataclass
 
 import pytest
 from hypothesis import given
@@ -12,35 +11,8 @@ from gapsolve import (
     kappa_inv,
     true_value,
     true_values,
-    value_rank,
 )
-from gapsolve.cli import DEFAULT_PERM_BUDGET
-from gapsolve.errors import BoundExceeded, BudgetExceeded, OutOfBounds, OutOfRange
-
-
-@dataclass(frozen=True)
-class PermutationTable:
-    """Rank table over all encodable values, sorted by (true value, encoding)."""
-
-    sorted_entries: tuple  # (encoded, true_value) pairs, ascending
-    rank_of: dict
-
-    def rank(self, e):
-        return self.rank_of[e]
-
-
-def build_permutation(g, budget=DEFAULT_PERM_BUDGET):
-    """Materialize the rank-restoring permutation over [0, g.volume).
-
-    Ties on true value break by encoded value ascending.  Raises
-    BudgetExceeded above `budget`.  This is the reference `value_rank` is
-    tested against; it sorts the whole range, so nothing else builds it.
-    """
-    n = g.volume
-    if n > budget:
-        raise BudgetExceeded(f"permutation size {n} exceeds budget {budget}")
-    entries = sorted(((e, true_value(g, e)) for e in range(n)), key=lambda p: (p[1], p[0]))
-    return PermutationTable(tuple(entries), {e: r for r, (e, _) in enumerate(entries)})
+from gapsolve.errors import BoundExceeded, OutOfBounds, OutOfRange
 
 
 def egap_of(gens, bounds, lam=1):
@@ -169,81 +141,6 @@ def test_kappa_range_attained():
     g = egap_of([3, 10], [2, 1], lam=4)
     top = kappa(g, g.bounds)
     assert top == g.volume - 1
-
-
-def test_build_permutation_identity():
-    g = egap_of([1], [9])
-    table = build_permutation(g)
-    assert all(table.rank(e) == e for e in range(10))
-
-
-def test_build_permutation_restores_value_order():
-    g = egap_of([3, 10], [2, 2])
-    table = build_permutation(g)
-    e12 = kappa(g, (1, 2))
-    e21 = kappa(g, (2, 1))
-    assert table.rank(e21) < table.rank(e12)
-    tvs = [tv for _, tv in table.sorted_entries]
-    assert tvs == sorted(tvs)
-
-
-def test_build_permutation_budget():
-    g = egap_of([1, 2, 3], [99, 99, 99])
-    with pytest.raises(BudgetExceeded):
-        build_permutation(g, budget=10**4)
-
-
-@given(st.data())
-def test_permutation_agrees_with_decode_and_evaluate(data):
-    g = _random_egap(data, max_dim=3, max_bound=4, max_gen=100)
-    table = build_permutation(g)
-    n = g.volume
-    e1 = data.draw(st.integers(0, n - 1))
-    e2 = data.draw(st.integers(0, n - 1))
-    lhs = table.rank(e1) < table.rank(e2)
-    rhs = (true_value(g, e1), e1) < (true_value(g, e2), e2)
-    assert lhs == rhs
-
-
-def _seeded_egaps():
-    """Enlarged gaps for d = 1..4: bounds with 0, 2^63-scale generators, ties."""
-    rng = random.Random(31)
-    fixed = [Gap((2, 3), (6, 4)), Gap((1,), (0,)), Gap((5, 5), (3, 0)),
-             Gap((2**63 + 1, 7), (3, 5)), Gap((2**63, 2**63 - 1, 1), (2, 2, 0))]
-    gaps = [enlarge(g, lam) for g in fixed for lam in (1, 2)]
-    while len(gaps) < 80:
-        dim = 1 + len(gaps) % 4
-        gens = tuple(rng.choice([rng.randint(1, 6), rng.randint(1, 10**12),
-                                 2**63 + rng.randint(0, 99)]) for _ in range(dim))
-        bounds = tuple(rng.randint(0, 5) for _ in range(dim))
-        g = enlarge(Gap(gens, bounds), rng.randint(1, 2))
-        if g.volume <= 3000:
-            gaps.append(g)
-    return gaps
-
-
-def test_value_rank_equals_permutation_table_exhaustively():
-    gaps = _seeded_egaps()
-    assert {g.dim for g in gaps} == {1, 2, 3, 4}
-    for g in gaps:
-        table = build_permutation(g)
-        for e in range(g.volume):
-            assert value_rank(g, e) == table.rank(e), (g, e)
-    assert sum(g.volume for g in gaps) > 10000
-
-
-def test_value_rank_breaks_ties_by_encoding():
-    # 2*3 + 3*0 == 2*0 + 3*2: equal true values rank in encoding order
-    g = egap_of([2, 3], [6, 4])
-    a, b = kappa(g, (0, 2)), kappa(g, (3, 0))
-    assert true_value(g, a) == true_value(g, b) and a < b
-    assert value_rank(g, b) == value_rank(g, a) + 1
-
-
-def test_value_rank_out_of_range():
-    g = egap_of([3, 10], [2, 2])
-    with pytest.raises(OutOfRange):
-        value_rank(g, g.volume)
 
 
 def test_true_values_matches_true_value():

@@ -121,7 +121,13 @@ def get_gap_coordinates(a, g):
     the smallest l in range with x*l = w (mod y).  A remainder that the
     gcd of the later generators does not divide fails at once, so a
     non-proper GAP such as (2, 4, 6) does not loop over every l for an odd
-    weight.  Raises NotCovered for any weight outside the GAP.
+    weight.  The dimension just above the congruence is not walked: its l
+    splits into runs over which the congruence's range stays the same, and
+    along a run the congruence's solution is an arithmetic sequence mod m,
+    so `_first_multiple` finds the first l whose solution is in range in
+    O(log m) steps.  A weight in the last two generators' Frobenius gap
+    then costs one step per run, not per l.  Raises NotCovered for any
+    weight outside the GAP.
     """
     gens, bounds, d = g.generators, g.bounds, g.dim
     reach = [0] * (d + 1)  # reach[i]: the largest sum of dimensions i..
@@ -132,6 +138,14 @@ def get_gap_coordinates(a, g):
     j = max(d - 2, 0)  # the congruence's first dimension
     m = gens[-1] // div[j]
     inv = pow(gens[j] // div[j], -1, m)
+    if d >= 3:
+        # the dimension above the congruence tries only l = l0 + step*s,
+        # whose remainder the congruence's gcd divides; the congruence's
+        # solution then moves by `shift` (mod m) per step of s
+        x3, g1 = gens[d - 3], div[d - 3]
+        step = div[j] // g1
+        x3_inv = pow(x3 // g1, -1, step)
+        shift = -(x3 * step // div[j]) * inv % m
 
     def solve(w, i):  # coordinates of w over dimensions i.., or None
         if w % div[i]:
@@ -143,10 +157,36 @@ def get_gap_coordinates(a, g):
         if i == d - 2:
             l = lo + (w // div[i] * inv - lo) % m
             return None if l > hi else (l, (w - x * l) // gens[-1])
+        if i == d - 3:
+            return above_congruence(w, lo, hi)
         for l in range(lo, hi + 1):
             rest = solve(w - x * l, i + 1)
             if rest is not None:
                 return (l,) + rest
+        return None
+
+    def above_congruence(w, lo, hi):  # solve(w, d - 3), l in [lo, hi]
+        y = gens[j]
+        l0 = w // g1 * x3_inv % step
+        s, last = -((l0 - lo) // step), (hi - l0) // step
+        while s <= last:
+            r = w - x3 * (l0 + step * s)
+            lo2, hi2 = max(0, -((reach[j + 1] - r) // y)), min(bounds[j], r // y)
+            a = (r // div[j] * inv - lo2) % m  # the solution's offset above lo2
+            if a > hi2 - lo2:
+                # [lo2, hi2] stays the congruence's range while r >= least
+                least = max(y * hi2, reach[j + 1] + y * (lo2 - 1) + 1 if lo2 else 0)
+                end = min(last, ((w - least) // x3 - l0) // step)
+                k = None
+                if lo2 <= hi2 and s < end:
+                    k = _first_multiple(m, shift, m - a, m - a + hi2 - lo2)
+                if k is None or s + k > end:
+                    s = end + 1
+                    continue
+                s += k
+                r = w - x3 * (l0 + step * s)
+                a = (r // div[j] * inv - lo2) % m
+            return l0 + step * s, lo2 + a, (r - y * (lo2 + a)) // gens[-1]
         return None
 
     coords = []
@@ -156,6 +196,28 @@ def get_gap_coordinates(a, g):
             raise NotCovered(w)
         coords.append(c)
     return coords
+
+
+def _first_multiple(m, c, lo, hi):
+    """The least k >= 0 with lo <= c*k mod m <= hi, or None; 0 <= lo <= hi < m.
+
+    Euclid on (m, c): a multiplier above m/2 is negated, which mirrors the
+    interval; otherwise the first k that does not wrap is tried, and when
+    [lo, hi] holds no multiple of c, k follows from the least j with
+    (-m*j) mod c in [lo mod c, hi mod c], a problem modulo c <= m/2.
+    """
+    if lo == 0:
+        return 0
+    c %= m
+    if c == 0:
+        return None
+    if 2 * c > m:
+        return _first_multiple(m, m - c, m - hi, m - lo)
+    k = -(-lo // c)
+    if c * k <= hi:
+        return k
+    j = _first_multiple(c, -m % c, lo % c, hi % c)
+    return None if j is None else -(-(lo + m * j) // c)
 
 
 def _candidate_diffs(shifted):

@@ -11,6 +11,8 @@ differs from true-value order in general, so optima are compared by
 first, ties toward the smaller encoding.
 """
 
+from math import gcd
+
 from .additive import Gap
 from .errors import BoundExceeded, OutOfBounds, OutOfRange
 
@@ -58,6 +60,68 @@ def true_value(g, e):
     """Original-scale value sum(x_i * l_i) of an encoded weight."""
     coords = kappa_inv(g, e)
     return sum(x * l for x, l in zip(g.generators, coords))
+
+
+def order_weights(g):
+    """Small positive ints y that compare bounded combinations as g's generators do.
+
+    sign(y . D) = sign(x . D) for every integer vector D with |D_i| <=
+    g.bounds[i], zero included, where x is g's generators (Frank and
+    Tardos's simultaneous approximation, done exactly for this box):
+
+      d = 1   y = (1,).
+      d = 2   x_1/x_2 is compared with r/s, 0 <= r <= M_2, 1 <= s <= M_1;
+              y is the mediant of the nearest such fractions on each side
+              (1/0 above all), found by a Stern-Brocot walk with batched
+              steps, or x/gcd(x) when x_1/x_2 is one of them.
+      d >= 3  when x_1 > sum_{j>=2} x_j M_j, x_1 decides every D with D_1 !=
+              0, so y = (1 + sum_{j>=2} y'_j M_j, y') with y' the order
+              weights of the later dimensions; otherwise y = x/gcd(x).
+
+    With y, the mixed-radix encodings of the box's points order as their
+    true values whenever y . l does, and y . l is polynomial in the bounds
+    for d <= 2 and for separated scales, whatever the generators' size.
+    """
+    x, bounds = g.generators, g.bounds
+    if len(x) == 1:
+        return (1,)
+    if len(x) == 2:
+        return _order_pair(*x, *bounds)
+    if x[0] > sum(xj * mj for xj, mj in zip(x[1:], bounds[1:])):
+        rest = order_weights(Gap(x[1:], bounds[1:]))
+        return (1 + sum(yj * mj for yj, mj in zip(rest, bounds[1:])),) + rest
+    div = gcd(*x)
+    return tuple(xj // div for xj in x)
+
+
+def _order_pair(p, q, top_s, top_r):
+    """order_weights of generators (p, q) under bounds (top_s, top_r).
+
+    The walk keeps a/b < p/q < c/d, neighbours in the Stern-Brocot tree, so
+    every fraction strictly between them has numerator at least a + c and
+    denominator at least b + d: once their mediant leaves the box, a/b and
+    c/d are the nearest fractions of the box.  A run of steps toward one
+    side is taken at once, as many as keep that side's bound on its side of
+    p/q and inside the box; an exact hit means p/q is in the box.
+    """
+    a, b, c, d = 0, 1, 1, 0
+    while a + c <= top_r and b + d <= top_s:
+        below = (a + c) * q < p * (b + d)
+        if below:  # the mediant is below p/q: raise a/b
+            num, den = p * b - a * q, c * q - d * p
+            room = min((top_r - a) // c, (top_s - b) // d if d else num)
+        else:  # lower c/d
+            num, den = c * q - d * p, p * b - a * q
+            room = min((top_r - c) // a if a else num, (top_s - d) // b)
+        if num % den == 0 and num // den <= room:
+            div = gcd(p, q)
+            return p // div, q // div
+        k = min((num - 1) // den, room)
+        if below:
+            a, b = a + k * c, b + k * d
+        else:
+            c, d = c + k * a, d + k * b
+    return a + c, b + d
 
 
 def radix_digits(g, exps):

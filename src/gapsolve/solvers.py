@@ -28,15 +28,18 @@ table of pair ranks or a float FFT grid, whichever is less work.
 Sums of at most lambda encoded weights stay below EXPONENT_LIMIT = 2^62,
 checked once per call (BoundExceeded above it), so int64 never wraps.
 TSP and min-plus are dense in the exponent: their memory grows with the
-spread of the encoded weights.  Steiner's key, exact at any generator
-size, is split into as many 61-bit int64 limbs as its sums need.  Every
-solver prices its largest table in bits where it builds it and raises
-BoundExceeded through `_refuse_over` above TABLE_BITS = 2^32 (512 MiB),
-before the table is allocated.  The terms stay int64
-arrays up to `poly.select_optimum`, which decodes exactly, over Python
-ints, only the exponents near the optimum; min-plus's sums are decoded in
-one `encoding.true_values` call.  numpy is imported inside the functions
-that use it.
+spread of the encoded weights.  Steiner orders trees by a key built
+from `encoding.order_weights`, small integers that order the cover's
+bounded combinations as its generators do; the key is exact at any
+generator size, one int64 where the cover's scales separate and its
+enlarged box is not huge, and split into as many 61-bit int64 limbs as
+its sums need otherwise.  Every solver prices its largest table in bits
+where it builds it and raises BoundExceeded through `_refuse_over` above
+TABLE_BITS = 2^32 (512 MiB), before the table is allocated.  The terms
+stay int64 arrays up to `poly.select_optimum`, which decodes exactly,
+over Python ints, only the exponents near the optimum; min-plus's sums
+are decoded in one `encoding.true_values` call.  numpy is imported
+inside the functions that use it.
 """
 
 from dataclasses import dataclass, field
@@ -44,7 +47,7 @@ from itertools import combinations
 from math import comb, factorial
 
 from .additive import Gap, WeightSet
-from .encoding import EXPONENT_LIMIT, true_values
+from .encoding import EXPONENT_LIMIT, kappa_inv, order_weights, true_values
 from .errors import (
     BoundExceeded,
     Disconnected,
@@ -117,7 +120,9 @@ class SolverSpec:
     over `egap`, the cover with its bounds scaled by `lambda_bound(inst)`,
     and returns its `(exps, counts)` pair of int64 ndarrays, `exps`
     strictly ascending; for min-plus it returns the per-index minimum
-    encodings instead.  `oracle(inst)` returns the
+    encodings instead.  Two solvers read `egap`: steiner, for the order
+    weights of its key, and min-plus, to decode its sums by true value;
+    the others need only `enc`.  `oracle(inst)` returns the
     brute-force optimum (the min-plus sequence).  `counts` is False where
     the coefficients do not count the optima: steiner keeps one optimal
     tree, and min-plus keeps one minimum per index.  Both callables look
@@ -147,7 +152,7 @@ SOLVER_SPECS = {
         lambda inst: clique_bf(inst, inst.k).optimum),
     "steiner": SolverSpec(
         "min", lambda inst: max(1, inst.n - 1),
-        lambda inst, enc, egap: steiner_algebraic(inst, enc),
+        lambda inst, enc, egap: steiner_algebraic(inst, enc, egap),
         lambda inst: steiner_bf(inst).optimum,
         counts=False),
     "minplusconv": SolverSpec(
@@ -431,6 +436,8 @@ def _limb_min(x, axis):
     """Minimum of the limb array x along `axis` of each limb's array."""
     import numpy as np
 
+    if len(x) == 1:
+        return x.min(axis=axis + 1)
     lows = []
     for limb in x:
         if lows:  # keep the positions tied so far; the fill is above every limb
@@ -440,23 +447,32 @@ def _limb_min(x, axis):
     return np.stack(lows).squeeze(axis + 1)
 
 
-def steiner_algebraic(inst, enc):
+def steiner_algebraic(inst, enc, egap):
     """Dreyfus-Wagner DP over (terminal subset, root) on one exact integer key.
 
     Only the first terminal's component is kept; n is its vertex count.
-    Edge weight w has the key w * R + enc[w], R = (n - 1) * max(enc) + 1,
-    above the encodings of any tree: key sums order trees by (true value,
-    encoding), each DP candidate, an edge multiset, holds a tree of no
-    larger key, and the optimum's encoding is its key mod R.  Keys are
-    int64 limbs, as many as the largest sum needs.  Floyd-Warshall relaxes
-    only the rows that reach its pivot, low-degree pivots first, so sparse
-    graphs cost less than n^3.  Subsets of one size are solved at once, in
+    With y = `encoding.order_weights(egap)` and c(w) the coordinates of
+    enc[w] over `egap`, edge weight w has the key (y . c(w)) * R + enc[w],
+    R = (n - 1) * max(enc) + 1, above the encodings of any tree.  A tree
+    has fewer than n edges, so its coordinate sum stays in egap's box,
+    where y . c orders as the true value does: key sums order trees by
+    (true value, encoding).  y >= 0, so each DP candidate, an edge
+    multiset, holds a tree of no larger key, and the optimum's encoding is
+    its key mod R.  y is small wherever the cover's scales separate (every
+    cover of dimension <= 2, and those of dimension 3 whose first generator
+    outweighs the rest of the box), and the sums then fit one 61-bit int64
+    limb unless egap's volume is large too; larger keys are split into as
+    many limbs as the largest sum needs.  Floyd-Warshall relaxes only the
+    rows that reach its pivot, low-degree pivots first, so sparse graphs
+    cost less than n^3; on one limb a pivot is one np.minimum, over the
+    whole matrix in place once half the rows reach a pivot, and each DP
+    step one sum and one min.  Subsets of one size are solved at once, in
     blocks that bound the (block, n, n) temporaries.  Raises Disconnected
     when the terminals span components.  Before Floyd-Warshall the DP
-    table, limbs x 2^(t-1) subsets x n int64 keys, plus the 2^(t-1) x (t-1)
-    subset bits, is priced against TABLE_BITS (24 terminals on n = 100 are
-    refused); after the DP, BoundExceeded is raised when the optimal tree's
-    encoding reaches EXPONENT_LIMIT.
+    table, limbs x 2^(t-1) subsets x n int64 keys, plus the 2^(t-1) x
+    (t-1) subset bits, is priced against TABLE_BITS (24 terminals on
+    n = 100 are refused); after the DP, BoundExceeded is raised when the
+    optimal tree's encoding reaches EXPONENT_LIMIT.
     """
     import numpy as np
 
@@ -477,7 +493,9 @@ def steiner_algebraic(inst, enc):
     n = len(at)
     edges = [(at[u], at[v], w) for u, v, w in inst.edges if u in seen]
     radix = (n - 1) * max((enc[w] for *_, w in edges), default=0) + 1
-    key = {w: w * radix + enc[w] for *_, w in edges}
+    y = order_weights(egap)
+    key = {w: sum(a * l for a, l in zip(y, kappa_inv(egap, enc[w]))) * radix + enc[w]
+           for w in {w for *_, w in edges}}
     # a DP value sums fewer than 2 * len(terms) paths of fewer than n edges,
     # so `inf` lies above all; the limbs hold 2 * inf, Floyd-Warshall's sum
     inf = 2 * len(terms) * (n - 1) * max(key.values(), default=0) + 1
@@ -497,20 +515,35 @@ def steiner_algebraic(inst, enc):
     u, v = np.array([e[:2] for e in edges], dtype=np.int64).reshape(-1, 2).T
     dist[:, u, v] = dist[:, v, u] = limbs([key[w] for *_, w in edges])
     # ties in golden-ratio order: a path pivoted along itself costs n^3 / 2
-    for m in np.lexsort((np.arange(n) * 0.618034 % 1,
-                         np.bincount(np.r_[u, v], minlength=n))):
-        rows = np.flatnonzero((dist[:, :, m] != top).any(axis=0))
-        # gathering more than half the rows costs more than relaxing all
-        rows = rows if 2 * len(rows) < n else slice(None)
-        old = dist[:, rows]
-        via = _limb_add(old[:, :, m, None], dist[:, None, m, :])
-        # _limb_min's order, inlined: _limb_min on a stack took twice as long
-        less, tied = via[0] < old[0], via[0] == old[0]
-        for x, y in zip(via[1:], old[1:]):
-            less |= tied & (x < y)
-            tied &= x == y
-        np.copyto(old, via, where=less)
-        dist[:, rows] = old
+    pivots = np.lexsort((np.arange(n) * 0.618034 % 1,
+                         np.bincount(np.r_[u, v], minlength=n)))
+    if count == 1:
+        one, full = dist[0], False
+        for m in pivots:
+            # the rows reaching m, until half of them do: then all, as a view
+            if not full:
+                rows = np.flatnonzero(one[:, m] != inf)
+                full = 2 * len(rows) >= n
+            if full:
+                np.minimum(one, one[:, m, None] + one[m], out=one)
+            else:
+                part = one[rows]
+                np.minimum(part, part[:, m, None] + one[m], out=part)
+                one[rows] = part
+    else:
+        for m in pivots:
+            rows = np.flatnonzero((dist[:, :, m] != top).any(axis=0))
+            # gathering more than half the rows costs more than relaxing all
+            rows = rows if 2 * len(rows) < n else slice(None)
+            old = dist[:, rows]
+            via = _limb_add(old[:, :, m, None], dist[:, None, m, :])
+            # _limb_min's order, inlined: _limb_min on a stack took twice as long
+            less, tied = via[0] < old[0], via[0] == old[0]
+            for new, cur in zip(via[1:], old[1:]):
+                less |= tied & (new < cur)
+                tied &= new == cur
+            np.copyto(old, via, where=less)
+            dist[:, rows] = old
     root, *leaves = (at[t] for t in terms)
     # dp[:, S, v]: least key of a tree joining {terms[i+1] : i in S} and v
     dp = np.zeros((count, 1 << k, n), dtype=np.int64)

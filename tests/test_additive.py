@@ -104,6 +104,84 @@ def test_get_gap_coordinates_ignores_volume():
         get_gap_coordinates(WeightSet.of([10**9 + 1]), Gap((2, 4, 6), (10**9,) * 3))
 
 
+def test_get_gap_coordinates_frobenius_gap_is_not_walked():
+    # 5*10^8 + 999999 leaves a remainder in the Frobenius gap of
+    # (10^6, 10^6 + 1) for the first 999499 values of l_1; walking them
+    # one at a time took about a second
+    g = Gap((1, 10**6, 10**6 + 1), (10**9,) * 3)
+    a = WeightSet.of([5 * 10**8 + 999999])
+    best = min(_timed(get_gap_coordinates, a, g) for _ in range(3))
+    assert get_gap_coordinates(a, g) == [(999499, 0, 500)]
+    assert best < 0.01
+
+
+def _timed(f, *args):
+    start = time.perf_counter()
+    f(*args)
+    return time.perf_counter() - start
+
+
+def _loop_gap_coordinates(a, g):
+    """get_gap_coordinates with every outer dimension walked one l at a time."""
+    gens, bounds, d = g.generators, g.bounds, g.dim
+    reach, div = [0] * (d + 1), [0] * (d + 1)
+    for i in range(d - 1, -1, -1):
+        reach[i] = reach[i + 1] + gens[i] * bounds[i]
+        div[i] = gcd(div[i + 1], gens[i])
+    j = max(d - 2, 0)
+    m = gens[-1] // div[j]
+    inv = pow(gens[j] // div[j], -1, m)
+
+    def solve(w, i):
+        if w % div[i]:
+            return None
+        x = gens[i]
+        if i == d - 1:
+            return None if w // x > bounds[i] else (w // x,)
+        lo, hi = max(0, -((reach[i + 1] - w) // x)), min(bounds[i], w // x)
+        if i == d - 2:
+            l = lo + (w // div[i] * inv - lo) % m
+            return None if l > hi else (l, (w - x * l) // gens[-1])
+        for l in range(lo, hi + 1):
+            rest = solve(w - x * l, i + 1)
+            if rest is not None:
+                return (l,) + rest
+        return None
+
+    coords = [solve(w, 0) for w in a]
+    for w, c in zip(a, coords):
+        if c is None:
+            raise NotCovered(w)
+    return coords
+
+
+def test_get_gap_coordinates_equals_loop_on_seeded_corpus():
+    # 3- and 4-dim GAPs, often non-proper, with bounds up to 300 and
+    # generators up to 10^6; half the weights are GAP points
+    rng = random.Random(22)
+    covered = 0
+    for _ in range(1500):
+        d = rng.choice((3, 3, 4))
+        scale = rng.choice((4, 10, 30, 200, 10**4, 10**6))
+        gens = [rng.randint(1, scale) for _ in range(d)]
+        if rng.random() < 0.3:
+            factor = rng.randint(2, 6)
+            gens = [x * factor if rng.random() < 0.7 else x for x in gens]
+        bounds = [rng.randint(0, rng.choice((3, 20, 300))) for _ in range(d)]
+        g = Gap(tuple(gens), tuple(bounds))
+        top = sum(x * b for x, b in zip(gens, bounds))
+        for _ in range(3):
+            if rng.random() < 0.5:
+                w = sum(x * rng.randint(0, b) for x, b in zip(gens, bounds))
+            else:
+                w = rng.randint(0, top + 5)
+            a = WeightSet.of([w])
+            outcome = _coords_outcome(get_gap_coordinates, a, g)
+            assert outcome == _coords_outcome(_loop_gap_coordinates, a, g), (g, w)
+            covered += outcome[0] is not NotCovered
+    assert covered > 2500
+
+
 # Reference for get_gap_coordinates: the walk over the whole coordinate box,
 # which finds each weight's lexicographically smallest tuple first.
 

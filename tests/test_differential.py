@@ -7,8 +7,10 @@ kept here verbatim (renamed) as references.  Every instance is seeded, and
 the solvers must return the same terms as the {exponent: count} dicts of
 the references and pick the same optimum under both senses, on covers of
 ordinary size, with 2^63-scale, 2^200-scale and 2^1100-scale generators
-(beyond float64), with a 2^63 translation, in three dimensions, and on the
-non-proper GAP ((2, 3), (6, 4)), whose values have several encodings.
+(beyond float64), with a 2^63 translation, in three dimensions (also with
+2^63- and 2^200-scale generators none of which outweighs the rest, where
+steiner's keys need several int64 limbs), and on the non-proper GAP
+((2, 3), (6, 4)), whose values have several encodings.
 """
 
 import heapq
@@ -43,7 +45,7 @@ from gapsolve.errors import (
     KNotDivisibleBy3,
 )
 from gapsolve.oracle import steiner_bf
-from test_solvers import as_dict
+from test_solvers import as_dict, spy_limbs
 
 
 def _encoded_edges(inst, enc):
@@ -359,6 +361,9 @@ FAMILIES = {
     "nonproper": Gap((2, 3), (6, 4)),
     "B200": Gap((2**200 + 1, 5), (2, 9)),
     "B1100": Gap((2**1100 + 1, 5), (2, 9)),
+    # x_1 does not outweigh the later dimensions, so steiner's keys need limbs
+    "3dim-T63": Gap((T63 + 29, 2**62 + 7, 2**61 + 3), (1, 2, 2)),
+    "3dim-B200": Gap((2**200 + 1, 2**199 + 5, 2**198 + 9), (1, 1, 2)),
 }
 
 
@@ -507,10 +512,10 @@ def test_steiner_matches_loop_reference(family):
             expected = ref_steiner(inst, enc, tv)
         except Disconnected as err:
             with pytest.raises(Disconnected, match=re.escape(str(err))):
-                steiner_algebraic(inst, enc)
+                steiner_algebraic(inst, enc, egap)
             disconnected += 1
         else:
-            assert as_dict(steiner_algebraic(inst, enc)) == expected, inst
+            assert as_dict(steiner_algebraic(inst, enc, egap)) == expected, inst
     assert disconnected >= 3
 
 
@@ -520,9 +525,9 @@ def test_steiner_duplicate_terminals_collapse(terminals):
         inst = steiner_case(family, 6, 1.0, 7, terminals)
         egap, enc = encoded(inst)
         tv = partial(true_value, egap)
-        assert as_dict(steiner_algebraic(inst, enc)) == ref_steiner(inst, enc, tv)
+        assert as_dict(steiner_algebraic(inst, enc, egap)) == ref_steiner(inst, enc, tv)
         if len(set(terminals)) == 1:
-            assert as_dict(steiner_algebraic(inst, enc)) == {0: 1}
+            assert as_dict(steiner_algebraic(inst, enc, egap)) == {0: 1}
 
 
 def test_steiner_matches_bruteforce_on_2_200_generators():
@@ -534,12 +539,29 @@ def test_steiner_matches_bruteforce_on_2_200_generators():
             optimum = steiner_bf(inst).optimum
         except Disconnected:
             with pytest.raises(Disconnected):
-                steiner_algebraic(inst, enc)
+                steiner_algebraic(inst, enc, egap)
             continue
-        [(e, count)] = as_dict(steiner_algebraic(inst, enc)).items()
+        [(e, count)] = as_dict(steiner_algebraic(inst, enc, egap)).items()
         assert (true_value(egap, e), count) == (optimum, 1)
         checked += 1
     assert checked >= 6
+
+
+@pytest.mark.parametrize("family", ["3dim-T63", "3dim-B200"])
+def test_steiner_limb_keys_match_bruteforce(family, monkeypatch):
+    limbs = spy_limbs(monkeypatch)
+    checked = 0
+    for seed in range(8):
+        inst = steiner_case(family, 8, 0.5, seed, 3 + seed % 4)
+        egap, enc = encoded(inst)
+        try:
+            optimum = steiner_bf(inst).optimum
+        except Disconnected:
+            continue
+        [(e, count)] = as_dict(steiner_algebraic(inst, enc, egap)).items()
+        assert (true_value(egap, e), count) == (optimum, 1)
+        checked += 1
+    assert checked >= 4 and min(limbs) >= 2
 
 
 def test_select_optimum_matches_loop_reference_on_ties():

@@ -12,6 +12,7 @@ from gapsolve import (
     true_value,
     true_values,
 )
+from gapsolve.encoding import order_weights
 from gapsolve.errors import BoundExceeded, OutOfBounds, OutOfRange
 
 
@@ -171,3 +172,70 @@ def test_true_values_limit_2_62():
     for bad in (2**62, 2**63, 2**80, -2**70):
         with pytest.raises(OutOfRange):
             true_values(small, [1, bad])
+
+
+def _box_signs(gens, bounds):
+    """sign(gens . D) for every integer D with |D_i| <= bounds[i], in product order."""
+    sums = [0]
+    for x, b in zip(gens, bounds):
+        sums = [t + x * l for t in sums for l in range(-b, b + 1)]
+    return [(t > 0) - (t < 0) for t in sums]
+
+
+def _assert_order_weights(gens, bounds):
+    y = order_weights(Gap(gens, bounds))
+    assert len(y) == len(gens) and all(type(v) is int and v > 0 for v in y)
+    assert _box_signs(y, bounds) == _box_signs(gens, bounds), (gens, bounds, y)
+    return y
+
+
+def test_order_weights_benchmark_covers():
+    # G and the 2^63-scale H at steiner50's lambda = 49, checked on the whole box
+    assert _assert_order_weights((10**12, 7), (49, 1470)) == (1471, 1)
+    T = 2**63
+    assert _assert_order_weights((T + 29, 2**61 + 3), (147, 588)) == (589, 147)
+
+
+def test_order_weights_by_dimension():
+    assert order_weights(Gap((2**70 + 3,), (9,))) == (1,)
+    # x_1/x_2 = 3/2 is a fraction of the box: y = x / gcd(x)
+    assert order_weights(Gap((6, 4), (5, 5))) == (3, 2)
+    # no fraction of the box: bound 0 on either dimension
+    assert order_weights(Gap((7, 2**70), (0, 9))) == (1, 1)
+    assert order_weights(Gap((7, 2**70), (9, 0))) == (1, 1)
+    # d = 3, dominant: x_1 = 1000 > 10*4 + 1*5, so y_1 = 1 + y'_2*4 + y'_3*5
+    y2, y3 = order_weights(Gap((10, 1), (4, 5)))
+    assert order_weights(Gap((1000, 10, 1), (3, 4, 5))) == (1 + y2 * 4 + y3 * 5, y2, y3)
+    # d = 3, not dominant: the generators over their gcd
+    assert order_weights(Gap((12, 8, 6), (3, 3, 3))) == (6, 4, 3)
+    T = 2**63
+    assert order_weights(Gap((T + 1, T // 2 + 1, T // 4 + 1), (2, 2, 2))) == \
+        (T + 1, T // 2 + 1, T // 4 + 1)
+
+
+def test_order_weights_exhaustive_sign_check():
+    # every sign of x . D agrees with y . D on the box, zero included
+    rng = random.Random(22)
+    T = 2**63
+    cases = [((2, 3), (6, 4)), ((3, 3), (5, 5)), ((1, 1, 1), (2, 3, 4)),
+             ((5, 3, 2), (3, 3, 3)), ((4, 6, 10), (3, 2, 3)),
+             ((T + 29, 2**61 + 3), (9, 36)), ((2**70 + 1, 5), (2, 9)),
+             ((2**70, 2**70 - 1), (20, 20)), ((T, 3**30, 5**11), (1, 5, 5)),
+             ((10**9 + 7, 1000003, 13), (4, 4, 4)), ((10**9 + 7, 1000003, 13), (3, 3000, 3)),
+             ((7,), (0,)), ((1, 2), (0, 0)), ((3, 1, 2), (0, 4, 0))]
+    for _ in range(200):
+        d = rng.choice((1, 2, 2, 2, 3, 3))
+        scale = rng.choice((3, 6, 100, 2**20, 2**63, 2**70))
+        gens = [rng.randint(1, scale) for _ in range(d)]
+        if d == 3 and rng.random() < 0.5:  # a dominant first generator
+            gens[0] = scale * rng.randint(9, 99) + rng.randint(0, 9)
+        top = 30 if d < 3 else 4
+        cases.append((tuple(gens), tuple(rng.randint(0, top) for _ in range(d))))
+    dominant = 0
+    for gens, bounds in cases:
+        y = _assert_order_weights(gens, bounds)
+        if len(gens) == 2:  # the mediant of two fractions of the box
+            assert y[0] <= 2 * bounds[1] + 1 and y[1] <= 2 * bounds[0] + 1
+        if len(gens) == 3 and gens[0] > gens[1] * bounds[1] + gens[2] * bounds[2]:
+            dominant += 1
+    assert dominant >= 20

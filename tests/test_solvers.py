@@ -266,24 +266,24 @@ def test_steiner_two_terminals_is_shortest_path():
         kind="steiner", n=4, terminals=(0, 3),
         edges=((0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 3, 100)),
     )
-    _, enc = identity_enc(inst)
-    assert as_dict(steiner_algebraic(inst, enc)) == {9: 1}
+    egap, enc = identity_enc(inst)
+    assert as_dict(steiner_algebraic(inst, enc, egap)) == {9: 1}
 
 
 def test_steiner_star_graph():
     edges = tuple((0, v, v * 10) for v in range(1, 5))
     inst = ProblemInstance(kind="steiner", n=5, terminals=(1, 2, 3, 4), edges=edges)
     egap, enc = identity_enc(inst)
-    [(e, c)] = as_dict(steiner_algebraic(inst, enc)).items()
+    [(e, c)] = as_dict(steiner_algebraic(inst, enc, egap)).items()
     assert true_value(egap, e) == 10 + 20 + 30 + 40 and c == 1
 
 
 def test_steiner_disconnected():
     inst = ProblemInstance(kind="steiner", n=4, terminals=(0, 3),
                            edges=((0, 1, 1), (2, 3, 1)))
-    _, enc = identity_enc(inst)
+    egap, enc = identity_enc(inst)
     with pytest.raises(Disconnected):
-        steiner_algebraic(inst, enc)
+        steiner_algebraic(inst, enc, egap)
 
 
 def test_steiner_matches_bruteforce_random():
@@ -297,13 +297,40 @@ def test_steiner_matches_bruteforce_random():
             ref = steiner_bf(inst)
         except Disconnected:
             with pytest.raises(Disconnected):
-                steiner_algebraic(inst, enc)
+                steiner_algebraic(inst, enc, egap)
             continue
-        terms = steiner_algebraic(inst, enc)
+        terms = steiner_algebraic(inst, enc, egap)
         _, value, count = select_optimum(terms, egap, "min")
         assert (value, count) == (ref.optimum, 1)
         checked += 1
     assert checked >= 10
+
+
+def spy_limbs(monkeypatch):
+    """A list that records the limb count of every later `solvers._limb_add` call."""
+    limbs = []
+    limb_add = solvers._limb_add
+    monkeypatch.setattr(solvers, "_limb_add",
+                        lambda a, b: limbs.append(len(a)) or limb_add(a, b))
+    return limbs
+
+
+def test_steiner_benchmark_shapes_run_on_one_limb(monkeypatch):
+    # steiner50t7's shape on G and on the 2^63-scale H: the order weights
+    # keep every key below 2^61, so the DP never adds more than one limb
+    limbs = spy_limbs(monkeypatch)
+    for gap in (Gap((10**12, 7), (1, 30)), Gap((2**63 + 29, 2**61 + 3), (3, 12))):
+        inst = generate_instance("steiner", 50, gap, seed=1, density=0.2, n_terminals=7)
+        limbs.clear()
+        run_meta(inst)
+        assert limbs and set(limbs) == {1}, gap
+    # a 3-dim cover whose first generator does not outweigh the rest keeps
+    # 2^63-scale order weights, and its keys need limbs
+    inst = generate_instance("steiner", 8, Gap((2**63 + 29, 2**62 + 7, 2**61 + 3), (1, 1, 1)),
+                             seed=1, density=0.5, n_terminals=4)
+    limbs.clear()
+    run_meta(inst)
+    assert min(limbs) >= 2
 
 
 def test_steiner_table_refused_before_floyd_warshall():
@@ -311,10 +338,11 @@ def test_steiner_table_refused_before_floyd_warshall():
     # keys pass 2^32 bits, and nothing of that size may be allocated first
     inst = ProblemInstance(kind="steiner", n=40, terminals=tuple(range(30)),
                            edges=tuple((v, v + 1, 1 + v % 3) for v in range(39)))
+    egap, enc = identity_enc(inst)
     tracemalloc.start()
     try:
         with pytest.raises(BoundExceeded, match="2\\^29 subsets x 40 vertices"):
-            steiner_algebraic(inst, {1: 1, 2: 2, 3: 3})
+            steiner_algebraic(inst, enc, egap)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -21,10 +21,12 @@ counts once.  Steiner keeps one optimal tree, one term of count 1, and
 min-plus returns each output index's minimum instead of terms.
 SOLVER_SPECS is the one table of the supported kinds.
 
-The cores work on exponents as machine integers: max-cut and the k-clique
-auxiliary graph on int64 numpy arrays, TSP on Held-Karp cells that are
-each one int packing a count per exponent, and min-plus on an n x 2n int32
-table of pair ranks or a float FFT grid, whichever is less work.
+The cores work on exponents as machine integers: max-cut on int64 part
+tables whose cut sums are counted in a histogram over [0, sum of enc],
+the k-clique auxiliary graph on int64 edge rows and adjacency rows packed
+64 nodes to a uint64 word, TSP on Held-Karp cells that are each one int
+packing a count per exponent, and min-plus on an n x 2n int32 table of
+pair ranks or a float FFT grid, whichever is less work.
 Sums of at most lambda encoded weights stay below EXPONENT_LIMIT = 2^62,
 checked once per call (BoundExceeded above it), so int64 never wraps.
 TSP and min-plus are dense in the exponent: their memory grows with the
@@ -62,6 +64,10 @@ _LIMB = 61
 _LIMB_MASK = (1 << _LIMB) - 1
 # the largest table any solver may build, in bits (512 MiB)
 TABLE_BITS = 2**32
+# maxcut lists 2^(n-1) cut sums: the most vertices it takes
+MAXCUT_VERTICES = 30
+# maxcut sorts its cut sums when its histogram has more bins per cut sum
+_SORT_BINS = 4
 
 
 @dataclass(frozen=True)
@@ -171,13 +177,13 @@ def _refuse_over(bits, what):
         raise BoundExceeded(f"{what} exceed 2^32 bits")
 
 
-def _check_int64(inst, enc, lam):
-    """Raise BoundExceeded unless lam * max(enc) < EXPONENT_LIMIT.
+def _check_int64(lam, top):
+    """Raise BoundExceeded unless lam * top < EXPONENT_LIMIT.
 
-    Every exponent a solver forms is a sum of at most `lam` encoded edge
-    weights, so below that limit all of its int64 arithmetic is exact.
+    `top` is the largest encoded edge weight.  Every exponent a solver
+    forms is a sum of at most `lam` encoded edge weights, so below that
+    limit all of its int64 arithmetic is exact.
     """
-    top = max((enc[w] for _, _, w in inst.edges), default=0)
     if lam * top >= EXPONENT_LIMIT:
         raise BoundExceeded(
             f"lambda {lam} times encoded weight {top} is not below 2^62")
@@ -187,13 +193,14 @@ def _int64_edges(inst, enc, lam):
     """n x n int64 (adjacency, encoded weight) matrices, after _check_int64."""
     import numpy as np
 
-    _check_int64(inst, enc, lam)
+    u, v, w = list(zip(*inst.edges)) or [(), (), ()]
+    codes = [enc[x] for x in w]
+    _check_int64(lam, max(codes, default=0))
     adj = np.zeros((inst.n, inst.n), dtype=np.int64)
     weight = np.zeros_like(adj)
-    if inst.edges:
-        u, v, w = (list(col) for col in zip(*inst.edges))
-        adj[u, v] = adj[v, u] = 1
-        weight[u, v] = weight[v, u] = [enc[x] for x in w]
+    u, v = np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
+    adj[u, v] = adj[v, u] = 1
+    weight[u, v] = weight[v, u] = np.array(codes, dtype=np.int64)
     return adj, weight
 
 
@@ -228,7 +235,7 @@ def tsp_algebraic(inst, enc):
     n = inst.n
     if n < 3 or not inst.edges:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    _check_int64(inst, enc, n)
+    _check_int64(n, max(enc[w] for _, _, w in inst.edges))
     width = -(-factorial(n - 1).bit_length() // 8)  # bytes per slot
     if width > 8:
         raise BoundExceeded(f"tour counts at n = {n} do not fit in 64 bits")
@@ -281,17 +288,33 @@ def maxcut_algebraic(inst, enc):
     marks the part's vertices on the cut side, Xc_i the rest of the part.
     With W the encoded weight matrix, X_i W Xc_j^T + Xc_i W X_j^T is the
     cut weight between parts i != j, and the row sums of (X_i W) * Xc_i are
-    part i's internal cut weights.  One broadcast adds them over all
-    compatible triples of assignments, and np.unique counts the sums, so
-    memory stays O(2^(n-1)).  Vertex 0 is pinned outside the cut side so
-    each bipartition {S, V\\S} counts exactly once.  The 2^(n-1) int64
-    cut sums are priced against TABLE_BITS before any table is built:
-    n >= 28 is refused.
+    part i's internal cut weights.  Vertex 0 is pinned outside the cut side
+    so each bipartition {S, V\\S} counts exactly once.  A broadcast adds
+    the three parts' tables into the 2^(n-1) cut sums, each of which lies
+    in [0, sum of enc].  Two ways count them:
+
+      histogram  one block of part-1 rows at a time, at most 2^22 sums, is
+                 counted by np.bincount into one int64 histogram over that
+                 range, so memory follows the range, not the cut count;
+      sort       all sums at once, counted by np.unique.
+
+    Both are priced in bits before the part tables are formed: the
+    histogram at 192 bits per bin plus its block, the sort at 144 bits per
+    cut sum plus 192 per possible distinct sum, min(2^(n-1), bins), each
+    plus the part tables.  The histogram runs when it fits TABLE_BITS and
+    has at most _SORT_BINS bins per cut sum (or the sort does not fit), so
+    wide ranges over few cuts sort; BoundExceeded names both when neither
+    fits.  On a range of about 4 * 10^5 bins n = 26 takes about 0.2 s and
+    41 MiB, and n = 30 2.5-4 s and 60 MiB: time, not memory, bounds n on a
+    small range, so n above MAXCUT_VERTICES = 30 is refused before
+    anything is allocated.
     """
     import numpy as np
 
     n = inst.n
-    _refuse_over(64 << max(n - 1, 0), f"2^{n - 1} int64 cut sums at n = {n}")
+    if n > MAXCUT_VERTICES:
+        raise BoundExceeded(f"2^{n - 1} cut sums at n = {n} pass the work cap of "
+                            f"2^{MAXCUT_VERTICES - 1} (n = {MAXCUT_VERTICES})")
     _, weight = _int64_edges(inst, enc, max(1, len(inst.edges)))
     size = -(-n // 3)
     sides = []
@@ -305,6 +328,17 @@ def maxcut_algebraic(inst, enc):
         rest[:, list(part)] = 1
         rest -= cut
         sides.append((cut, rest))
+    count0, count1, count2 = (len(cut) for cut, _ in sides)
+    cuts = count0 * count1 * count2
+    bins = int(weight.sum()) // 2 + 1
+    step = max(1, (1 << 22) // (count1 * count2))  # part-1 rows per block
+    tables = 64 * (2 * count0 * count1 + count1 * count2 + count0 * count2)
+    hist_bits = tables + 64 * min(step, count0) * count1 * count2 + 192 * bins
+    sort_bits = tables + 144 * cuts + 192 * min(cuts, bins)
+    _refuse_over(min(hist_bits, sort_bits),
+                 f"{cuts} cut sums: a histogram of {bins} bins ({hist_bits} bits)"
+                 f" and a sort ({sort_bits} bits)")
+    hist = hist_bits <= TABLE_BITS and (bins <= _SORT_BINS * cuts or sort_bits > TABLE_BITS)
 
     def between(i, j):
         (xi, ci), (xj, cj) = sides[i], sides[j]
@@ -313,9 +347,20 @@ def maxcut_algebraic(inst, enc):
     int0, int1, int2 = ((x @ weight * c).sum(axis=1) for x, c in sides)
     left = int0[:, None] + int1[None, :] + between(0, 1)   # s0 x s1
     right = int2[None, :] + between(1, 2)                   # s1 x s2
-    sums = left[:, :, None] + right[None, :, :]
-    sums += between(0, 2)[:, None, :]
-    return np.unique(sums, return_counts=True)
+    across = between(0, 2)                                  # s0 x s2
+
+    def block(r, rows):
+        sums = left[r:r + rows, :, None] + right[None, :, :]
+        sums += across[r:r + rows, None, :]
+        return sums
+
+    if not hist:
+        return np.unique(block(0, count0), return_counts=True)
+    counts = np.bincount(block(0, step).ravel(), minlength=bins)
+    for r in range(step, count0, step):
+        counts += np.bincount(block(r, step).ravel(), minlength=bins)
+    exps = np.flatnonzero(counts)
+    return exps, counts[exps]
 
 
 def build_auxiliary_graph(inst, enc, k):
@@ -326,14 +371,18 @@ def build_auxiliary_graph(inst, enc, k):
     and add both internal weights, so every H-triangle weighs exactly
     twice the underlying k-clique.  With I the N x n node-incidence
     matrix and A the adjacency of G, nodes i and j are adjacent iff
-    (I A I^T)[i, j] = (k/3)^2, one float64 product whose entries are at
-    most (k/3)^2 and so exact.  Cross weights are summed from the encoded
-    weights at the adjacent pairs alone.  Returns int64 arrays (nodes,
-    internal, hedges): nodes is N x k/3, each row a node's sorted vertices,
-    rows in lexicographic order; internal[i] is node i's internal encoded
-    weight; hedges is E x 3, rows (i, j, encoded H-edge weight) with i < j,
-    in row-major order of (i, j).  The product's N^2 float64 entries are
-    priced against TABLE_BITS before it is formed: N > 8192 is refused.
+    (I A I^T)[i, j] = (k/3)^2, float64 products whose entries are at most
+    (k/3)^2 and so exact, formed one block of at most 4 MB of rows at a
+    time.  Cross weights are summed from the encoded weights at the
+    adjacent pairs alone.  Returns int64 arrays (nodes, internal, hedges):
+    nodes is N x k/3, each row a node's sorted vertices, rows in
+    lexicographic order; internal[i] is node i's internal encoded weight;
+    hedges is E x 3, rows (i, j, encoded H-edge weight) with i < j, in
+    row-major order of (i, j), filled a block of edges at a time.  H is
+    priced at 64 bits per N^2 against TABLE_BITS before any product is
+    formed (N > 8192 is refused), the price `ewclique_algebraic` is held
+    to; this function peaks at about 32 bytes per H-edge, the edges as
+    i * N + j and the hedges, plus its 4 MB blocks.
     """
     import numpy as np
 
@@ -344,18 +393,54 @@ def build_auxiliary_graph(inst, enc, k):
     combos = np.array(list(combinations(range(inst.n), kk)), dtype=np.int64).reshape(-1, kk)
     a, b = np.triu_indices(kk, 1)  # the vertex pairs inside a node
     combos = combos[adj_m[combos[:, a], combos[:, b]].all(axis=1)]
-    _refuse_over(64 * len(combos) ** 2,
-                 f"{len(combos)} x {len(combos)} float64 node products")
+    size = len(combos)
+    _refuse_over(64 * size**2, f"{size} x {size} float64 node products")
     own = weight_m[combos[:, a], combos[:, b]].sum(axis=1)
-    inc = np.zeros((len(combos), inst.n))
-    inc[np.repeat(np.arange(len(combos)), kk), combos.ravel()] = 1
-    linked = inc @ adj_m.astype(float) @ inc.T == kk * kk
-    i, j = np.nonzero(np.triu(linked, 1))
+    inc = np.zeros((size, inst.n))
+    inc[np.repeat(np.arange(size), kk), combos.ravel()] = 1
+    reach = adj_m.astype(float) @ inc.T  # (A I^T)[v, j]: node j's vertices adjacent to v
+    # H's edges (i, j), i < j, as i * N + j, from the product's columns j >= r
+    pairs = [np.zeros(0, dtype=np.int64)]
+    rows = max(1, (1 << 19) // max(1, size))  # rows per 4 MB of product
+    for r in range(0, size, rows):
+        i, j = np.divmod(np.flatnonzero(inc[r:r + rows] @ reach[:, r:] == kk * kk), size - r)
+        pairs.append(((i + r) * size + j + r)[j > i])
+    pairs = np.concatenate(pairs)
     # (I W)[i, v] is node i's weight to vertex v; sum it over node j's vertices
     to_vertex = weight_m[:, combos].sum(axis=2).T
-    cross = to_vertex[i[:, None], combos[j]].sum(axis=1)
-    hedges = np.stack([i, j, 2 * cross + own[i] + own[j]], axis=1)
+    hedges = np.empty((len(pairs), 3), dtype=np.int64)
+    step = 1 << 13
+    for s in range(0, len(pairs), step):
+        i, j = np.divmod(pairs[s:s + step], size)
+        cross = np.take(to_vertex, (i * inst.n)[:, None] + combos[j]).sum(axis=1)
+        hedges[s:s + step] = np.stack([i, j, 2 * cross + own[i] + own[j]], axis=1)
     return combos, own, hedges
+
+
+def _bit_rows(size, *pairs):
+    """size x ceil(size/64) uint64 words with bit c of row r set for each
+    (r, c) of the given (rows, cols) index arrays.
+
+    Columns are packed in little bit order within bytes, so the bits of a
+    word's uint8 view, unpacked in little bit order, are its 64 columns.
+    """
+    import numpy as np
+
+    flags = np.zeros((size, 64 * -(-size // 64)), dtype=bool)
+    for rows, cols in pairs:
+        flags[rows, cols] = True
+    return np.packbits(flags, axis=1, bitorder="little").view(np.uint64)
+
+
+def _add_terms(blocks):
+    """One pair (ascending distinct sums, counts) of int64 arrays from a
+    list of such pairs: the counts of equal sums add."""
+    import numpy as np
+
+    sums, where = np.unique(np.concatenate([s for s, _ in blocks]), return_inverse=True)
+    counts = np.zeros(len(sums), dtype=np.int64)
+    np.add.at(counts, where, np.concatenate([c for _, c in blocks]))
+    return sums, counts
 
 
 def ewclique_algebraic(inst, enc, k):
@@ -368,53 +453,78 @@ def ewclique_algebraic(inst, enc, k):
     counts once.  A triangle weighs twice its k-clique's encoded weight
     (additivity of the encoding), so the emitted exponent is the halved
     triangle weight.  Each triangle i < j < l is found once, from its edge
-    (i, j): the third vertices are the l > j adjacent to both, found for a
-    block of edges at once.  Two checks raise InvariantViolated: every
-    triangle weight is even, and the listed triangles times
-    C(k,k/3)*C(2k/3,k/3)/6 equal H's triangle count ((A A) * A).sum() / 6,
-    over H's symmetric 0/1 adjacency A.  A is float32, exact for entries
-    of A A up to N < 2^24; the product is taken one block of rows at a
-    time and summed in float64, exact below N = 2^17.
+    (i, j): the rows of the kept edges are packed 64 nodes to a uint64
+    word, the rows of i and j are ANDed for a block of edges at once, and
+    only the set bits of nonzero words are expanded into the third nodes
+    l.  The weights of (i, l) and (j, l) are read through an N x N int32
+    matrix of kept-edge indices.  Two checks raise InvariantViolated:
+    every triangle weight is even, and the listed triangles times
+    C(k,k/3)*C(2k/3,k/3)/6 equal H's triangle count, a third of the
+    popcounts of the ANDed rows of both ends of every H-edge in H's packed
+    full adjacency, independent of the listing.  The hedges are dropped
+    before the 4 bytes per N^2 of the index matrix are allocated, so the
+    peak is about 32 bytes per H-edge or 8 per kept edge plus 5 per N^2,
+    within the 8 bytes per N^2 `build_auxiliary_graph` prices while H has
+    at most about N^2 / 5 edges and N is above about 1000 (tracemalloc:
+    7.2-7.8 bytes per N^2 for k = 6 on G(n, 0.8), N = 1417 and 2033, which
+    have N^2 / 5.3 H-edges; 4.6 on G(80, 0.5), N = 1602).
     """
     import numpy as np
 
     nodes, _, hedges = build_auxiliary_graph(inst, enc, k)
     size = len(nodes)
     first, second, hw = hedges.T
-    adj = np.zeros((size, size), dtype=np.float32)
-    adj[first, second] = adj[second, first] = 1
-    rows = max(1, (1 << 20) // max(1, size))  # rows per 4 MB of product
-    in_h = sum(int(((adj[r:r + rows] @ adj) * adj[r:r + rows]).sum(dtype=np.float64))
-               for r in range(0, size, rows)) // 6
     kk = k // 3
     per_clique = comb(k, kk) * comb(k - kk, kk) // 6
-    # node rows are sorted: keep the edges whose first node lies wholly
-    # below the second, the consecutive thirds of each sorted clique
-    keep = nodes[first, -1] < nodes[second, 0]
-    first, second, hw = first[keep], second[keep], hw[keep]
-    # the kept edges (i, j), i < j, so a row lists the higher neighbours
-    upper = np.zeros((size, size), dtype=bool)
-    weight = np.zeros((size, size), dtype=np.int64)
-    upper[first, second] = True
-    weight[first, second] = hw
+    words = -(-size // 64)
+    step = max(1, (1 << 15) // max(1, words))  # edges per 256 KB of words
+    full = _bit_rows(size, (first, second), (second, first))
+
+    def count_and_keep(s):
+        """The popcounts of a block of edges, and the block's edges whose
+        first node lies wholly below the second (node rows are sorted):
+        the consecutive thirds of each sorted clique.  A function, so no
+        view of `hedges` outlives the loop and `del hedges` frees it."""
+        i, j = first[s:s + step], second[s:s + step]
+        both = np.take(full, i, axis=0)
+        both &= np.take(full, j, axis=0)
+        return int(np.bitwise_count(both).sum()), np.flatnonzero(nodes[i, -1] < nodes[j, 0]) + s
+
+    counted = [count_and_keep(s) for s in range(0, len(hw), step)]
+    in_h = sum(c for c, _ in counted) // 3
+    kept = np.concatenate([hw[:0]] + [keep for _, keep in counted])
+    first, second, hw = first[kept], second[kept], hw[kept]
+    del full, hedges, kept, counted
+    # the kept edges (i, j), i < j, so a row holds the higher neighbours
+    upper = _bit_rows(size, (first, second))
+    index = np.zeros(size * size, dtype=np.int32)
+    index[first * size + second] = np.arange(len(hw), dtype=np.int32)
     # each block of edges lists its triangles and counts their weights, so
-    # memory follows the block, not the triangle count
-    block_sums = [np.zeros(0, dtype=np.int64)]
-    block_counts = [np.zeros(0, dtype=np.int64)]
-    step = max(1, (1 << 20) // max(1, size))  # edges per 1 MB of flags
+    # memory follows the block (at most 64 triangles per nonzero word),
+    # not the triangle count
+    blocks = [(hw[:0], hw[:0])]
     for s in range(0, len(hw), step):
         i, j = first[s:s + step], second[s:s + step]
-        e, l = np.nonzero(upper[i] & upper[j])
-        total = hw[s:s + step][e] + weight[i[e], l] + weight[j[e], l]
+        both = np.take(upper, i, axis=0)
+        both &= np.take(upper, j, axis=0)
+        # the nonzero words, then the set bits of each: the third nodes l
+        hit = np.flatnonzero(both)
+        bits = np.unpackbits(both.ravel()[hit].view(np.uint8), bitorder="little")
+        pos = np.flatnonzero(bits.view(bool))
+        # per nonzero word: its edge's weight and where (i, l) and (j, l)
+        # of its first column l lie in the index matrix
+        e, col = np.divmod(hit, words)
+        at_i, at_j = i[e] * size + 64 * col, j[e] * size + 64 * col
+        word, bit = pos >> 6, pos & 63
+        total = (hw[s + e][word] + np.take(hw, np.take(index, at_i[word] + bit))
+                 + np.take(hw, np.take(index, at_j[word] + bit)))
         odd = np.flatnonzero(total & 1)
         if odd.size:
             raise InvariantViolated(f"triangle weight {total[odd[0]]} is odd")
-        sums, counts = np.unique(total, return_counts=True)
-        block_sums.append(sums)
-        block_counts.append(counts)
-    sums, where = np.unique(np.concatenate(block_sums), return_inverse=True)
-    counts = np.zeros(len(sums), dtype=np.int64)
-    np.add.at(counts, where, np.concatenate(block_counts))
+        blocks.append(np.unique(total, return_counts=True))
+        if len(blocks) > 16:  # the blocks repeat sums: bound what is kept
+            blocks = [_add_terms(blocks)]
+    sums, counts = _add_terms(blocks)
     listed = int(counts.sum())
     if listed * per_clique != in_h:
         raise InvariantViolated(

@@ -510,16 +510,26 @@ def test_tsp_without_vertices_is_infeasible(tmp_path, capsys):
 
 
 def test_maxcut_too_many_vertices_exit_2(tmp_path, capsys):
-    # 2^33 int64 cut sums would take 64 GiB: refused before any allocation
+    # n = 30 lists 2^29 cut sums in about 4 s; n = 31 and above pass the
+    # work cap and are refused before anything is allocated
+    import tracemalloc
+
     from gapsolve import ProblemInstance, maxcut_algebraic
 
-    with pytest.raises(errors.BoundExceeded, match="n = 28 exceed 2\\^32 bits"):
-        maxcut_algebraic(ProblemInstance(kind="maxcut", n=28), {})
+    tracemalloc.start()
+    try:
+        with pytest.raises(errors.BoundExceeded,
+                           match="n = 31 pass the work cap of 2\\^29 \\(n = 30\\)$"):
+            maxcut_algebraic(ProblemInstance(kind="maxcut", n=31), {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
     path = tmp_path / "big.txt"
     path.write_text("problem\nkind maxcut\nn 34\nedges\n0 33 5\n")
     code, out, err = run(["solve", str(path)], capsys)
     assert (code, out) == (2, "") and "Traceback" not in err
-    assert err == "error: 2^33 int64 cut sums at n = 34 exceed 2^32 bits\n"
+    assert err == "error: 2^33 cut sums at n = 34 pass the work cap of 2^29 (n = 30)\n"
 
 
 def test_solve_tsp_wide_spread_exit_2(tmp_path, capsys):

@@ -3,9 +3,14 @@
 The ref_* functions are the dict-loop Held-Karp, split-and-list max-cut,
 auxiliary graph and triangle loop, the per-term optimum selection, and the
 Dreyfus-Wagner DP over (true value, encoding) tuples with its Dijkstra,
-kept here verbatim (renamed) as references.  Every instance is seeded, and
-the solvers must return the same terms as the {exponent: count} dicts of
-the references and pick the same optimum under both senses, on covers of
+kept here verbatim (renamed) as references.  The _numpy_* functions are
+the numpy max-cut, auxiliary graph and k-clique kernels that ran before
+the cut-sum histogram and the bit-packed triangle listing, kept verbatim
+(renamed) too: max-cut sorted all 2^(n-1) cut sums at once, and the
+triangles came from one byte per H-node per edge.  Every instance is
+seeded, and the solvers must return the same terms as the {exponent:
+count} dicts of the references and pick the same optimum under both
+senses, on covers of
 ordinary size, with 2^63-scale, 2^200-scale and 2^1100-scale generators
 (beyond float64), with a 2^63 translation, in three dimensions (also with
 2^63- and 2^200-scale generators none of which outweighs the rest, where
@@ -45,6 +50,8 @@ from gapsolve.errors import (
     KNotDivisibleBy3,
 )
 from gapsolve.oracle import steiner_bf
+import gapsolve.solvers as solvers
+from gapsolve.solvers import _int64_edges, _refuse_over
 from test_solvers import as_dict, spy_limbs
 
 
@@ -245,6 +252,156 @@ def ref_ewclique_algebraic(inst, enc, k):
     return terms
 
 
+def _numpy_maxcut(inst, enc):
+    """Split-and-list over a 3-way vertex partition, on int64 tables.
+
+    Vertices split into V1, V2, V3 of size <= ceil(n/3).  Part i's
+    assignments are the rows of two 0/1 matrices over all n vertices: X_i
+    marks the part's vertices on the cut side, Xc_i the rest of the part.
+    With W the encoded weight matrix, X_i W Xc_j^T + Xc_i W X_j^T is the
+    cut weight between parts i != j, and the row sums of (X_i W) * Xc_i are
+    part i's internal cut weights.  One broadcast adds them over all
+    compatible triples of assignments, and np.unique counts the sums, so
+    memory stays O(2^(n-1)).  Vertex 0 is pinned outside the cut side so
+    each bipartition {S, V\\S} counts exactly once.  The 2^(n-1) int64
+    cut sums are priced against TABLE_BITS before any table is built:
+    n >= 28 is refused.
+    """
+    import numpy as np
+
+    n = inst.n
+    _refuse_over(64 << max(n - 1, 0), f"2^{n - 1} int64 cut sums at n = {n}")
+    _, weight = _int64_edges(inst, enc, max(1, len(inst.edges)))
+    size = -(-n // 3)
+    sides = []
+    for part in (range(0, min(size, n)), range(size, min(2 * size, n)),
+                 range(2 * size, n)):
+        free = [v for v in part if v != 0]
+        rows = np.arange(1 << len(free))[:, None]
+        cut = np.zeros((len(rows), n), dtype=np.int64)
+        cut[:, free] = rows >> np.arange(len(free)) & 1
+        rest = np.zeros_like(cut)
+        rest[:, list(part)] = 1
+        rest -= cut
+        sides.append((cut, rest))
+
+    def between(i, j):
+        (xi, ci), (xj, cj) = sides[i], sides[j]
+        return xi @ weight @ cj.T + ci @ weight @ xj.T
+
+    int0, int1, int2 = ((x @ weight * c).sum(axis=1) for x, c in sides)
+    left = int0[:, None] + int1[None, :] + between(0, 1)   # s0 x s1
+    right = int2[None, :] + between(1, 2)                   # s1 x s2
+    sums = left[:, :, None] + right[None, :, :]
+    sums += between(0, 2)[:, None, :]
+    return np.unique(sums, return_counts=True)
+
+
+def _numpy_auxiliary_graph(inst, enc, k):
+    """Auxiliary graph H for edge-weighted k-clique, k divisible by 3.
+
+    Nodes are the (k/3)-cliques of G; two nodes are adjacent iff their
+    union induces a (2k/3)-clique.  Edge weights double the cross weight
+    and add both internal weights, so every H-triangle weighs exactly
+    twice the underlying k-clique.  With I the N x n node-incidence
+    matrix and A the adjacency of G, nodes i and j are adjacent iff
+    (I A I^T)[i, j] = (k/3)^2, one float64 product whose entries are at
+    most (k/3)^2 and so exact.  Cross weights are summed from the encoded
+    weights at the adjacent pairs alone.  Returns int64 arrays (nodes,
+    internal, hedges): nodes is N x k/3, each row a node's sorted vertices,
+    rows in lexicographic order; internal[i] is node i's internal encoded
+    weight; hedges is E x 3, rows (i, j, encoded H-edge weight) with i < j,
+    in row-major order of (i, j).  The product's N^2 float64 entries are
+    priced against TABLE_BITS before it is formed: N > 8192 is refused.
+    """
+    import numpy as np
+
+    if k % 3 or k < 3:
+        raise KNotDivisibleBy3(f"k = {k}")
+    kk = k // 3
+    adj_m, weight_m = _int64_edges(inst, enc, k * (k - 1))
+    combos = np.array(list(combinations(range(inst.n), kk)), dtype=np.int64).reshape(-1, kk)
+    a, b = np.triu_indices(kk, 1)  # the vertex pairs inside a node
+    combos = combos[adj_m[combos[:, a], combos[:, b]].all(axis=1)]
+    _refuse_over(64 * len(combos) ** 2,
+                 f"{len(combos)} x {len(combos)} float64 node products")
+    own = weight_m[combos[:, a], combos[:, b]].sum(axis=1)
+    inc = np.zeros((len(combos), inst.n))
+    inc[np.repeat(np.arange(len(combos)), kk), combos.ravel()] = 1
+    linked = inc @ adj_m.astype(float) @ inc.T == kk * kk
+    i, j = np.nonzero(np.triu(linked, 1))
+    # (I W)[i, v] is node i's weight to vertex v; sum it over node j's vertices
+    to_vertex = weight_m[:, combos].sum(axis=2).T
+    cross = to_vertex[i[:, None], combos[j]].sum(axis=1)
+    hedges = np.stack([i, j, 2 * cross + own[i] + own[j]], axis=1)
+    return combos, own, hedges
+
+
+def _numpy_ewclique(inst, enc, k):
+    """Maximum-weight k-clique via the triangles of the auxiliary graph H.
+
+    A k-clique is a triangle of H once per way to split it into three
+    (k/3)-cliques, C(k,k/3)*C(2k/3,k/3)/6 ways in all.  Only the split into
+    consecutive thirds of the sorted clique is listed: the triangles of the
+    H-edges (i, j) with max(nodes[i]) < min(nodes[j]), so each k-clique
+    counts once.  A triangle weighs twice its k-clique's encoded weight
+    (additivity of the encoding), so the emitted exponent is the halved
+    triangle weight.  Each triangle i < j < l is found once, from its edge
+    (i, j): the third vertices are the l > j adjacent to both, found for a
+    block of edges at once.  Two checks raise InvariantViolated: every
+    triangle weight is even, and the listed triangles times
+    C(k,k/3)*C(2k/3,k/3)/6 equal H's triangle count ((A A) * A).sum() / 6,
+    over H's symmetric 0/1 adjacency A.  A is float32, exact for entries
+    of A A up to N < 2^24; the product is taken one block of rows at a
+    time and summed in float64, exact below N = 2^17.
+    """
+    import numpy as np
+
+    nodes, _, hedges = _numpy_auxiliary_graph(inst, enc, k)
+    size = len(nodes)
+    first, second, hw = hedges.T
+    adj = np.zeros((size, size), dtype=np.float32)
+    adj[first, second] = adj[second, first] = 1
+    rows = max(1, (1 << 20) // max(1, size))  # rows per 4 MB of product
+    in_h = sum(int(((adj[r:r + rows] @ adj) * adj[r:r + rows]).sum(dtype=np.float64))
+               for r in range(0, size, rows)) // 6
+    kk = k // 3
+    per_clique = comb(k, kk) * comb(k - kk, kk) // 6
+    # node rows are sorted: keep the edges whose first node lies wholly
+    # below the second, the consecutive thirds of each sorted clique
+    keep = nodes[first, -1] < nodes[second, 0]
+    first, second, hw = first[keep], second[keep], hw[keep]
+    # the kept edges (i, j), i < j, so a row lists the higher neighbours
+    upper = np.zeros((size, size), dtype=bool)
+    weight = np.zeros((size, size), dtype=np.int64)
+    upper[first, second] = True
+    weight[first, second] = hw
+    # each block of edges lists its triangles and counts their weights, so
+    # memory follows the block, not the triangle count
+    block_sums = [np.zeros(0, dtype=np.int64)]
+    block_counts = [np.zeros(0, dtype=np.int64)]
+    step = max(1, (1 << 20) // max(1, size))  # edges per 1 MB of flags
+    for s in range(0, len(hw), step):
+        i, j = first[s:s + step], second[s:s + step]
+        e, l = np.nonzero(upper[i] & upper[j])
+        total = hw[s:s + step][e] + weight[i[e], l] + weight[j[e], l]
+        odd = np.flatnonzero(total & 1)
+        if odd.size:
+            raise InvariantViolated(f"triangle weight {total[odd[0]]} is odd")
+        sums, counts = np.unique(total, return_counts=True)
+        block_sums.append(sums)
+        block_counts.append(counts)
+    sums, where = np.unique(np.concatenate(block_sums), return_inverse=True)
+    counts = np.zeros(len(sums), dtype=np.int64)
+    np.add.at(counts, where, np.concatenate(block_counts))
+    listed = int(counts.sum())
+    if listed * per_clique != in_h:
+        raise InvariantViolated(
+            f"{listed} k-cliques listed, but H has {in_h} triangles, "
+            f"not {per_clique} per clique")
+    return sums // 2, counts
+
+
 def ref_select_optimum(terms, g, sense):
     """(exponent, true value, count) of the optimal term of `terms`.
 
@@ -417,6 +574,7 @@ def maxcut_cases(family):
     yield graph("maxcut", family, 7, 0.6, 1)
     yield graph("maxcut", family, 11, 0.5, 2)
     yield graph("maxcut", family, 6, 1.0, 3, edges=[])
+    yield graph("maxcut", family, 13, 0.4, 4)
 
 
 def ewclique_cases(family):
@@ -429,6 +587,10 @@ def ewclique_cases(family):
     yield graph("ewclique", family, 11, 0.95, 12, k=9)  # 4 to 19 overlapping cliques
     yield graph("ewclique", family, 6, 1.0, 4, k=6, edges=path_edges(6))  # no clique
     yield graph("ewclique", family, 5, 1.0, 5, k=3, edges=[])
+    yield graph("ewclique", family, 5, 1.0, 6, k=6, edges=[])  # H has no nodes
+    # H-rows of several uint64 words: N = 70 and, as in the benchmark, N near 140
+    yield graph("ewclique", family, 70, 0.3, 7, k=3)
+    yield graph("ewclique", family, 18, 0.9, 8, k=6)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -440,12 +602,63 @@ def test_tsp_matches_loop_reference(family):
         assert_same_optimum(terms, egap)
 
 
+def assert_same_arrays(terms, expected):
+    assert [a.tolist() for a in terms] == [a.tolist() for a in expected]
+    assert [a.dtype for a in terms] == [a.dtype for a in expected]
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_maxcut_matches_loop_reference(family):
+def test_maxcut_matches_loop_reference(family, monkeypatch):
+    # every case on both cores: the histogram wherever it fits, then the sort
     for inst in maxcut_cases(family):
         egap, enc = encoded(inst)
-        terms = maxcut_algebraic(inst, enc)
-        assert as_dict(terms) == ref_maxcut_algebraic(inst, enc), inst
+        expected = _numpy_maxcut(inst, enc)
+        for sort_bins in (2**70, 0):
+            monkeypatch.setattr(solvers, "_SORT_BINS", sort_bins)
+            terms = maxcut_algebraic(inst, enc)
+            assert as_dict(terms) == ref_maxcut_algebraic(inst, enc), inst
+            assert_same_arrays(terms, expected)
+            assert_same_optimum(terms, egap)
+
+
+def maxcut_with_cores(inst, enc):
+    """maxcut_algebraic's terms and the counting calls it made: "histogram"
+    for each np.bincount block, "sort" for np.unique."""
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name, attr in (("histogram", "bincount"), ("sort", "unique")):
+            def spy(*args, _name=name, _real=getattr(np, attr), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            patch.setattr(np, attr, spy)
+        return maxcut_algebraic(inst, enc), calls
+
+
+def test_maxcut_wide_cover_sorts_and_matches_loop_reference():
+    # d=1 x=1 L=10^6: |G'| is about m * 10^6, thousands of bins per cut sum
+    cover = Gap((1,), (10**6,))
+    for n, density in ((6, 1.0), (10, 0.5), (14, 0.6)):
+        rng = random.Random(f"wide-{n}")
+        inst = ProblemInstance(kind="maxcut", n=n, gap=cover, edges=tuple(
+            (u, v, rng.randint(0, 10**6)) for u, v in combinations(range(n), 2)
+            if rng.random() < density))
+        egap, enc = encoded(inst)
+        terms, cores = maxcut_with_cores(inst, enc)
+        assert cores == ["sort"]
+        assert as_dict(terms) == ref_maxcut_algebraic(inst, enc)
+        assert_same_arrays(terms, _numpy_maxcut(inst, enc))
+        assert_same_optimum(terms, egap)
+
+
+def test_maxcut_histogram_blocks_match_numpy_kernel():
+    # n = 24: 2^7 part-1 rows against 2^8 x 2^8 assignments of parts 2 and
+    # 3, so the 2^22-sum blocks take 64 rows each, in two blocks
+    for family in ("G", "H"):
+        inst = graph("maxcut", family, 24, 0.3, 5)
+        egap, enc = encoded(inst)
+        terms, cores = maxcut_with_cores(inst, enc)
+        assert cores == ["histogram", "histogram"]
+        assert_same_arrays(terms, _numpy_maxcut(inst, enc))
         assert_same_optimum(terms, egap)
 
 
@@ -463,7 +676,22 @@ def test_ewclique_matches_loop_reference(family):
         assert hedges.tolist() == [[i, j, w] for (i, j), w in ref_hedges.items()], inst
         terms = ewclique_algebraic(inst, enc, inst.k)
         assert as_dict(terms) == ref_ewclique_algebraic(inst, enc, inst.k), inst
+        assert_same_arrays(terms, _numpy_ewclique(inst, enc, inst.k))
         assert_same_optimum(terms, egap)
+
+
+@pytest.mark.parametrize("family", ["G", "H", "3dim"])
+def test_ewclique_edge_blocks_match_numpy_kernel(family):
+    # k = 6 on 30 vertices: N = 391 nodes, 7 words per H-row, so a block
+    # holds 4681 edges, and H has more kept edges than that
+    inst = graph("ewclique", family, 30, 0.9, 9, k=6)
+    egap, enc = encoded(inst)
+    nodes, _, hedges = build_auxiliary_graph(inst, enc, 6)
+    kept = (nodes[hedges[:, 0], -1] < nodes[hedges[:, 1], 0]).sum()
+    assert kept > 2 * ((1 << 15) // -(-len(nodes) // 64))
+    terms = ewclique_algebraic(inst, enc, 6)
+    assert_same_arrays(terms, _numpy_ewclique(inst, enc, 6))
+    assert_same_optimum(terms, egap)
 
 
 def steiner_case(family, n, density, seed, terminals, edges=None, zero=False):

@@ -510,6 +510,58 @@ def test_ewclique_auxiliary_matrix_refused_before_product():
     assert peak < 16 * 2**20
 
 
+def encoded_instance(kind, n, gap, **kw):
+    """generate_instance at seed 1 with its weights encoded over the
+    lambda-enlarged `gap`."""
+    inst = generate_instance(kind, n, gap, seed=1, **kw)
+    egap = enlarge(gap, SOLVER_SPECS[kind].lambda_bound(inst))
+    return inst, {w: kappa(egap, c) for w, c in
+                  zip(inst.weights, get_gap_coordinates(inst.weights, gap))}
+
+
+def traced_peak(call):
+    """call()'s result and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ewclique_peak_within_price():
+    # k = 6 on G(80, 0.5): N = 1602 nodes, priced at 64 bits per N^2 by
+    # build_auxiliary_graph; the tables peak at about 4.6 bytes per N^2
+    inst, enc = encoded_instance("ewclique", 80, Gap((10**12, 7), (1, 30)),
+                                 density=0.5, k=6)
+    ewclique_algebraic(*encoded_instance("ewclique", 8, Gap((3,), (9,)), k=3), 3)
+    size = len(build_auxiliary_graph(inst, enc, 6)[0])
+    assert 1500 <= size <= 1700
+    _, peak = traced_peak(lambda: ewclique_algebraic(inst, enc, 6))
+    price = 8 * size**2
+    assert price / 3 <= peak <= price, peak / size**2
+
+
+@pytest.mark.parametrize("cover, n, core", [
+    (Gap((10**12, 7), (1, 30)), 22, "histogram"),  # 1 bin per 10 cut sums
+    (Gap((1,), (10**6,)), 20, "sort"),              # 87 bins per cut sum
+], ids=["histogram", "sort"])
+def test_maxcut_peak_within_price(monkeypatch, cover, n, core):
+    # the price maxcut checks against TABLE_BITS is at least the
+    # tracemalloc peak of the core that runs, and less than twice it
+    inst, enc = encoded_instance("maxcut", n, cover, density=0.5)
+    maxcut_algebraic(*encoded_instance("maxcut", 6, cover))
+    priced = []
+    refuse = solvers._refuse_over
+    monkeypatch.setattr(solvers, "_refuse_over",
+                        lambda bits, what: (priced.append((bits, what)), refuse(bits, what)))
+    terms, peak = traced_peak(lambda: maxcut_algebraic(inst, enc))
+    [(bits, what)] = priced
+    assert sum(as_dict(terms).values()) == 2 ** (n - 1)
+    assert f"({bits} bits)" in what.split(" and ")[core == "sort"]
+    assert bits / 16 <= peak <= bits / 8, peak * 8 / bits
+
+
 @pytest.mark.parametrize("kind", sorted(SOLVER_SPECS))
 def test_every_kind_refuses_through_the_table_budget(monkeypatch, kind):
     # with no table budget at all, every solver refuses its first table

@@ -24,8 +24,8 @@ SOLVER_SPECS is the one table of the supported kinds.
 The cores work on exponents as machine integers: max-cut on int64 part
 tables whose cut sums are counted in a histogram over [0, sum of enc],
 the k-clique auxiliary graph on int64 edge rows and adjacency rows packed
-64 nodes to a uint64 word, TSP on Held-Karp cells that are each one int
-packing a count per exponent, and min-plus on an n x 2n int32 table of
+64 nodes to a uint64 word, TSP on Held-Karp levels of numpy rows holding
+a path count per exponent, and min-plus on an n x 2n int32 table of
 pair ranks or a float FFT grid, whichever is less work.
 Sums of at most lambda encoded weights stay below EXPONENT_LIMIT = 2^62,
 checked once per call (BoundExceeded above it), so int64 never wraps.
@@ -68,6 +68,10 @@ TABLE_BITS = 2**32
 MAXCUT_VERTICES = 30
 # maxcut sorts its cut sums when its histogram has more bins per cut sum
 _SORT_BINS = 4
+# tsp's Held-Karp levels on Python ints; the later ones are numpy rows,
+# moved a block of at most _TSP_BLOCK slots at a time
+_INT_LEVELS = 3
+_TSP_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -205,79 +209,162 @@ def _int64_edges(inst, enc, lam):
 
 
 def tsp_algebraic(inst, enc):
-    """Held-Karp subset DP whose cells are packed generating functions.
+    """Held-Karp subset DP whose cells are dense generating functions.
 
-    dp[mask][v] stands for the simple paths from vertex 0 to v visiting
-    exactly the vertices in mask, as one int: slot t, S bits wide, holds
-    the number of those paths of shifted weight t.  Adding an edge shifts a
-    cell by whole slots, and merging two cells adds them.  Every tour has n
-    edges, so each edge weight is lowered by w_min, the smallest encoded
-    edge weight, and n * w_min is added back at the end; the packed ints
-    then span the spread of the weights, not their size.  S is
-    bitlen((n-1)!) rounded up to whole bytes: a slot counts distinct paths
-    or directed cycles, and no slot holds more than (n-1)!, the number of
-    directed Hamiltonian cycles through vertex 0, so a sum never carries
-    into the next slot.  Closing every path with the edge back to 0 counts
-    each undirected tour twice (once per orientation, same weight), so
-    final counts are halved.  Returns two empty arrays when no Hamiltonian
-    cycle exists.
+    The cell of (mask, v) stands for the simple paths from vertex 0 to v
+    visiting exactly the vertices in mask, as one slot per shifted path
+    weight t holding the number of those paths of weight t.  Taking an
+    edge moves a cell by whole slots, and merging two cells adds them.
+    Every tour has n edges, so each edge weight is lowered by w_min, the
+    smallest encoded edge weight, and n * w_min is added back at the end;
+    the cells then span the spread of the weights, not their size.  Cells
+    are built a level at a time, the level being the size of the mask.  A
+    slot of level s counts at most (s-2)! paths, the orders of the s-2
+    vertices between 0 and v, so a sum never carries into the next slot:
+
+      levels 2 .. _INT_LEVELS   one Python int per cell, a byte per slot,
+                                pushed along every edge, as in the
+                                all-int DP this replaced;
+      later levels              numpy rows, one per cell, of the smallest
+                                unsigned dtype holding (s-2)!: uint8 up to
+                                level 7, uint16 up to 10, uint32 up to 14.
+
+    The last int level becomes one uint8 matrix through one bytes join.  A
+    row of level s + 1 is the sum of the rows of its mask without its end
+    vertex u, each moved by its edge to u; one fancy add through a strided
+    window of the new rows adds the r-th such predecessor to every row at
+    once, a block of at most _TSP_BLOCK slots at a time.  Level n is never
+    formed: the one level n - 1 mask missing u goes on to u and back to 0,
+    into a total whose dtype holds (n-1)!, the directed Hamiltonian cycles
+    through vertex 0.  Each undirected tour is one of two such cycles of
+    the same weight, so counts are halved, and only the occupied slots of
+    the total are read.  Returns two empty arrays when no Hamiltonian
+    cycle exists; refuses n > 21, whose counts do not fit 64 bits.
 
     A cell takes up to ((n-1) * spread + 1) slots, where spread is the
     largest encoded edge weight minus w_min, so memory grows with the
     spread, not with the number of distinct path weights.  2^(n-1) widest
-    cells are priced against TABLE_BITS before any cell is built (complete
-    graphs peaked at a quarter to a third of that price).  The decode
-    widens only the occupied slots of the total to 64 bits: beyond a byte
-    copy of the total it needs one byte per slot and 16 per occupied slot.
+    cells of bitlen((n-1)!) bits a slot, rounded up to whole bytes, are
+    priced against TABLE_BITS before any cell is built.  The numpy levels
+    share one allocation, level s in one of two parts by the parity of s,
+    with a block's source rows in a third, so a call allocates its rows
+    once and the allocator keeps their pages for the next call.  Complete
+    graphs peak at 0.5-0.8 of the price at n = 10..13 (tracemalloc), and
+    the two widest levels alone reach about 0.9 of it at n = 17..18 and
+    1.0 at n = 19..21.  At n < 10 or a spread of a few slots, fixed index
+    and block temporaries of up to about 2 MB pass the price.
     """
     import numpy as np
+    from numpy.lib.stride_tricks import as_strided
 
     n = inst.n
     if n < 3 or not inst.edges:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     _check_int64(n, max(enc[w] for _, _, w in inst.edges))
-    width = -(-factorial(n - 1).bit_length() // 8)  # bytes per slot
+    width = -(-factorial(n - 1).bit_length() // 8)  # bytes per slot of the price
     if width > 8:
         raise BoundExceeded(f"tour counts at n = {n} do not fit in 64 bits")
-    slot = 8 * width
     w_min = min(enc[w] for _, _, w in inst.edges)
     spread = max(enc[w] for _, _, w in inst.edges) - w_min
-    _refuse_over(((n - 1) * spread + 1) * slot << (n - 1),
+    _refuse_over(((n - 1) * spread + 1) * 8 * width << (n - 1),
                  f"Held-Karp cells for n = {n} and encoded weight spread {spread}")
-    # out[v]: (u, bit of u, bits a cell moves when it takes edge (v, u))
+    # shift[v][u]: the slots a cell moves when it takes edge (v, u), -1 without
+    # one; out[v]: (u, bit of u, bits an int cell moves along (v, u))
+    shift = [[-1] * n for _ in range(n)]
     out = [[] for _ in range(n)]
     for u, v, w in inst.edges:
-        d = (enc[w] - w_min) * slot
-        out[u].append((v, 1 << v, d))
-        out[v].append((u, 1 << u, d))
-    full = (1 << n) - 1
-    dp = {1 | bit: {v: 1 << d} for v, bit, d in out[0]}
-    for mask in range(3, full, 2):
-        row = dp.pop(mask, None)
-        if row is None:
-            continue
-        for v, cell in row.items():
-            for u, bit, d in out[v]:
-                if mask & bit:
-                    continue
-                nxt = dp.setdefault(mask | bit, {})
-                if u in nxt:
-                    nxt[u] += cell << d
-                else:
-                    nxt[u] = cell << d
-    total = 0
-    for v, cell in dp.get(full, {}).items():
-        for u, _, d in out[v]:
-            if u == 0:
-                total += cell << d
-    slots = -(-total.bit_length() // slot)
-    raw = np.frombuffer(total.to_bytes(slots * width, "little"),
-                        dtype=np.uint8).reshape(slots, width)
-    hit = np.flatnonzero(raw.max(axis=1))
-    words = np.zeros((len(hit), 8), dtype=np.uint8)
-    words[:, :width] = raw[hit]
-    counts = words.view("<u8")[:, 0] // 2  # below 2^63: (n-1)! fits 64 bits
-    return hit + n * w_min, counts.astype(np.int64)
+        d = shift[u][v] = shift[v][u] = enc[w] - w_min
+        out[u].append((v, 1 << v, 8 * d))
+        out[v].append((u, 1 << u, 8 * d))
+    last = min(_INT_LEVELS, n - 1)
+    dp = {1 | bit: {v: 1 << d} for v, bit, d in out[0]}  # level 2
+    for _ in range(2, last):
+        nxt = {}
+        for mask, row in dp.items():
+            for v, cell in row.items():
+                for u, bit, d in out[v]:
+                    if mask & bit:
+                        continue
+                    to = nxt.setdefault(mask | bit, {})
+                    if u in to:
+                        to[u] += cell << d
+                    else:
+                        to[u] = cell << d
+        dp = nxt
+    odd = np.arange(1, 1 << n, 2)
+    size = np.bitwise_count(odd)
+
+    def level(s):
+        """Level s's masks, ascending, and each one's vertices but 0, ascending."""
+        masks = odd[size == s]
+        ends = np.nonzero(masks[:, None] >> np.arange(1, n) & 1)[1] + 1
+        return masks, ends.astype(np.uint8).reshape(-1, s - 1)
+
+    # each level from `last` on as (rows, slots, dtype), rows mask-major:
+    # row i * (s - 1) + r holds the paths to the r-th vertex of the i-th mask
+    shape = {s: (comb(n - 1, s - 1) * (s - 1), (s - 1) * spread + 1,
+                 np.dtype(np.min_scalar_type(factorial(s - 2)))) for s in range(last, n)}
+    step = {s: max(1, _TSP_BLOCK // (s * (shape[s][1] + spread)))  # masks a block
+            for s in range(last, n - 1)}
+    # one allocation holds level s in part s % 2 and a block's source rows in
+    # part 2: allocating the levels one by one, the allocator handed their
+    # pages back after each call and faulted them in again on the next one
+    nbytes = [max([0] + [r * w * t.itemsize for s, (r, w, t) in shape.items() if s % 2 == h])
+              for h in (0, 1)]
+    nbytes.append(max([0] + [min(step[s] * s, shape[s + 1][0]) * shape[s][1]
+                             * shape[s][2].itemsize for s in step]))
+    start = np.cumsum([0] + [-(-b // 8) * 8 for b in nbytes]).tolist()
+    work = np.empty(start[-1], dtype=np.uint8)
+
+    def carve(part, rows, s):
+        """`rows` rows of level s's slots and dtype, in part `part` of work."""
+        _, width, dtype = shape[s]
+        return work[start[part]:start[part] + rows * width * dtype.itemsize].view(
+            dtype).reshape(rows, width)
+
+    masks, mem = level(last)
+    table = carve(last % 2, shape[last][0], last)
+    table.flat = np.frombuffer(b"".join(
+        dp.get(m, {}).get(v, 0).to_bytes(shape[last][1], "little")
+        for m, vs in zip(masks.tolist(), mem.tolist()) for v in vs), dtype=np.uint8)
+    del dp
+    sh = np.array(shift)
+    for s in range(last, n - 1):
+        later, ends = level(s + 1)
+        # row j * s + q of level s + 1 ends at u = ends[j, q]; the rows of its
+        # mask without u start at pred[j, q], and the r-th of them ends at
+        # ends[j, cols[r, q]], the r-th vertex of ends[j] other than u
+        pred = np.searchsorted(masks, later[:, None] ^ np.left_shift(1, ends, dtype=np.int64))
+        pred = (pred * (s - 1)).astype(np.int32)
+        cols = np.arange(s - 1)[:, None]
+        cols = cols + (cols >= np.arange(s))
+        new = carve((s + 1) % 2, len(later) * s, s + 1)
+        new.fill(0)
+        # win[i, d]: row i's slots d, d + 1, ..., where a predecessor moved d
+        # slots lands; a move adds one predecessor to every row of a block
+        win = as_strided(new, (len(new), spread + 1, shape[s][1]),
+                         (new.strides[0],) + 2 * new.strides[1:])
+        for b in range(0, len(later), step[s]):
+            to, at = ends[b:b + step[s]], pred[b:b + step[s]]
+            rows = np.arange(b * s, b * s + to.size).reshape(-1, s)
+            for r in range(s - 1):
+                d = sh[to[:, cols[r]], to]
+                ok = d >= 0
+                out = carve(2, int(np.count_nonzero(ok)), s)
+                win[rows[ok], d[ok]] += np.take(table, at[ok] + r, axis=0, mode="clip", out=out)
+        table, masks, mem = new, later, ends
+    # level n folds into the closing: the one level n - 1 mask that misses
+    # u goes on to u and back to 0
+    span = shape[n - 1][1]
+    total = np.zeros(n * spread + 1, dtype=np.min_scalar_type(factorial(n - 1)))
+    for i, (m, vs) in enumerate(zip(masks.tolist(), mem.tolist())):
+        u = ((1 << n) - 1 ^ m).bit_length() - 1
+        for r, v in enumerate(vs):
+            if shift[v][u] >= 0 and shift[u][0] >= 0:
+                d = shift[v][u] + shift[u][0]
+                total[d:d + span] += table[i * (n - 2) + r]
+    hit = np.flatnonzero(total)
+    return hit + n * w_min, total[hit].astype(np.int64) // 2
 
 
 def maxcut_algebraic(inst, enc):
@@ -578,11 +665,16 @@ def steiner_algebraic(inst, enc, egap):
     whole matrix in place once half the rows reach a pivot, and each DP
     step one sum and one min.  Subsets of one size are solved at once, in
     blocks that bound the (block, n, n) temporaries.  Raises Disconnected
-    when the terminals span components.  Before Floyd-Warshall the DP
-    table, limbs x 2^(t-1) subsets x n int64 keys, plus the 2^(t-1) x
-    (t-1) subset bits, is priced against TABLE_BITS (24 terminals on
-    n = 100 are refused); after the DP, BoundExceeded is raised when the
-    optimal tree's encoding reaches EXPONENT_LIMIT.
+    when the terminals span components.  Before Floyd-Warshall the peak
+    is priced against TABLE_BITS: the DP table, limbs x 2^(t-1) subsets x
+    n int64 keys, the 2^(t-1) x (t-1) subset bits, the limbs x n x n
+    distances with the temporaries of a pivot, and the largest of the
+    subset sizes' split tables with one block's sums (24 terminals on
+    n = 100 are refused).  Where that price passes 1 MB the tracemalloc
+    peak is 0.6-0.9 of it (n = 12..400, 3 to 14 terminals, one and two
+    limbs); smaller instances add about 0.3 MB of fixed overhead.  After
+    the DP, BoundExceeded is raised when the optimal tree's encoding
+    reaches EXPONENT_LIMIT.
     """
     import numpy as np
 
@@ -611,7 +703,24 @@ def steiner_algebraic(inst, enc, egap):
     inf = 2 * len(terms) * (n - 1) * max(key.values(), default=0) + 1
     count = -(-(2 * inf).bit_length() // _LIMB)
     k = len(terms) - 1
-    _refuse_over(64 * ((count * n + k) << k),
+
+    def step(splits):  # subsets per DP block: bounds its (splits + n) x n sums
+        return max(1, (1 << 17) // (n * max(n, splits)))
+
+    # limb carries and ties: two more temporaries of one limb's size
+    extra = 2 if count > 1 else 0
+
+    def level_cost(s):
+        """int64s of level s's split tables and of one block's sums: two
+        gathered halves, their sum and the gathers' indices, then the
+        re-rooting sums."""
+        splits, subsets = (1 << (s - 1)) - 1, comb(k, s)
+        block = min(subsets, step(splits))
+        return subsets * (2 * splits + s) + block * n * (
+            (3 * count + 1 + extra) * splits + (count + extra) * n)
+
+    _refuse_over(64 * (((count * n + k) << k) + (2 * count + 1 + extra) * n * n
+                       + max(map(level_cost, range(2, k + 1)), default=0)),
                  f"Dreyfus-Wagner tables of {count} limbs x 2^{k} subsets x {n} "
                  "vertices")
 
@@ -666,13 +775,14 @@ def steiner_algebraic(inst, enc, egap):
         picks = np.arange(1 << (s - 1), (1 << s) - 1)[:, None] >> np.arange(s) & 1
         firsts = members @ picks.T
         seconds = level[:, None] - firsts
-        step = max(1, (1 << 17) // (n * max(n, len(picks))))
-        for b in range(0, len(level), step):
-            part = slice(b, b + step)
+        size = step(len(picks))
+        for b in range(0, len(level), size):
+            part = slice(b, b + size)
             # merge two sub-trees at one root, then re-root along shortest paths
             merged = _limb_min(_limb_add(dp[:, firsts[part]], dp[:, seconds[part]]), 1)
             dp[:, level[part]] = _limb_min(
                 _limb_add(merged[:, :, :, None], dist[:, None]), 1)
+        del firsts, seconds  # before the next level's are formed
     best = sum(limb << _LIMB * j for j, limb in enumerate(dp[::-1, -1, root].tolist()))
     best %= radix
     if best >= EXPONENT_LIMIT:

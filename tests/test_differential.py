@@ -7,11 +7,12 @@ kept here verbatim (renamed) as references.  The _numpy_* functions are
 the numpy max-cut, auxiliary graph and k-clique kernels that ran before
 the cut-sum histogram and the bit-packed triangle listing, kept verbatim
 (renamed) too: max-cut sorted all 2^(n-1) cut sums at once, and the
-triangles came from one byte per H-node per edge.  Every instance is
-seeded, and the solvers must return the same terms as the {exponent:
-count} dicts of the references and pick the same optimum under both
-senses, on covers of
-ordinary size, with 2^63-scale, 2^200-scale and 2^1100-scale generators
+triangles came from one byte per H-node per edge.  _bigint_tsp is the
+Held-Karp that held every cell as one packed Python int, with slots of
+bitlen((n-1)!) bits at every level, kept verbatim (renamed) as well.
+Every instance is seeded, and the solvers must return the same terms as
+the {exponent: count} dicts of the references and pick the same optimum
+under both senses, on covers of ordinary size, with 2^63-scale, 2^200-scale and 2^1100-scale generators
 (beyond float64), with a 2^63 translation, in three dimensions (also with
 2^63- and 2^200-scale generators none of which outweighs the rest, where
 steiner's keys need several int64 limbs), and on the non-proper GAP
@@ -23,9 +24,10 @@ import random
 import re
 from functools import partial
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 
 import numpy as np
+import numpy.lib.stride_tricks as stride_tricks
 import pytest
 
 from gapsolve import (
@@ -44,6 +46,7 @@ from gapsolve import (
     tsp_algebraic,
 )
 from gapsolve.errors import (
+    BoundExceeded,
     Disconnected,
     InfeasibleInstance,
     InvariantViolated,
@@ -51,7 +54,7 @@ from gapsolve.errors import (
 )
 from gapsolve.oracle import steiner_bf
 import gapsolve.solvers as solvers
-from gapsolve.solvers import _int64_edges, _refuse_over
+from gapsolve.solvers import _check_int64, _int64_edges, _refuse_over
 from test_solvers import as_dict, spy_limbs
 
 
@@ -250,6 +253,82 @@ def ref_ewclique_algebraic(inst, enc, k):
                 f"{terms[e]} triangles at exponent {e} are not a multiple of {per_clique}")
         terms[e] //= per_clique
     return terms
+
+
+def _bigint_tsp(inst, enc):
+    """Held-Karp subset DP whose cells are packed generating functions.
+
+    dp[mask][v] stands for the simple paths from vertex 0 to v visiting
+    exactly the vertices in mask, as one int: slot t, S bits wide, holds
+    the number of those paths of shifted weight t.  Adding an edge shifts a
+    cell by whole slots, and merging two cells adds them.  Every tour has n
+    edges, so each edge weight is lowered by w_min, the smallest encoded
+    edge weight, and n * w_min is added back at the end; the packed ints
+    then span the spread of the weights, not their size.  S is
+    bitlen((n-1)!) rounded up to whole bytes: a slot counts distinct paths
+    or directed cycles, and no slot holds more than (n-1)!, the number of
+    directed Hamiltonian cycles through vertex 0, so a sum never carries
+    into the next slot.  Closing every path with the edge back to 0 counts
+    each undirected tour twice (once per orientation, same weight), so
+    final counts are halved.  Returns two empty arrays when no Hamiltonian
+    cycle exists.
+
+    A cell takes up to ((n-1) * spread + 1) slots, where spread is the
+    largest encoded edge weight minus w_min, so memory grows with the
+    spread, not with the number of distinct path weights.  2^(n-1) widest
+    cells are priced against TABLE_BITS before any cell is built (complete
+    graphs peaked at a quarter to a third of that price).  The decode
+    widens only the occupied slots of the total to 64 bits: beyond a byte
+    copy of the total it needs one byte per slot and 16 per occupied slot.
+    """
+    import numpy as np
+
+    n = inst.n
+    if n < 3 or not inst.edges:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    _check_int64(n, max(enc[w] for _, _, w in inst.edges))
+    width = -(-factorial(n - 1).bit_length() // 8)  # bytes per slot
+    if width > 8:
+        raise BoundExceeded(f"tour counts at n = {n} do not fit in 64 bits")
+    slot = 8 * width
+    w_min = min(enc[w] for _, _, w in inst.edges)
+    spread = max(enc[w] for _, _, w in inst.edges) - w_min
+    _refuse_over(((n - 1) * spread + 1) * slot << (n - 1),
+                 f"Held-Karp cells for n = {n} and encoded weight spread {spread}")
+    # out[v]: (u, bit of u, bits a cell moves when it takes edge (v, u))
+    out = [[] for _ in range(n)]
+    for u, v, w in inst.edges:
+        d = (enc[w] - w_min) * slot
+        out[u].append((v, 1 << v, d))
+        out[v].append((u, 1 << u, d))
+    full = (1 << n) - 1
+    dp = {1 | bit: {v: 1 << d} for v, bit, d in out[0]}
+    for mask in range(3, full, 2):
+        row = dp.pop(mask, None)
+        if row is None:
+            continue
+        for v, cell in row.items():
+            for u, bit, d in out[v]:
+                if mask & bit:
+                    continue
+                nxt = dp.setdefault(mask | bit, {})
+                if u in nxt:
+                    nxt[u] += cell << d
+                else:
+                    nxt[u] = cell << d
+    total = 0
+    for v, cell in dp.get(full, {}).items():
+        for u, _, d in out[v]:
+            if u == 0:
+                total += cell << d
+    slots = -(-total.bit_length() // slot)
+    raw = np.frombuffer(total.to_bytes(slots * width, "little"),
+                        dtype=np.uint8).reshape(slots, width)
+    hit = np.flatnonzero(raw.max(axis=1))
+    words = np.zeros((len(hit), 8), dtype=np.uint8)
+    words[:, :width] = raw[hit]
+    counts = words.view("<u8")[:, 0] // 2  # below 2^63: (n-1)! fits 64 bits
+    return hit + n * w_min, counts.astype(np.int64)
 
 
 def _numpy_maxcut(inst, enc):
@@ -605,6 +684,85 @@ def test_tsp_matches_loop_reference(family):
 def assert_same_arrays(terms, expected):
     assert [a.tolist() for a in terms] == [a.tolist() for a in expected]
     assert [a.dtype for a in terms] == [a.dtype for a in expected]
+
+
+def tsp_with_stages(inst, enc):
+    """tsp_algebraic's terms and the stages it ran: ("ints", bytes) for the
+    matrix made of the last Python-int level, ("rows", dtype) for each
+    later level of numpy rows, and ("total", dtype) for the closing total."""
+    stages = []
+    frombuffer, window, nonzero = np.frombuffer, stride_tricks.as_strided, np.flatnonzero
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "frombuffer", lambda buf, dtype: (
+            stages.append(("ints", len(buf))), frombuffer(buf, dtype=dtype))[1])
+        patch.setattr(stride_tricks, "as_strided", lambda rows, *shape: (
+            stages.append(("rows", rows.dtype)), window(rows, *shape))[1])
+        patch.setattr(np, "flatnonzero", lambda total: (
+            stages.append(("total", total.dtype)), nonzero(total))[1])
+        return tsp_algebraic(inst, enc), stages
+
+
+def assert_same_tsp(inst, enc):
+    """tsp_algebraic returns _bigint_tsp's arrays or raises its refusal;
+    the stages it ran, or None when both refuse."""
+    try:
+        expected = _bigint_tsp(inst, enc)
+    except BoundExceeded as exc:
+        with pytest.raises(BoundExceeded, match=re.escape(str(exc))):
+            tsp_algebraic(inst, enc)
+        return None
+    terms, stages = tsp_with_stages(inst, enc)
+    assert_same_arrays(terms, expected)
+    return stages
+
+
+def tsp_tail_cases(family):
+    yield from (graph("tsp", family, n, density, 6)
+                for n in range(3, 12) for density in (0.6, 0.8, 1.0))
+    yield graph("tsp", family, 10, 1.0, 7, edges=path_edges(10))  # no tour
+    yield graph("tsp", family, 10, 1.0, 8, edges=[(0, v) for v in range(1, 10)])  # a star
+    # every path dies at level 6: 0 lies in a K6, the other 4 vertices apart
+    yield graph("tsp", family, 10, 1.0, 9, edges=[
+        (u, v) for u, v in combinations(range(10), 2) if (u < 6) == (v < 6)])
+    # a K5 and a K4 joined by one edge: the paths cross it, and die at level 9
+    yield graph("tsp", family, 9, 1.0, 10, edges=[
+        (u, v) for u, v in combinations(range(9), 2) if (u < 5) == (v < 5)] + [(4, 5)])
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_tsp_matches_bigint_kernel(family):
+    # n = 3..11 at densities 0.6-1.0, and graphs whose paths die before
+    # the closing; n = 11 on 3dim's encoded spread is refused by both
+    ran = []
+    for inst in tsp_tail_cases(family):
+        egap, enc = encoded(inst)
+        stages = assert_same_tsp(inst, enc)
+        if stages is not None:
+            ran.append(inst.n)
+            assert [s for s, _ in stages] == (
+                ["ints"] + ["rows"] * max(0, inst.n - 4) + ["total"]), inst
+    assert (11 in ran) != (family == "3dim")
+
+
+@pytest.mark.parametrize("n, rows, total", [
+    (9, ["uint8"] * 4 + ["uint16"], "uint16"),
+    (10, ["uint8"] * 4 + ["uint16"] * 2, "uint32"),
+])
+def test_tsp_stages_and_dtypes(n, rows, total):
+    # levels 2-3 on Python ints, then numpy rows of the smallest unsigned
+    # dtype holding (s-2)! at level s, and a total holding (n-1)!
+    for family in ("G", "H"):
+        inst = graph("tsp", family, n, 1.0, 11)
+        egap, enc = encoded(inst)
+        stages = assert_same_tsp(inst, enc)
+        # level 3: 2 cells for each of C(n-1, 2) masks, 2 * spread + 1 bytes each
+        spread = max(enc.values()) - min(enc.values())
+        assert stages == ([("ints", 2 * comb(n - 1, 2) * (2 * spread + 1))]
+                          + [("rows", np.dtype(r)) for r in rows]
+                          + [("total", np.dtype(total))])
+        assert factorial(n - 1) <= np.iinfo(total).max
+
+
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

@@ -542,6 +542,54 @@ def test_ewclique_peak_within_price():
     assert price / 3 <= peak <= price, peak / size**2
 
 
+def priced_peak(monkeypatch, call):
+    """call()'s result, the bits its one `_refuse_over` check priced, and
+    its tracemalloc peak in bytes."""
+    priced = []
+    refuse = solvers._refuse_over
+    monkeypatch.setattr(solvers, "_refuse_over",
+                        lambda bits, what: (priced.append(bits), refuse(bits, what)))
+    result, peak = traced_peak(call)
+    [bits] = priced
+    return result, bits, peak
+
+
+@pytest.mark.parametrize("cover, n", [
+    (Gap((10**12, 7), (1, 30)), 11),  # an encoded spread of 360 slots
+    (Gap((1,), (10**4,)), 9),          # 9918 slots
+], ids=["G", "L10^4"])
+def test_tsp_peak_within_price(monkeypatch, cover, n):
+    # the 2^(n-1) widest cells priced against TABLE_BITS are at least the
+    # tracemalloc peak of two adjacent levels of rows, and within 2x of it
+    # (0.6-0.7 of the price measured)
+    inst, enc = encoded_instance("tsp", n, cover)
+    tsp_algebraic(*encoded_instance("tsp", 9, Gap((3,), (9,))))  # numpy's one-time setup
+    terms, bits, peak = priced_peak(monkeypatch, lambda: tsp_algebraic(inst, enc))
+    assert sum(as_dict(terms).values()) == factorial(n - 1) // 2
+    assert bits / 16 <= peak <= bits / 8, peak * 8 / bits
+
+
+@pytest.mark.parametrize("gap, n, density, terminals", [
+    (Gap((10**12, 7), (1, 30)), 100, 0.03, 8),
+    (Gap((10**12, 7), (1, 30)), 200, 0.015, 12),
+    (Gap((10**12, 7), (1, 30)), 20, 0.5, 14),   # split tables above the DP table
+    (Gap((10**12, 7), (1, 30)), 400, 0.006, 3),  # the n x n distances dominate
+    (Gap((2**63 + 29, 2**62 + 7, 2**61 + 3), (1, 1, 1)), 12, 0.5, 10),  # two limbs
+], ids=["n100t8", "n200t12", "n20t14", "n400t3", "limbs"])
+def test_steiner_peak_within_price(monkeypatch, gap, n, density, terminals):
+    # the DP table, the subset bits, the Floyd-Warshall distances and a DP
+    # level's split tables and block are priced together: at least the
+    # tracemalloc peak, and within 2x of it (0.6-0.9 of the price measured)
+    inst = generate_instance("steiner", n, gap, seed=1, density=density,
+                             n_terminals=terminals)
+    egap = enlarge(gap, SOLVER_SPECS["steiner"].lambda_bound(inst))
+    enc = {w: kappa(egap, c) for w, c in
+           zip(inst.weights, get_gap_coordinates(inst.weights, gap))}
+    steiner_algebraic(*encoded_instance("steiner", 8, Gap((3,), (9,))), egap)
+    _, bits, peak = priced_peak(monkeypatch, lambda: steiner_algebraic(inst, enc, egap))
+    assert bits / 16 <= peak <= bits / 8, peak * 8 / bits
+
+
 @pytest.mark.parametrize("cover, n, core", [
     (Gap((10**12, 7), (1, 30)), 22, "histogram"),  # 1 bin per 10 cut sums
     (Gap((1,), (10**6,)), 20, "sort"),              # 87 bins per cut sum

@@ -223,7 +223,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def main(argv=None):
+def _build_parser():
+    """The argparse tree.  It holds no function objects: main() dispatches
+    on the subcommand's name through the module's globals at call time, so
+    a cmd_* replaced after the build is the one that runs."""
     parser = _Parser(
         prog="gapsolve",
         description="Solve small-doubling weighted instances via GAP encoding.",
@@ -239,13 +242,11 @@ def main(argv=None):
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--terminals", type=int, default=3)
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("solve", help="solve an instance file")
     p.add_argument("path")
     _add_common_solve_flags(p)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="compare against the brute-force oracle")
     p.add_argument("path", nargs="?")
@@ -258,16 +259,24 @@ def main(argv=None):
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--terminals", type=int, default=3)
     _add_common_solve_flags(p)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("analyze", help="doubling analytics of the weight set")
     p.add_argument("path")
     _add_search_flags(p)
-    p.set_defaults(func=cmd_analyze)
+    return parser
 
-    args = parser.parse_args(argv)
+
+# built by the first main() call, not at import, and reused by every later one
+_PARSER = None
+
+
+def main(argv=None):
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (GapsolveError, OSError, UnicodeDecodeError) as exc:
         _, code, prefix = next(row for row in EXIT_CODES if isinstance(exc, row[0]))
         print(f"{prefix}: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ with a fixed seed is byte-identical.
 """
 
 import random
+import sys
 
 from .additive import Gap, gap_enumerate
 from .errors import InvalidInstance, KNotDivisibleBy3, ParseError
@@ -23,12 +24,26 @@ SECTIONS = ("problem", "edges", "sequence", "gap", "seed")
 
 
 def parse_int(tok):
-    """Integer literal, allowing 10^12-style shorthand with a non-negative exponent."""
+    """Integer literal, allowing 10^12-style shorthand with a non-negative
+    exponent.  A power with more digits than int() converts is refused
+    before it is computed, as a too-long decimal literal is."""
     if "^" in tok:
         base, exp = (int(t) for t in tok.split("^", 1))
         if exp < 0:
             raise ValueError(f"negative exponent in {tok!r}")
-        return base ** exp
+        # the most digits int() converts: 4300, its default, where the
+        # limit is missing (before Python 3.10.7) or 0 (switched off)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+        too_long = f"{tok!r} has more than {limit} digits"
+        # |base|^exp >= 2^(exp * (bits - 1)) and 16^limit > 10^limit, so
+        # past this bound the power is refused before it is computed
+        if exp * (abs(base).bit_length() - 1) > 4 * limit:
+            raise ValueError(too_long)
+        value = base ** exp
+        # 8^limit < 10^limit: only a power past 3 * limit bits can be too long
+        if value.bit_length() > 3 * limit and abs(value) >= 10 ** limit:
+            raise ValueError(too_long)
+        return value
     return int(tok)
 
 
@@ -65,17 +80,15 @@ def parse_gap_spec(spec):
 
 def parse_instance(text):
     """Parse an instance file; returns (ProblemInstance, seed-or-None)."""
-    lines = [ln.strip() for ln in text.splitlines()]
     sections = {}
     current = None
-    for ln in lines:
+    for ln in map(str.strip, text.splitlines()):
         if not ln or ln.startswith("#"):
             continue
-        head = ln.split()[0]
-        if head in SECTIONS and ln == head:
-            if head in sections:
-                raise ParseError(f"duplicate section {head!r}")
-            current = sections.setdefault(head, [])
+        if ln in SECTIONS:
+            if ln in sections:
+                raise ParseError(f"duplicate section {ln!r}")
+            current = sections[ln] = []
             continue
         if current is None:
             raise ParseError(f"content outside any section: {ln!r}")
@@ -94,16 +107,8 @@ def parse_instance(text):
         raise ParseError("problem section missing kind")
 
     try:  # a bad integer or an invalid Gap or instance is a ParseError
-        edges = []
-        for ln in sections.get("edges", []):
-            toks = ln.split()
-            if len(toks) != 3:
-                raise ParseError(f"bad edge line {ln!r}")
-            edges.append((int(toks[0]), int(toks[1]), parse_int(toks[2])))
-
-        sequence = []
-        for ln in sections.get("sequence", []):
-            sequence.extend(parse_int(t) for t in ln.split())
+        edges = _parse_edges(sections.get("edges", []))
+        sequence = _parse_ints(" ".join(sections.get("sequence", [])).split())
 
         gap = None
         if "gap" in sections:
@@ -126,15 +131,53 @@ def parse_instance(text):
         inst = ProblemInstance(
             kind=kind,
             n=int(meta.get("n", "0")),
-            edges=tuple(edges),
+            edges=edges,
             k=int(meta.get("k", "0")),
             terminals=tuple(int(t) for t in meta.get("terminals", "").split()),
-            sequence=tuple(sequence),
+            sequence=sequence,
             gap=gap,
         )
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     return inst, seed
+
+
+def _parse_ints(toks):
+    """parse_int of every token, as a tuple: one int() pass, and parse_int
+    token by token only when int() refuses one (a 10^k token or a fault),
+    so the first faulty token is the one reported."""
+    try:
+        return tuple(map(int, toks))
+    except ValueError:
+        return tuple(parse_int(t) for t in toks)
+
+
+def _parse_edges(lines):
+    """The (u, v, w) triples of the edges section's lines, as a tuple.
+
+    The whole section is split once, with a ";" token between lines; int()
+    converts the endpoints and _parse_ints the weights.  On any fault the
+    per-line loop runs instead, and its first faulty line is the one
+    reported."""
+    toks = " ; ".join(lines).split()
+    m = len(lines)
+    # 4m - 1 tokens with the m - 1 separators at every 4th place mean three
+    # tokens a line; a separator anywhere else stays among the tokens
+    # converted below, where int() refuses it
+    if m and len(toks) == 4 * m - 1:
+        del toks[3::4]
+        try:
+            return tuple(zip(map(int, toks[0::3]), map(int, toks[1::3]),
+                             _parse_ints(toks[2::3])))
+        except ValueError:
+            pass
+    edges = []
+    for ln in lines:
+        toks = ln.split()
+        if len(toks) != 3:
+            raise ParseError(f"bad edge line {ln!r}")
+        edges.append((int(toks[0]), int(toks[1]), parse_int(toks[2])))
+    return tuple(edges)
 
 
 def serialize_instance(inst, seed=None):

@@ -45,8 +45,9 @@ inside the functions that use it.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb, factorial
+from operator import add, mul
 
 from .additive import Gap, WeightSet
 from .encoding import EXPONENT_LIMIT, kappa_inv, order_weights, true_values
@@ -91,18 +92,21 @@ class ProblemInstance:
             raise InvalidInstance(f"unknown kind {self.kind!r}")
         if self.n < 0 or self.k < 0:
             raise InvalidInstance(f"n = {self.n} and k = {self.k} must be non-negative")
-        seen = set()
-        for u, v, w in self.edges:
-            if u == v:
-                raise InvalidInstance("self-loops are not allowed")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise InvalidInstance("edge endpoint out of range")
-            if w < 0:
-                raise InvalidInstance("weights must be non-negative")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise InvalidInstance(f"duplicate edge {key}")
-            seen.add(key)
+        # the per-edge loop runs only when the whole-tuple check finds a
+        # fault, so the first faulty edge is the one reported
+        if not self._edges_valid():
+            seen = set()
+            for u, v, w in self.edges:
+                if u == v:
+                    raise InvalidInstance("self-loops are not allowed")
+                if not (0 <= u < self.n and 0 <= v < self.n):
+                    raise InvalidInstance("edge endpoint out of range")
+                if w < 0:
+                    raise InvalidInstance("weights must be non-negative")
+                key = (min(u, v), max(u, v))
+                if key in seen:
+                    raise InvalidInstance(f"duplicate edge {key}")
+                seen.add(key)
         if self.kind == "steiner":
             if len(self.terminals) < 2:
                 raise InvalidInstance("steiner needs >= 2 terminals")
@@ -112,6 +116,29 @@ class ProblemInstance:
             raise InvalidInstance("minplusconv needs a non-empty sequence")
         if any(v < 0 for v in self.sequence):
             raise InvalidInstance("weights must be non-negative")
+
+    def _edges_valid(self):
+        """True when the per-edge loop would find no fault, checked over
+        whole columns: int endpoints in [0, n), non-negative weights, and
+        u * n + v as the key of the edge (u, v).  A repeated key is a
+        repeated edge; a key shared with a reversed edge, v * n + u, is a
+        self-loop or an edge given both ways."""
+        edges, n = self.edges, self.n
+        try:
+            m = len(edges)
+            if m == 0:
+                return True
+            if set(map(len, edges)) != {3}:
+                return False
+            us, vs, ws = zip(*edges)
+            if {*map(type, us), *map(type, vs)} != {int}:
+                return False
+            keys = set(map(add, map(mul, us, repeat(n)), vs))
+            return (min(us) >= 0 and min(vs) >= 0 and max(us) < n and max(vs) < n
+                    and min(ws) >= 0 and len(keys) == m
+                    and keys.isdisjoint(map(add, map(mul, vs, repeat(n)), us)))
+        except (TypeError, ValueError):
+            return False
 
     @property
     def weights(self):

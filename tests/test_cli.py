@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -605,3 +606,112 @@ def test_every_error_type_has_its_exit_code(exc, code, capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_analyze", fail)
     prefix = {3: "infeasible", 5: "internal error"}.get(code, "error")
     assert run(["analyze", "f.txt"], capsys) == (code, "", f"{prefix}: {exc}\n")
+
+
+def test_parser_built_once_by_three_calls(capsys, monkeypatch):
+    builds = []
+    build = cli._build_parser
+
+    def spy():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "_build_parser", spy)
+    assert run(["analyze", "no-such-file.txt"], capsys)[0] == 1
+    with pytest.raises(SystemExit):
+        main(["solve"])
+    assert run(["verify"], capsys)[0] == 1
+    assert len(builds) == 1
+    # the tree holds names, not functions: cmd_* are looked up per call
+    args = cli._PARSER.parse_args(["analyze", "f.txt"])
+    assert not any(callable(v) for v in vars(args).values())
+
+
+def test_cached_parser_keeps_no_state(tmp_path, capsys):
+    # weights on a 2-dim GAP: a 1-dim cover is over the volume budget
+    path = tmp_path / "inst.txt"
+    run(["gen", "tsp", "--n", "6", "--gap", "d=2 x=10^12,7 L=1,20", "--seed", "2",
+         "-o", str(path)], capsys)
+    inst, _ = parse_instance(path.read_text())
+    bare = tmp_path / "bare.txt"
+    bare.write_text(serialize_instance(replace(inst, gap=None)))
+
+    def report(argv):
+        code, out, err = run(argv, capsys)
+        assert code == 0, err
+        return json.loads(out)
+
+    # --gap, then the file's own cover
+    rep = report(["solve", str(path), "--json", "--gap", "d=2 x=10^12,7 L=1,40"])
+    assert rep["gap"] == {"generators": [10**12, 7], "bounds": [1, 40]}
+    rep = report(["solve", str(path), "--json"])
+    assert rep["gap"] == {"generators": list(inst.gap.generators),
+                          "bounds": list(inst.gap.bounds)}
+    # --max-dim 1, then the default 3
+    code, out, err = run(["solve", str(bare), "--max-dim", "1"], capsys)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert len(report(["solve", str(bare), "--json"])["gap"]["generators"]) == 2
+    # a usage error, then a valid command
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(path), "--sweep", "2"])
+    assert exc.value.code == 1
+    capsys.readouterr()
+    assert report(["solve", str(path), "--json"])["optimum"] == rep["optimum"]
+    # a sweep, then one file
+    code, out, _ = run(["verify", "--sweep", "2", "--kind", "maxcut", "--n", "5",
+                        "--gap", "d=1 x=3 L=5", "--seed", "3"], capsys)
+    assert code == 0 and out.count("] PASS: ") == 2
+    code, out, _ = run(["verify", str(path)], capsys)
+    assert code == 0 and out == f"PASS: meta={rep['optimum']} oracle={rep['optimum']}\n"
+
+
+def test_power_past_the_digit_limit_refused():
+    import tracemalloc
+
+    from gapsolve.errors import ParseError
+    from gapsolve.instances import parse_int
+
+    # the same limit as a decimal literal's
+    assert parse_int("10^4299") == int("1" + "0" * 4299)
+    assert parse_int("-10^4299") == -(10**4299)
+    assert parse_int("2^14284") == 2**14284  # 4300 digits
+    with pytest.raises(ValueError):
+        int("1" + "0" * 4300)
+    for tok in ("10^4300", "2^14285", "-10^4300", "10^3000000", "7^2000000",
+                "10^1000000000", "3^" + "9" * 4000):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as exc:
+                parse_int(tok)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16, (tok, peak)
+        assert str(exc.value) == f"{tok!r} has more than 4300 digits"
+    # a bounded power of any size
+    assert parse_int("1^" + "9" * 4000) == 1 and parse_int("0^5") == 0
+    assert parse_int("0^0") == 1
+    with pytest.raises(ParseError, match="'7\\^2000000' has more than 4300 digits"):
+        parse_instance("problem\nkind maxcut\nn 2\nedges\n0 1 7^2000000\n")
+    with pytest.raises(ParseError, match="has more than 4300 digits"):
+        parse_gap_spec("d=1 x=10^3000000 L=1")
+    # the limit follows Python's own
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        assert parse_int("10^4999") == 10**4999
+        with pytest.raises(ValueError, match="has more than 5000 digits"):
+            parse_int("10^5000")
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_power_past_the_digit_limit_exit_1(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("problem\nkind maxcut\nn 2\nedges\n0 1 7^2000000\n")
+    assert run(["solve", str(path)], capsys) == (
+        1, "", "error: '7^2000000' has more than 4300 digits\n")
+    path.write_text("problem\nkind maxcut\nn 2\nedges\n0 1 7\n")
+    code, out, err = run(["solve", str(path), "--gap", "d=1 x=10^3000000 L=1"], capsys)
+    assert (code, out) == (1, "") and err.endswith("has more than 4300 digits\n")

@@ -7,8 +7,8 @@ Exit codes (`EXIT_CODES` maps each base error class to its code):
      unwritable gen -o path, an invalid instance, a given GAP that misses a
      weight, or an ewclique k not divisible by 3
   2  no usable cover (BudgetExceeded): none found, or a budget is exceeded
-     (gen's GAP enumeration, a solver's table over the one 2^32-bit table
-     budget or its int64 limit, an oracle's size limit)
+     (gen's GAP enumeration, a solver's 2^32-bit table budget or int64
+     limit, an oracle's size limit, Python's int -> str digit limit)
   3  infeasible instance (InfeasibleInstance)
   4  verification mismatch
   5  internal fault (any other GapsolveError): an invariant check failed
@@ -31,6 +31,7 @@ from .errors import (
     ParseError,
 )
 from .instances import (
+    check_digits,
     generate_instance,
     parse_gap_spec,
     parse_instance,
@@ -76,6 +77,9 @@ def _solve(inst, args):
 
 def _report(inst, res, args, t0):
     """Print the report; wall_time is the time since t0, the command's start."""
+    check_digits("the report", res.optimum, res.encoded_optimum, res.coords,
+                 res.gap_used.generators, res.gap_used.bounds, res.lam,
+                 res.stats["encoded_range_bound"], res.stats.get("sequence", ()))
     report = {
         "schema_version": SCHEMA_VERSION,
         "kind": inst.kind,
@@ -141,6 +145,7 @@ def _verify_one(inst, args):
         if meta_ok == oracle_ok:
             return "infeasible", "both report infeasible"
         return "fail", f"feasibility disagrees (meta={meta_ok}, oracle={oracle_ok})"
+    check_digits("the verdict", meta_opt, oracle_opt)
     if meta_opt == oracle_opt:
         return "pass", f"meta={meta_opt} oracle={oracle_opt}"
     return "fail", f"meta={meta_opt} oracle={oracle_opt}"
@@ -197,6 +202,7 @@ def cmd_analyze(args):
     if gap is None:
         print("gap        none found")
     else:
+        check_digits("the analysis", gap.generators, gap.bounds, gap.volume)
         print(f"gap gens   {list(gap.generators)}")
         print(f"gap bounds {list(gap.bounds)}")
         # |A| is a lower bound: a GAP of volume V holds at most V values

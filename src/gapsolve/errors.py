@@ -42,6 +42,10 @@ class TooLarge(BudgetExceeded):
     """Instance exceeds a brute-force oracle's size limit."""
 
 
+class TooManyDigits(BudgetExceeded):
+    """A number to be written passes Python's int -> str digit limit."""
+
+
 class InfeasibleInstance(GapsolveError):
     """The instance admits no feasible solution (exit 3)."""
 

@@ -17,7 +17,7 @@ import random
 import sys
 
 from .additive import Gap, gap_enumerate
-from .errors import InvalidInstance, KNotDivisibleBy3, ParseError
+from .errors import InvalidInstance, KNotDivisibleBy3, ParseError, TooManyDigits
 from .solvers import ProblemInstance
 
 SECTIONS = ("problem", "edges", "sequence", "gap", "seed")
@@ -45,6 +45,15 @@ def parse_int(tok):
             raise ValueError(too_long)
         return value
     return int(tok)
+
+
+def check_digits(what, *values):
+    """Raise TooManyDigits if one of `values` (non-negative ints or iterables of
+    them) has more digits than str() converts, before `what` is written."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    top = max((v if isinstance(v, int) else max(v, default=0) for v in values), default=0)
+    if limit and top.bit_length() > 3 * limit and top >= 10 ** limit:
+        raise TooManyDigits(f"{what} holds a number of more than {limit} digits")
 
 
 def parse_gap_spec(spec):
@@ -181,7 +190,9 @@ def _parse_edges(lines):
 
 
 def serialize_instance(inst, seed=None):
-    """Canonical text form of an instance."""
+    """Canonical text form of an instance (TooManyDigits past the digit limit)."""
+    gap = inst.gap.generators + inst.gap.bounds if inst.gap is not None else ()
+    check_digits("the instance", [e[2] for e in inst.edges], inst.sequence, gap)
     out = ["problem", f"kind {inst.kind}"]
     if inst.kind != "minplusconv":
         out.append(f"n {inst.n}")

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 
 from .additive import DEFAULT_ENUM_BUDGET, gap_cover_search, get_gap_coordinates
-from .encoding import enlarge, kappa, kappa_inv, true_values
+from .encoding import enlarge, kappa, kappa_inv
 from .errors import InvariantViolated
 from .poly import select_optimum
 from .solvers import SOLVER_SPECS
@@ -34,8 +34,6 @@ def run_meta(inst, *, max_dim=3, volume_budget=DEFAULT_ENUM_BUDGET):
     A user-supplied GAP on the instance takes precedence over the cover
     search.  Raises NoCoverFound / InfeasibleInstance / solver errors.
     """
-    import numpy as np
-
     spec = SOLVER_SPECS[inst.kind]
     t0 = time.perf_counter()
     weights = inst.weights
@@ -50,11 +48,7 @@ def run_meta(inst, *, max_dim=3, volume_budget=DEFAULT_ENUM_BUDGET):
 
     # the select below raises OutOfRange (an InvariantViolated) for any
     # exponent outside [0, egap.volume)
-    terms = spec.solve(inst, enc, egap)
-    if inst.kind == "minplusconv":  # its solver returns each index's minimum
-        stats["sequence"] = true_values(egap, terms).tolist()
-        exps = np.unique(terms)
-        terms = exps, np.ones_like(exps)
+    terms = spec.solve(inst, enc, egap, stats)
     best, optimum, count = select_optimum(terms, egap, spec.sense)
     coords_opt = kappa_inv(egap, best)
     if optimum != sum(x * l for x, l in zip(egap.generators, coords_opt)):

@@ -18,7 +18,7 @@ Each lambda is at least 1, also for graphs without vertices or edges.
 Coefficients are exact integers, normalized so they are checkable against
 brute force: each undirected tour, each bipartition, and each k-clique
 counts once.  Steiner keeps one optimal tree, one term of count 1, and
-min-plus returns each output index's minimum instead of terms.
+min-plus's entry turns each index's minimum into a term of count 1.
 SOLVER_SPECS is the one table of the supported kinds.
 
 The cores work on exponents as machine integers: max-cut on int64 part
@@ -69,9 +69,7 @@ TABLE_BITS = 2**32
 MAXCUT_VERTICES = 30
 # maxcut sorts its cut sums when its histogram has more bins per cut sum
 _SORT_BINS = 4
-# tsp's Held-Karp levels on Python ints; the later ones are numpy rows,
-# moved a block of at most _TSP_BLOCK slots at a time
-_INT_LEVELS = 3
+# tsp moves its Held-Karp rows a block of at most _TSP_BLOCK slots at a time
 _TSP_BLOCK = 1 << 18
 
 
@@ -153,17 +151,17 @@ class ProblemInstance:
 class SolverSpec:
     """Everything the pipeline needs to know about one problem kind.
 
-    `solve(inst, enc, egap)` runs the kind's solver on the weights encoded
-    over `egap`, the cover with its bounds scaled by `lambda_bound(inst)`,
-    and returns its `(exps, counts)` pair of int64 ndarrays, `exps`
-    strictly ascending; for min-plus it returns the per-index minimum
-    encodings instead.  Two solvers read `egap`: steiner, for the order
-    weights of its key, and min-plus, to decode its sums by true value;
-    the others need only `enc`.  `oracle(inst)` returns the
+    `solve(inst, enc, egap, stats)` runs the kind's solver on the weights
+    encoded over `egap`, the cover with its bounds scaled by
+    `lambda_bound(inst)`, and returns its `(exps, counts)` pair of int64
+    ndarrays, `exps` strictly ascending; what else it reports goes into
+    `stats`, the result's dict (min-plus: its minima as "sequence").  Two
+    solvers read `egap`: steiner, for the order weights of its key, and
+    min-plus, to decode its sums by true value.  `oracle(inst)` returns the
     brute-force optimum (the min-plus sequence).  `counts` is False where
     the coefficients do not count the optima: steiner keeps one optimal
-    tree, and min-plus keeps one minimum per index.  Both callables look
-    the public functions up by name when called, so a wrapper installed in
+    tree, and min-plus one minimum per index.  Both callables look the
+    public functions up by name when called, so a wrapper installed in
     this module's globals sees every call.
     """
 
@@ -177,29 +175,39 @@ class SolverSpec:
 SOLVER_SPECS = {
     "tsp": SolverSpec(
         "min", lambda inst: max(1, inst.n),
-        lambda inst, enc, egap: tsp_algebraic(inst, enc),
+        lambda inst, enc, egap, stats: tsp_algebraic(inst, enc),
         lambda inst: tsp_bf(inst).optimum),
     "maxcut": SolverSpec(
         "max", lambda inst: max(1, len(inst.edges)),
-        lambda inst, enc, egap: maxcut_algebraic(inst, enc),
+        lambda inst, enc, egap, stats: maxcut_algebraic(inst, enc),
         lambda inst: maxcut_bf(inst).optimum),
     "ewclique": SolverSpec(
         "max", lambda inst: max(1, 2 * comb(inst.k, 2)),
-        lambda inst, enc, egap: ewclique_algebraic(inst, enc, inst.k),
+        lambda inst, enc, egap, stats: ewclique_algebraic(inst, enc),
         lambda inst: clique_bf(inst, inst.k).optimum),
     "steiner": SolverSpec(
         "min", lambda inst: max(1, inst.n - 1),
-        lambda inst, enc, egap: steiner_algebraic(inst, enc, egap),
+        lambda inst, enc, egap, stats: steiner_algebraic(inst, enc, egap),
         lambda inst: steiner_bf(inst).optimum,
         counts=False),
     "minplusconv": SolverSpec(
         "min", lambda inst: 2,
-        lambda inst, enc, egap: minplus_selfconv_min(
-            [enc[v] for v in inst.sequence], egap.volume,
-            keys=lambda sums: true_values(egap, sums)),
+        lambda inst, enc, egap, stats: _minplus_terms(inst, enc, egap, stats),
         lambda inst: minplus_naive(list(inst.sequence)),
         counts=False),
 }
+
+
+def _minplus_terms(inst, enc, egap, stats):
+    """The distinct per-index minima of the self-convolution as terms of
+    count 1; the minima, by true value, go to stats["sequence"]."""
+    import numpy as np
+
+    minima = minplus_selfconv_min([enc[v] for v in inst.sequence], egap.volume,
+                                  keys=lambda sums: true_values(egap, sums))
+    stats["sequence"] = true_values(egap, minima).tolist()
+    exps = np.unique(minima)
+    return exps, np.ones_like(exps)
 
 
 def _refuse_over(bits, what):
@@ -247,39 +255,34 @@ def tsp_algebraic(inst, enc):
     the cells then span the spread of the weights, not their size.  Cells
     are built a level at a time, the level being the size of the mask.  A
     slot of level s counts at most (s-2)! paths, the orders of the s-2
-    vertices between 0 and v, so a sum never carries into the next slot:
-
-      levels 2 .. _INT_LEVELS   one Python int per cell, a byte per slot,
-                                pushed along every edge, as in the
-                                all-int DP this replaced;
-      later levels              numpy rows, one per cell, of the smallest
-                                unsigned dtype holding (s-2)!: uint8 up to
-                                level 7, uint16 up to 10, uint32 up to 14.
-
-    The last int level becomes one uint8 matrix through one bytes join.  A
-    row of level s + 1 is the sum of the rows of its mask without its end
-    vertex u, each moved by its edge to u; one fancy add through a strided
-    window of the new rows adds the r-th such predecessor to every row at
-    once, a block of at most _TSP_BLOCK slots at a time.  Level n is never
-    formed: the one level n - 1 mask missing u goes on to u and back to 0,
-    into a total whose dtype holds (n-1)!, the directed Hamiltonian cycles
-    through vertex 0.  Each undirected tour is one of two such cycles of
-    the same weight, so counts are halved, and only the occupied slots of
-    the total are read.  Returns two empty arrays when no Hamiltonian
-    cycle exists; refuses n > 21, whose counts do not fit 64 bits.
+    vertices between 0 and v, so a sum never carries into the next slot.
+    A level is numpy rows, one per cell, of the smallest unsigned dtype
+    holding (s-2)!: uint8 up to level 7, uint16 up to 10, uint32 up to 14.
+    Level 2 has a row for each vertex v, with a 1 at slot enc(0, v) - w_min
+    where the edge (0, v) exists.  A row of level s + 1 is the sum of the
+    rows of its mask without its end vertex u, each moved by its edge to u;
+    one fancy add through a strided window of the new rows adds the r-th
+    such predecessor to every row at once, a block of at most _TSP_BLOCK
+    slots at a time.  Level n is never formed: the one level n - 1 mask
+    missing u goes on to u and back to 0, into a total whose dtype holds
+    (n-1)!, the directed Hamiltonian cycles through vertex 0.  Each
+    undirected tour is one of two such cycles of the same weight, so counts
+    are halved, and only the occupied slots of the total are read.  Returns
+    two empty arrays when no Hamiltonian cycle exists; refuses n > 21,
+    whose counts do not fit 64 bits.
 
     A cell takes up to ((n-1) * spread + 1) slots, where spread is the
     largest encoded edge weight minus w_min, so memory grows with the
     spread, not with the number of distinct path weights.  2^(n-1) widest
     cells of bitlen((n-1)!) bits a slot, rounded up to whole bytes, are
-    priced against TABLE_BITS before any cell is built.  The numpy levels
-    share one allocation, level s in one of two parts by the parity of s,
-    with a block's source rows in a third, so a call allocates its rows
-    once and the allocator keeps their pages for the next call.  Complete
-    graphs peak at 0.5-0.8 of the price at n = 10..13 (tracemalloc), and
-    the two widest levels alone reach about 0.9 of it at n = 17..18 and
-    1.0 at n = 19..21.  At n < 10 or a spread of a few slots, fixed index
-    and block temporaries of up to about 2 MB pass the price.
+    priced against TABLE_BITS before any cell is built.  The levels share
+    one allocation, level s in one of two parts by the parity of s, with a
+    block's source rows in a third, so a call allocates its rows once and
+    the allocator keeps their pages for the next call.  Complete graphs
+    peak at 0.5-0.8 of the price at n = 10..13 (tracemalloc), and the two
+    widest levels alone reach about 0.9 of it at n = 17..18 and 1.0 at
+    n = 19..21.  At n < 10 or a spread of a few slots, fixed index and block
+    temporaries of up to about 2 MB pass the price.
     """
     import numpy as np
     from numpy.lib.stride_tricks import as_strided
@@ -295,29 +298,10 @@ def tsp_algebraic(inst, enc):
     spread = max(enc[w] for _, _, w in inst.edges) - w_min
     _refuse_over(((n - 1) * spread + 1) * 8 * width << (n - 1),
                  f"Held-Karp cells for n = {n} and encoded weight spread {spread}")
-    # shift[v][u]: the slots a cell moves when it takes edge (v, u), -1 without
-    # one; out[v]: (u, bit of u, bits an int cell moves along (v, u))
+    # shift[v][u]: the slots a cell moves when it takes edge (v, u), -1 without one
     shift = [[-1] * n for _ in range(n)]
-    out = [[] for _ in range(n)]
     for u, v, w in inst.edges:
-        d = shift[u][v] = shift[v][u] = enc[w] - w_min
-        out[u].append((v, 1 << v, 8 * d))
-        out[v].append((u, 1 << u, 8 * d))
-    last = min(_INT_LEVELS, n - 1)
-    dp = {1 | bit: {v: 1 << d} for v, bit, d in out[0]}  # level 2
-    for _ in range(2, last):
-        nxt = {}
-        for mask, row in dp.items():
-            for v, cell in row.items():
-                for u, bit, d in out[v]:
-                    if mask & bit:
-                        continue
-                    to = nxt.setdefault(mask | bit, {})
-                    if u in to:
-                        to[u] += cell << d
-                    else:
-                        to[u] = cell << d
-        dp = nxt
+        shift[u][v] = shift[v][u] = enc[w] - w_min
     odd = np.arange(1, 1 << n, 2)
     size = np.bitwise_count(odd)
 
@@ -327,12 +311,12 @@ def tsp_algebraic(inst, enc):
         ends = np.nonzero(masks[:, None] >> np.arange(1, n) & 1)[1] + 1
         return masks, ends.astype(np.uint8).reshape(-1, s - 1)
 
-    # each level from `last` on as (rows, slots, dtype), rows mask-major:
+    # each level as (rows, slots, dtype), rows mask-major:
     # row i * (s - 1) + r holds the paths to the r-th vertex of the i-th mask
     shape = {s: (comb(n - 1, s - 1) * (s - 1), (s - 1) * spread + 1,
-                 np.dtype(np.min_scalar_type(factorial(s - 2)))) for s in range(last, n)}
+                 np.dtype(np.min_scalar_type(factorial(s - 2)))) for s in range(2, n)}
     step = {s: max(1, _TSP_BLOCK // (s * (shape[s][1] + spread)))  # masks a block
-            for s in range(last, n - 1)}
+            for s in range(2, n - 1)}
     # one allocation holds level s in part s % 2 and a block's source rows in
     # part 2: allocating the levels one by one, the allocator handed their
     # pages back after each call and faulted them in again on the next one
@@ -349,14 +333,14 @@ def tsp_algebraic(inst, enc):
         return work[start[part]:start[part] + rows * width * dtype.itemsize].view(
             dtype).reshape(rows, width)
 
-    masks, mem = level(last)
-    table = carve(last % 2, shape[last][0], last)
-    table.flat = np.frombuffer(b"".join(
-        dp.get(m, {}).get(v, 0).to_bytes(shape[last][1], "little")
-        for m, vs in zip(masks.tolist(), mem.tolist()) for v in vs), dtype=np.uint8)
-    del dp
+    masks, mem = level(2)
+    table = carve(0, n - 1, 2)
+    table.fill(0)
+    for v, d in enumerate(shift[0]):  # row v - 1: the edge from 0 to v
+        if d >= 0:
+            table[v - 1, d] = 1
     sh = np.array(shift)
-    for s in range(last, n - 1):
+    for s in range(2, n - 1):
         later, ends = level(s + 1)
         # row j * s + q of level s + 1 ends at u = ends[j, q]; the rows of its
         # mask without u start at pred[j, q], and the r-th of them ends at
@@ -477,8 +461,8 @@ def maxcut_algebraic(inst, enc):
     return exps, counts[exps]
 
 
-def build_auxiliary_graph(inst, enc, k):
-    """Auxiliary graph H for edge-weighted k-clique, k divisible by 3.
+def build_auxiliary_graph(inst, enc):
+    """Auxiliary graph H for edge-weighted k-clique, k = inst.k divisible by 3.
 
     Nodes are the (k/3)-cliques of G; two nodes are adjacent iff their
     union induces a (2k/3)-clique.  Edge weights double the cross weight
@@ -500,10 +484,10 @@ def build_auxiliary_graph(inst, enc, k):
     """
     import numpy as np
 
-    if k % 3 or k < 3:
-        raise KNotDivisibleBy3(f"k = {k}")
-    kk = k // 3
-    adj_m, weight_m = _int64_edges(inst, enc, k * (k - 1))
+    if inst.k % 3 or inst.k < 3:
+        raise KNotDivisibleBy3(f"k = {inst.k}")
+    kk = inst.k // 3
+    adj_m, weight_m = _int64_edges(inst, enc, inst.k * (inst.k - 1))
     combos = np.array(list(combinations(range(inst.n), kk)), dtype=np.int64).reshape(-1, kk)
     a, b = np.triu_indices(kk, 1)  # the vertex pairs inside a node
     combos = combos[adj_m[combos[:, a], combos[:, b]].all(axis=1)]
@@ -557,7 +541,7 @@ def _add_terms(blocks):
     return sums, counts
 
 
-def ewclique_algebraic(inst, enc, k):
+def ewclique_algebraic(inst, enc):
     """Maximum-weight k-clique via the triangles of the auxiliary graph H.
 
     A k-clique is a triangle of H once per way to split it into three
@@ -585,11 +569,11 @@ def ewclique_algebraic(inst, enc, k):
     """
     import numpy as np
 
-    nodes, _, hedges = build_auxiliary_graph(inst, enc, k)
+    nodes, _, hedges = build_auxiliary_graph(inst, enc)
     size = len(nodes)
     first, second, hw = hedges.T
-    kk = k // 3
-    per_clique = comb(k, kk) * comb(k - kk, kk) // 6
+    kk = inst.k // 3
+    per_clique = comb(inst.k, kk) * comb(inst.k - kk, kk) // 6
     words = -(-size // 64)
     step = max(1, (1 << 15) // max(1, words))  # edges per 256 KB of words
     full = _bit_rows(size, (first, second), (second, first))

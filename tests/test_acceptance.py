@@ -182,7 +182,7 @@ def test_auxiliary_graph_identities():
         ew = {}
         for u, v, w in inst.edges:
             ew[frozenset((u, v))] = enc[w]
-        nodes, internal, hedges = build_auxiliary_graph(inst, enc, k)
+        nodes, internal, hedges = build_auxiliary_graph(inst, enc)
         hw = {(i, j): w for i, j, w in hedges.tolist()}
         for w in hw.values():
             assert w <= (3 * kk * kk - kk) * w_enc

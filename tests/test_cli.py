@@ -583,7 +583,7 @@ ERROR_EXITS = {
     errors.ParseError: 1, errors.InvalidInstance: 1,
     errors.KNotDivisibleBy3: 1, errors.NotCovered: 1,
     errors.BudgetExceeded: 2, errors.NoCoverFound: 2,
-    errors.BoundExceeded: 2, errors.TooLarge: 2,
+    errors.BoundExceeded: 2, errors.TooLarge: 2, errors.TooManyDigits: 2,
     errors.InfeasibleInstance: 3, errors.Disconnected: 3,
     errors.GapsolveError: 5, errors.InvariantViolated: 5,
     errors.OutOfRange: 5, errors.OutOfBounds: 5,
@@ -715,3 +715,32 @@ def test_power_past_the_digit_limit_exit_1(tmp_path, capsys):
     path.write_text("problem\nkind maxcut\nn 2\nedges\n0 1 7\n")
     code, out, err = run(["solve", str(path), "--gap", "d=1 x=10^3000000 L=1"], capsys)
     assert (code, out) == (1, "") and err.endswith("has more than 4300 digits\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "tsp", "--n", "3", "--gap", "d=1 x=10^4299 L=20", "--seed", "1"],
+    ["solve", "{path}"],
+    ["solve", "{path}", "--json"],
+    ["verify", "{path}"],
+], ids=["gen", "solve", "solve-json", "verify"])
+def test_number_past_the_digit_limit_exit_2(argv, tmp_path, capsys):
+    # gen draws up to 20 * 10^4299, 4301 digits; the file's weights have
+    # 4300, the most int() reads, and its optimum 3 * 9 * 10^4299 has 4301
+    path = tmp_path / "wide.txt"
+    w = 9 * 10**4299
+    path.write_text(f"problem\nkind tsp\nn 3\nedges\n0 1 {w}\n0 2 {w}\n1 2 {w}\n")
+    code, out, err = run([a.format(path=path) for a in argv], capsys)
+    assert (code, out) == (2, ""), err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and "more than 4300 digits" in err
+
+
+def test_analyze_volume_past_the_digit_limit_exit_2(tmp_path, capsys):
+    # the given GAP's volume, (10^4299 + 1)^2, has 8599 digits
+    path = tmp_path / "wide-gap.txt"
+    path.write_text("problem\nkind tsp\nn 3\nedges\n0 1 1\n0 2 2\n1 2 3\n"
+                    "gap\n2\n1 2\n10^4299 10^4299\n")
+    code, out, err = run(["analyze", str(path)], capsys)
+    assert code == 2 and "gap volume" not in out
+    assert "Traceback" not in err
+    assert err == "error: the analysis holds a number of more than 4300 digits\n"

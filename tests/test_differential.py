@@ -687,14 +687,12 @@ def assert_same_arrays(terms, expected):
 
 
 def tsp_with_stages(inst, enc):
-    """tsp_algebraic's terms and the stages it ran: ("ints", bytes) for the
-    matrix made of the last Python-int level, ("rows", dtype) for each
-    later level of numpy rows, and ("total", dtype) for the closing total."""
+    """tsp_algebraic's terms and the stages it ran: ("rows", dtype) for each
+    level of numpy rows formed from the one before, from level 3 on, and
+    ("total", dtype) for the closing total."""
     stages = []
-    frombuffer, window, nonzero = np.frombuffer, stride_tricks.as_strided, np.flatnonzero
+    window, nonzero = stride_tricks.as_strided, np.flatnonzero
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(np, "frombuffer", lambda buf, dtype: (
-            stages.append(("ints", len(buf))), frombuffer(buf, dtype=dtype))[1])
         patch.setattr(stride_tricks, "as_strided", lambda rows, *shape: (
             stages.append(("rows", rows.dtype)), window(rows, *shape))[1])
         patch.setattr(np, "flatnonzero", lambda total: (
@@ -739,26 +737,22 @@ def test_tsp_matches_bigint_kernel(family):
         stages = assert_same_tsp(inst, enc)
         if stages is not None:
             ran.append(inst.n)
-            assert [s for s, _ in stages] == (
-                ["ints"] + ["rows"] * max(0, inst.n - 4) + ["total"]), inst
+            assert [s for s, _ in stages] == ["rows"] * (inst.n - 3) + ["total"], inst
     assert (11 in ran) != (family == "3dim")
 
 
 @pytest.mark.parametrize("n, rows, total", [
-    (9, ["uint8"] * 4 + ["uint16"], "uint16"),
-    (10, ["uint8"] * 4 + ["uint16"] * 2, "uint32"),
+    (9, ["uint8"] * 5 + ["uint16"], "uint16"),
+    (10, ["uint8"] * 5 + ["uint16"] * 2, "uint32"),
 ])
 def test_tsp_stages_and_dtypes(n, rows, total):
-    # levels 2-3 on Python ints, then numpy rows of the smallest unsigned
-    # dtype holding (s-2)! at level s, and a total holding (n-1)!
+    # numpy rows of the smallest unsigned dtype holding (s-2)! at level s,
+    # levels 3 .. n - 1 formed from level 2 on, and a total holding (n-1)!
     for family in ("G", "H"):
         inst = graph("tsp", family, n, 1.0, 11)
         egap, enc = encoded(inst)
         stages = assert_same_tsp(inst, enc)
-        # level 3: 2 cells for each of C(n-1, 2) masks, 2 * spread + 1 bytes each
-        spread = max(enc.values()) - min(enc.values())
-        assert stages == ([("ints", 2 * comb(n - 1, 2) * (2 * spread + 1))]
-                          + [("rows", np.dtype(r)) for r in rows]
+        assert stages == ([("rows", np.dtype(r)) for r in rows]
                           + [("total", np.dtype(total))])
         assert factorial(n - 1) <= np.iinfo(total).max
 
@@ -824,7 +818,7 @@ def test_maxcut_histogram_blocks_match_numpy_kernel():
 def test_ewclique_matches_loop_reference(family):
     for inst in ewclique_cases(family):
         egap, enc = encoded(inst)
-        nodes, internal, hedges = build_auxiliary_graph(inst, enc, inst.k)
+        nodes, internal, hedges = build_auxiliary_graph(inst, enc)
         ref_nodes, ref_internal, ref_hedges = ref_build_auxiliary_graph(inst, enc, inst.k)
         assert nodes.shape == (len(ref_nodes), inst.k // 3), inst
         assert hedges.shape == (len(ref_hedges), 3), inst
@@ -832,7 +826,7 @@ def test_ewclique_matches_loop_reference(family):
         assert list(map(tuple, nodes.tolist())) == ref_nodes, inst
         assert internal.tolist() == ref_internal, inst
         assert hedges.tolist() == [[i, j, w] for (i, j), w in ref_hedges.items()], inst
-        terms = ewclique_algebraic(inst, enc, inst.k)
+        terms = ewclique_algebraic(inst, enc)
         assert as_dict(terms) == ref_ewclique_algebraic(inst, enc, inst.k), inst
         assert_same_arrays(terms, _numpy_ewclique(inst, enc, inst.k))
         assert_same_optimum(terms, egap)
@@ -844,10 +838,10 @@ def test_ewclique_edge_blocks_match_numpy_kernel(family):
     # holds 4681 edges, and H has more kept edges than that
     inst = graph("ewclique", family, 30, 0.9, 9, k=6)
     egap, enc = encoded(inst)
-    nodes, _, hedges = build_auxiliary_graph(inst, enc, 6)
+    nodes, _, hedges = build_auxiliary_graph(inst, enc)
     kept = (nodes[hedges[:, 0], -1] < nodes[hedges[:, 1], 0]).sum()
     assert kept > 2 * ((1 << 15) // -(-len(nodes) // 64))
-    terms = ewclique_algebraic(inst, enc, 6)
+    terms = ewclique_algebraic(inst, enc)
     assert_same_arrays(terms, _numpy_ewclique(inst, enc, 6))
     assert_same_optimum(terms, egap)
 

@@ -27,7 +27,8 @@ from gapsolve.errors import (
 )
 from gapsolve.instances import generate_instance, parse_gap_spec
 from gapsolve.oracle import maxcut_bf, minplus_naive, steiner_bf, tsp_bf
-from gapsolve.solvers import SOLVER_SPECS
+import gapsolve.solvers as solvers
+from gapsolve.solvers import SOLVER_SPECS, SolverSpec
 
 
 def complete(n, weight_of):
@@ -152,8 +153,8 @@ def test_escaping_exponent_raises_invariant_violated(monkeypatch, tmp_path, caps
     path = tmp_path / "cut.txt"
     path.write_text(serialize_instance(inst))
     for bad in (bound, 2**62):
-        def escaping(inst, enc, egap):
-            exps, counts = spec.solve(inst, enc, egap)
+        def escaping(inst, enc, egap, stats):
+            exps, counts = spec.solve(inst, enc, egap, stats)
             return np.append(exps, bad), np.append(counts, 1)
 
         monkeypatch.setitem(SOLVER_SPECS, "maxcut", replace(spec, solve=escaping))
@@ -273,3 +274,48 @@ def test_stats_keys_same_for_every_kind():
         if not SOLVER_SPECS[kind].counts:
             assert stats["optimal_count"] is None
     assert len({frozenset(k) for k in keys.values()}) == 1, keys
+
+
+SOLVER_NAMES = {"tsp": "tsp_algebraic", "maxcut": "maxcut_algebraic",
+                "ewclique": "ewclique_algebraic", "steiner": "steiner_algebraic",
+                "minplusconv": "minplus_selfconv_min"}
+
+
+@pytest.mark.parametrize("kind", sorted(SOLVER_NAMES))
+def test_run_meta_calls_each_solver_by_name(kind, monkeypatch):
+    # perfbench/tracing.py times a solver by replacing its name in the
+    # solvers module's globals: a table entry holding the function object
+    # itself would run untimed
+    assert set(SOLVER_NAMES) == set(SOLVER_SPECS)
+    name, calls = SOLVER_NAMES[kind], []
+    real = getattr(solvers, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, name, spy)
+    inst = generate_instance(kind, 6, Gap((10**12, 7), (1, 30)), seed=1)
+    res = run_meta(inst)
+    assert calls == [name]
+    oracle = SOLVER_SPECS[kind].oracle(inst)
+    assert res.stats.get("sequence", res.optimum) == oracle
+
+
+def test_run_meta_is_kind_agnostic(monkeypatch):
+    # a kind added to SOLVER_SPECS runs through run_meta with no edit to
+    # meta.py, and what its solve writes into stats reaches the result
+    def heaviest_edge(inst, enc, egap, stats):
+        stats["edges_seen"] = len(inst.edges)
+        exps = np.unique([enc[w] for *_, w in inst.edges])
+        return exps, np.ones_like(exps)
+
+    spec = SolverSpec("max", lambda inst: 1, heaviest_edge,
+                      lambda inst: max(w for *_, w in inst.edges))
+    monkeypatch.setitem(SOLVER_SPECS, "heaviest", spec)
+    gap = Gap((10**12, 7), (1, 30))
+    inst = ProblemInstance(kind="heaviest", n=4, gap=gap, edges=(
+        (0, 1, 10**12 + 14), (1, 2, 70), (2, 3, 10**12), (0, 3, 7)))
+    res = run_meta(inst)
+    assert res.optimum == spec.oracle(inst) == 10**12 + 14
+    assert res.stats["edges_seen"] == 4 and res.stats["optimal_count"] == 1

@@ -178,10 +178,10 @@ def test_clique_k3_triangle_weight_doubling():
     inst = ProblemInstance(kind="ewclique", n=3, k=3,
                            edges=((0, 1, 1), (1, 2, 2), (0, 2, 3)))
     egap, enc = identity_enc(inst)
-    nodes, internal, hedges = build_auxiliary_graph(inst, enc, 3)
+    nodes, internal, hedges = build_auxiliary_graph(inst, enc)
     tri_weight = int(hedges[:, 2].sum())  # single triangle
     assert tri_weight == 2 * 6
-    assert as_dict(ewclique_algebraic(inst, enc, 3)) == {6: 1}
+    assert as_dict(ewclique_algebraic(inst, enc)) == {6: 1}
 
 
 def test_clique_unique_triangle():
@@ -190,14 +190,14 @@ def test_clique_unique_triangle():
         edges=((0, 1, 2), (1, 2, 4), (0, 2, 6), (2, 3, 8)),
     )
     egap, enc = identity_enc(inst)
-    assert as_dict(ewclique_algebraic(inst, enc, 3)) == {12: 1}
+    assert as_dict(ewclique_algebraic(inst, enc)) == {12: 1}
 
 
 def test_clique_k_not_divisible():
     inst = ProblemInstance(kind="ewclique", n=5, k=4, edges=complete_graph(5, [1]))
     egap, enc = identity_enc(inst)
     with pytest.raises(KNotDivisibleBy3):
-        ewclique_algebraic(inst, enc, 4)
+        ewclique_algebraic(inst, enc)
 
 
 def test_clique_triangle_identity_and_weight_bound_random():
@@ -206,7 +206,7 @@ def test_clique_triangle_identity_and_weight_bound_random():
         n = rng.randint(6, 9)
         inst = random_instance("ewclique", n, rng, [1, 3, 5, 9], density=0.8, k=6)
         egap, enc = identity_enc(inst)
-        nodes, internal, hedges = build_auxiliary_graph(inst, enc, 6)
+        nodes, internal, hedges = build_auxiliary_graph(inst, enc)
         rows = hedges.tolist()
         internal = internal.tolist()
         nbr = {}
@@ -236,7 +236,7 @@ def test_clique_k6_matches_bruteforce():
         n = rng.randint(7, 10)
         inst = random_instance("ewclique", n, rng, [2, 5, 11], density=0.9, k=6)
         egap, enc = identity_enc(inst)
-        terms = ewclique_algebraic(inst, enc, 6)
+        terms = ewclique_algebraic(inst, enc)
         try:
             ref = clique_bf(inst, 6)
         except Exception:
@@ -251,7 +251,7 @@ def test_clique_k6_counts_every_clique_of_k8():
     inst = ProblemInstance(kind="ewclique", n=8, k=6,
                            edges=complete_graph(8, [1, 2, 4, 8, 16]))
     egap, enc = identity_enc(inst)
-    terms = ewclique_algebraic(inst, enc, 6)
+    terms = ewclique_algebraic(inst, enc)
     assert sum(as_dict(terms).values()) == comb(8, 6)
     ref = clique_bf(inst, 6)
     _, value, count = select_optimum(terms, egap, "max")
@@ -391,7 +391,7 @@ def test_int64_cores_exact_below_2_62_and_raise_above(kind):
     inst = ProblemInstance(kind=kind, n=3, edges=((0, 1, 1), (1, 2, 2), (0, 2, 3)),
                            k=3 if kind == "ewclique" else 0)
     solve = {"tsp": tsp_algebraic, "maxcut": maxcut_algebraic,
-             "ewclique": lambda inst, enc: ewclique_algebraic(inst, enc, 3)}[kind]
+             "ewclique": ewclique_algebraic}[kind]
     top = (2**62 - 1) // SOLVER_SPECS[kind].lambda_bound(inst)
     enc = {1: top, 2: top - 1, 3: top - 2}
     expected = {
@@ -503,7 +503,7 @@ def test_ewclique_auxiliary_matrix_refused_before_product():
     tracemalloc.start()
     try:
         with pytest.raises(BoundExceeded, match="9880 x 9880"):
-            ewclique_algebraic(inst, {1: 1, 2: 2, 3: 3}, 9)
+            ewclique_algebraic(inst, {1: 1, 2: 2, 3: 3})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -534,10 +534,10 @@ def test_ewclique_peak_within_price():
     # build_auxiliary_graph; the tables peak at about 4.6 bytes per N^2
     inst, enc = encoded_instance("ewclique", 80, Gap((10**12, 7), (1, 30)),
                                  density=0.5, k=6)
-    ewclique_algebraic(*encoded_instance("ewclique", 8, Gap((3,), (9,)), k=3), 3)
-    size = len(build_auxiliary_graph(inst, enc, 6)[0])
+    ewclique_algebraic(*encoded_instance("ewclique", 8, Gap((3,), (9,)), k=3))
+    size = len(build_auxiliary_graph(inst, enc)[0])
     assert 1500 <= size <= 1700
-    _, peak = traced_peak(lambda: ewclique_algebraic(inst, enc, 6))
+    _, peak = traced_peak(lambda: ewclique_algebraic(inst, enc))
     price = 8 * size**2
     assert price / 3 <= peak <= price, peak / size**2
 

@@ -172,6 +172,18 @@ class SolverSpec:
     counts: bool = True
 
 
+def _minplus_terms(inst, enc, egap, stats):
+    """The distinct per-index minima of the self-convolution as terms of
+    count 1; the minima, by true value, go to stats["sequence"]."""
+    import numpy as np
+
+    minima = minplus_selfconv_min([enc[v] for v in inst.sequence], egap.volume,
+                                  keys=lambda sums: true_values(egap, sums))
+    stats["sequence"] = true_values(egap, minima).tolist()
+    exps = np.unique(minima)
+    return exps, np.ones_like(exps)
+
+
 SOLVER_SPECS = {
     "tsp": SolverSpec(
         "min", lambda inst: max(1, inst.n),
@@ -192,22 +204,10 @@ SOLVER_SPECS = {
         counts=False),
     "minplusconv": SolverSpec(
         "min", lambda inst: 2,
-        lambda inst, enc, egap, stats: _minplus_terms(inst, enc, egap, stats),
+        _minplus_terms,
         lambda inst: minplus_naive(list(inst.sequence)),
         counts=False),
 }
-
-
-def _minplus_terms(inst, enc, egap, stats):
-    """The distinct per-index minima of the self-convolution as terms of
-    count 1; the minima, by true value, go to stats["sequence"]."""
-    import numpy as np
-
-    minima = minplus_selfconv_min([enc[v] for v in inst.sequence], egap.volume,
-                                  keys=lambda sums: true_values(egap, sums))
-    stats["sequence"] = true_values(egap, minima).tolist()
-    exps = np.unique(minima)
-    return exps, np.ones_like(exps)
 
 
 def _refuse_over(bits, what):

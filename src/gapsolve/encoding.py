@@ -7,11 +7,13 @@ bounds of the GAP it is given: the cover's bounds scaled by lambda
 additive on tuples that stay inside the box and strictly monotone w.r.t.
 lexicographic tuple order, which makes it injective.  Encoded order
 differs from true-value order in general, so optima are compared by
-(true value, encoding): the true value decoded from the coordinates
-first, ties toward the smaller encoding.
+(true value, encoding): the true value first, ties toward the smaller
+encoding.  `order_keys` gives the true-value order exactly, ties
+included, as sums of the small `order_weights` over the coordinates.
 """
 
 from math import gcd
+from operator import mul
 
 from .additive import Gap
 from .errors import BoundExceeded, OutOfBounds, OutOfRange
@@ -153,24 +155,36 @@ def radix_digits(g, exps):
     return digits[::-1]
 
 
-def digit_values(g, digits):
-    """sum(x_i * l_i) over digit arrays shaped as `radix_digits` returns them.
+def weigh(g, weights, digits):
+    """sum(w_i * l_i) over digit arrays shaped as `radix_digits` returns them.
 
-    The sums are taken over Python ints in an object ndarray, so
-    generators at 2^63 scale stay exact.
+    The sums are int64 when sum(w_i * B_i) over g's bounds B is below
+    2^63, so no partial sum can wrap, and Python ints in an object ndarray
+    otherwise, so generators at 2^63 scale stay exact.
     """
     import numpy as np
 
-    values = np.zeros(digits[0].shape, dtype=object)
-    for x, digit in zip(g.generators, digits):
-        values += digit.astype(object) * x
-    return values
+    dtype = np.int64 if sum(map(mul, weights, g.bounds)) < 2**63 else object
+    sums = np.zeros(digits[0].shape, dtype=dtype)
+    for w, b, digit in zip(weights, g.bounds, digits):
+        if b:  # a digit of bound 0 is 0, and its weight may lie beyond int64
+            sums += digit.astype(dtype, copy=False) * w
+    return sums
 
 
 def true_values(g, exps):
-    """true_value of every encoded weight in `exps`, as an object ndarray.
+    """true_value of every encoded weight in `exps`, as `weigh` returns it.
 
     The digits come from `radix_digits`, with its range checks.
     """
-    return digit_values(g, radix_digits(g, exps))
+    return weigh(g, g.generators, radix_digits(g, exps))
 
+
+def order_keys(g, exps):
+    """The order weights' sums of every encoded weight in `exps`.
+
+    Over g's box these order, and tie, as the true values do, and they
+    fit int64 wherever `order_weights` is small.  The digits come from
+    `radix_digits`, with its range checks.
+    """
+    return weigh(g, order_weights(g), radix_digits(g, exps))

@@ -38,10 +38,11 @@ enlarged box is not huge, and split into as many 61-bit int64 limbs as
 its sums need otherwise.  Every solver prices its largest table in bits
 where it builds it and raises BoundExceeded through `_refuse_over` above
 TABLE_BITS = 2^32 (512 MiB), before the table is allocated.  The terms
-stay int64 arrays up to `poly.select_optimum`, which decodes exactly,
-over Python ints, only the exponents near the optimum; min-plus's sums
-are decoded in one `encoding.true_values` call.  numpy is imported
-inside the functions that use it.
+stay int64 arrays up to `poly.select_optimum`, which ranks them by their
+order keys, the order weights' sums over their digits, and decodes the
+optimum alone; min-plus ranks its attainable sums by the same keys in one
+`encoding.order_keys` call.  numpy is imported inside the functions that
+use it.
 """
 
 from dataclasses import dataclass, field
@@ -50,7 +51,7 @@ from math import comb, factorial
 from operator import add, mul
 
 from .additive import Gap, WeightSet
-from .encoding import EXPONENT_LIMIT, kappa_inv, order_weights, true_values
+from .encoding import EXPONENT_LIMIT, kappa_inv, order_keys, order_weights, true_values
 from .errors import (
     BoundExceeded,
     Disconnected,
@@ -157,12 +158,12 @@ class SolverSpec:
     ndarrays, `exps` strictly ascending; what else it reports goes into
     `stats`, the result's dict (min-plus: its minima as "sequence").  Two
     solvers read `egap`: steiner, for the order weights of its key, and
-    min-plus, to decode its sums by true value.  `oracle(inst)` returns the
-    brute-force optimum (the min-plus sequence).  `counts` is False where
-    the coefficients do not count the optima: steiner keeps one optimal
-    tree, and min-plus one minimum per index.  Both callables look the
-    public functions up by name when called, so a wrapper installed in
-    this module's globals sees every call.
+    min-plus, to rank its sums by their order keys and decode its minima.
+    `oracle(inst)` returns the brute-force optimum (the min-plus sequence).
+    `counts` is False where the coefficients do not count the optima:
+    steiner keeps one optimal tree, and min-plus one minimum per index.
+    Both callables look the public functions up by name when called, so a
+    wrapper installed in this module's globals sees every call.
     """
 
     sense: str
@@ -173,12 +174,13 @@ class SolverSpec:
 
 
 def _minplus_terms(inst, enc, egap, stats):
-    """The distinct per-index minima of the self-convolution as terms of
-    count 1; the minima, by true value, go to stats["sequence"]."""
+    """The distinct per-index minima of the self-convolution, ranked by
+    `encoding.order_keys`, as terms of count 1; their true values go to
+    stats["sequence"]."""
     import numpy as np
 
     minima = minplus_selfconv_min([enc[v] for v in inst.sequence], egap.volume,
-                                  keys=lambda sums: true_values(egap, sums))
+                                  keys=lambda sums: order_keys(egap, sums))
     stats["sequence"] = true_values(egap, minima).tolist()
     exps = np.unique(minima)
     return exps, np.ones_like(exps)
@@ -224,8 +226,8 @@ def _check_int64(lam, top):
     limit all of its int64 arithmetic is exact.
     """
     if lam * top >= EXPONENT_LIMIT:
-        raise BoundExceeded(
-            f"lambda {lam} times encoded weight {top} is not below 2^62")
+        raise BoundExceeded(f"lambda {lam} times an encoded weight of "
+                            f"{int(top).bit_length()} bits is not below 2^62")
 
 
 def _int64_edges(inst, enc, lam):
@@ -797,7 +799,8 @@ def steiner_algebraic(inst, enc, egap):
     best = sum(limb << _LIMB * j for j, limb in enumerate(dp[::-1, -1, root].tolist()))
     best %= radix
     if best >= EXPONENT_LIMIT:
-        raise BoundExceeded(f"the optimal tree's encoding {best} is not below 2^62")
+        raise BoundExceeded(
+            f"the optimal tree's encoding of {best.bit_length()} bits is not below 2^62")
     return np.array([best], dtype=np.int64), np.ones(1, dtype=np.int64)
 
 
@@ -867,12 +870,13 @@ def minplus_selfconv_min(seq, bound, keys=None):
     """Per-index minimum of the self-convolution, compared by `keys`.
 
     `keys(sums)` gives the sort key of every sum in the int64 array `sums`
-    in one call, and defaults to the sums themselves; pass a batch
-    true-value decoder to restore the original order of encoded sums.
-    Ties break toward the smaller encoded value.  Keys may be arbitrarily
-    large Python ints: the attainable sums are ranked once by
-    (key, encoding), and each row's minimum is its attainable sum of
-    lowest rank.
+    in one call, and defaults to the sums themselves; pass
+    `encoding.order_keys` over the enlarged GAP to restore the true-value
+    order of encoded sums.  Ties break toward the smaller encoded value.
+    Keys may be int64 or arbitrarily large Python ints: the attainable
+    sums are ranked once by (key, encoding), and each row's minimum is its
+    attainable sum of lowest rank.  Sums of 2^62 or more are refused by
+    `_check_int64` before either core is priced.
 
     Two exact cores find those sums: the pair table of `_pair_min`, which
     forms all n^2 sums seq[i] + seq[j], and the FFT grid of
@@ -892,6 +896,7 @@ def minplus_selfconv_min(seq, bound, keys=None):
     if any(not 0 <= v < bound for v in seq):
         raise BoundExceeded("encoded value outside [0, bound)")
     n, top = len(seq), max(seq)
+    _check_int64(2, top)
     values = 2 * top + 1
     height, width = _fft_len(2 * n - 1), _fft_len(values)
     pair_bits = 96 * n * n + 32 * values + 64 * (n + min(n * n, values))

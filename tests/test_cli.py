@@ -744,3 +744,29 @@ def test_analyze_volume_past_the_digit_limit_exit_2(tmp_path, capsys):
     assert code == 2 and "gap volume" not in out
     assert "Traceback" not in err
     assert err == "error: the analysis holds a number of more than 4300 digits\n"
+
+
+HUGE_COVER_BODIES = {
+    "tsp": "n 3\nedges\n0 1 3\n0 2 5\n1 2 7\n",
+    "maxcut": "n 3\nedges\n0 1 3\n0 2 5\n1 2 7\n",
+    "ewclique": "n 3\nk 3\nedges\n0 1 3\n0 2 5\n1 2 7\n",
+    # the tree 0-1 is the edge of weight 3, encoded at 2 * 10^4299 + 1
+    "steiner": "n 3\nterminals 0 1\nedges\n0 1 3\n0 2 5\n1 2 7\n",
+    "minplusconv": "sequence\n3 5 7\n",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HUGE_COVER_BODIES))
+def test_solve_encoding_past_the_digit_limit_exit_2(kind, tmp_path, capsys):
+    # the weights' encodings over bounds of 10^4299 have more than 4300
+    # digits: each refusal names their bit length, not their value, and
+    # min-plus refuses them before it prices its tables
+    path = tmp_path / f"{kind}.txt"
+    path.write_text(f"problem\nkind {kind}\n{HUGE_COVER_BODIES[kind]}"
+                    "gap\n3\n1 3 5\n10^4299 10^4299 10^4299\n")
+    start = time.perf_counter()
+    code, out, err = run(["solve", str(path)], capsys)
+    assert (code, out) == (2, ""), err
+    assert err.startswith("error: ") and err.endswith("bits is not below 2^62\n")
+    assert "Traceback" not in err
+    assert time.perf_counter() - start < 5

@@ -40,6 +40,7 @@ from gapsolve import (
     get_gap_coordinates,
     kappa,
     maxcut_algebraic,
+    run_meta,
     select_optimum,
     steiner_algebraic,
     true_value,
@@ -52,7 +53,8 @@ from gapsolve.errors import (
     InvariantViolated,
     KNotDivisibleBy3,
 )
-from gapsolve.oracle import steiner_bf
+from gapsolve.encoding import order_keys
+from gapsolve.oracle import minplus_naive, steiner_bf
 import gapsolve.solvers as solvers
 from gapsolve.solvers import _check_int64, _int64_edges, _refuse_over
 from test_solvers import as_dict, spy_limbs
@@ -942,6 +944,17 @@ def test_steiner_limb_keys_match_bruteforce(family, monkeypatch):
         assert (true_value(egap, e), count) == (optimum, 1)
         checked += 1
     assert checked >= 4 and min(limbs) >= 2
+
+
+@pytest.mark.parametrize("family", ["3dim-T63", "3dim-B200"])
+def test_minplus_object_order_keys_match_naive(family):
+    # no generator outweighs the rest, so the order weights are the
+    # generators and min-plus ranks its sums by Python-int order keys
+    rng = random.Random(f"minplus-{family}")
+    seq = tuple(draw_weight(rng, family) for _ in range(24))
+    inst = ProblemInstance(kind="minplusconv", sequence=seq, gap=FAMILIES[family])
+    assert order_keys(enlarge(inst.gap, 2), [0]).dtype == object
+    assert run_meta(inst).stats["sequence"] == minplus_naive(list(seq))
 
 
 def test_select_optimum_matches_loop_reference_on_ties():

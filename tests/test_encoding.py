@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,7 +13,7 @@ from gapsolve import (
     true_value,
     true_values,
 )
-from gapsolve.encoding import order_weights
+from gapsolve.encoding import order_keys, order_weights
 from gapsolve.errors import BoundExceeded, OutOfBounds, OutOfRange
 
 
@@ -172,6 +173,40 @@ def test_true_values_limit_2_62():
     for bad in (2**62, 2**63, 2**80, -2**70):
         with pytest.raises(OutOfRange):
             true_values(small, [1, bad])
+
+
+@pytest.mark.parametrize("gens, bounds, exps, dtype", [
+    # sum(x_i * B_i) = 2^63 - 1, the largest int64, is the value of the
+    # last encoding, 5: every sum fits
+    ((2**62 - 1, 1), (2, 1), range(6), np.int64),
+    # sum(x_i * B_i) = 2^63: the sums are Python ints
+    ((2**62 - 1, 2), (2, 1), range(6), object),
+    # a generator beyond int64 whose bound, and so digit, is 0
+    ((1, 2**70), (2**62, 0), [0, 1, 2**62 - 1], np.int64),
+], ids=["2^63-1", "2^63", "bound-0"])
+def test_true_values_int64_below_2_63(gens, bounds, exps, dtype):
+    g = Gap(gens, bounds)
+    values = true_values(g, list(exps))
+    assert values.dtype == dtype
+    assert values.tolist() == [true_value(g, e) for e in exps]
+
+
+@pytest.mark.parametrize("gens, bounds, dtype", [
+    ((10**12, 7), (2, 60), np.int64),
+    # the first generator does not outweigh the rest: the order weights are
+    # the generators, the keys Python ints, and (1, 0, 1) ties (0, 2, 0)
+    ((2**70 + 5, 2**70 + 3, 2**70 + 1), (2, 2, 2), object),
+], ids=["int64", "object"])
+def test_order_keys_order_and_tie_as_true_values(gens, bounds, dtype):
+    g = Gap(gens, bounds)
+    exps = list(range(g.volume))
+    keys = order_keys(g, exps)
+    assert keys.dtype == dtype
+    keys, values = keys.tolist(), true_values(g, exps).tolist()
+    for i in range(len(exps)):
+        for j in range(len(exps)):
+            assert (keys[i] < keys[j]) == (values[i] < values[j])
+            assert (keys[i] == keys[j]) == (values[i] == values[j])
 
 
 def _box_signs(gens, bounds):

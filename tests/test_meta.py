@@ -240,8 +240,8 @@ def test_graph_without_edges(gap):
 
 
 def test_each_term_decoded_once(monkeypatch):
-    # one digit split per run_meta, over every term: the exponents near
-    # the optimum are decoded from those digits, not split again
+    # one digit split per run_meta, over every term: the order keys and
+    # the optimum's true value both come from those digits, not split again
     calls = []
 
     def counting(g, exps):

@@ -18,7 +18,7 @@ def test_select_optimum_single_term():
     g = enlarge(Gap((1,), (50,)), 1)
     assert select_optimum(arrays({7: 2}), g, "min") == (7, 7, 2)
     assert select_optimum(arrays({7: 2}), g, "max") == (7, 7, 2)
-    # a generator beyond float64 that the exponent does not use
+    # a generator beyond int64 and float64 that the exponent does not use
     g = enlarge(Gap((2**1100, 1), (1, 5)), 1)
     assert select_optimum(arrays({4: 2}), g, "min") == (4, 4, 2)
 
@@ -43,8 +43,8 @@ def test_select_optimum_counts_every_exponent_on_the_value():
     assert e02 < e30
     assert select_optimum(arrays(terms), g, "max") == (e02, 6, 7)
     assert select_optimum(arrays(terms), g, "min") == (e10, 2, 1)
-    # 3^40 is no float64: the five encodings of 6 * 3^40 get two different
-    # float estimates, and every one of them must still be counted
+    # 3^40 is past int64 and float64's 53 bits: the five encodings of
+    # 6 * 3^40 share the order key a + b = 6, and every one must be counted
     g = enlarge(Gap((3**40, 3**40), (5, 5)), 1)
     terms = {kappa(g, (a, b)): 1 for a in range(6) for b in range(6) if 5 <= a + b <= 6}
     assert select_optimum(arrays(terms), g, "max") == (kappa(g, (1, 5)), 6 * 3**40, 5)
@@ -54,8 +54,12 @@ def test_select_optimum_counts_every_exponent_on_the_value():
 def test_select_optimum_brute_force(all_terms):
     # Gap((2, 3), (6, 4)) is not proper: distinct exponents share a value;
     # on the third GAP values are (a+b) * 2^70 + a, neighbours 1 apart at
-    # 2^73 scale, which float64 cannot tell apart
-    for gap in (Gap((5, 3), (4, 4)), Gap((2, 3), (6, 4)), Gap((2**70 + 1, 2**70), (5, 5))):
+    # 2^73 scale, ranked by small int64 order keys; the fourth's first
+    # generator does not outweigh the rest, so its order weights are the
+    # generators themselves and its keys Python ints, with ties such as
+    # (1, 0, 1) and (0, 2, 0)
+    for gap in (Gap((5, 3), (4, 4)), Gap((2, 3), (6, 4)), Gap((2**70 + 1, 2**70), (5, 5)),
+                Gap((2**70 + 5, 2**70 + 3, 2**70 + 1), (2, 2, 2))):
         g = enlarge(gap, 1)
         terms = {e: c for e, c in all_terms.items() if e < g.volume}
         if not terms:

@@ -102,8 +102,8 @@ def gap_enumerate(g):
     DEFAULT_ENUM_BUDGET points, so callers avoid materializing huge GAPs.
     """
     if g.volume > DEFAULT_ENUM_BUDGET:
-        raise BudgetExceeded(
-            f"GAP volume {g.volume} exceeds budget {DEFAULT_ENUM_BUDGET}")
+        raise BudgetExceeded(f"GAP volume of {g.volume.bit_length()} bits "
+                             f"exceeds budget {DEFAULT_ENUM_BUDGET}")
     vals = set()
     for tup in product(*(range(b + 1) for b in g.bounds)):
         vals.add(sum(x * l for x, l in zip(g.generators, tup)))

@@ -50,7 +50,8 @@ def kappa(g, t):
 def kappa_inv(g, e):
     """Decode an encoded value back to its coordinate tuple."""
     if e < 0 or e >= g.volume:
-        raise OutOfRange(f"encoded value {e} outside [0, {g.volume})")
+        raise OutOfRange(f"encoded value of {int(e).bit_length()} bits outside "
+                         f"[0, a volume of {g.volume.bit_length()} bits)")
     coords = []
     for b in reversed(g.bounds):
         e, l = divmod(e, b + 1)
@@ -144,7 +145,7 @@ def radix_digits(g, exps):
     except OverflowError:  # beyond int64
         lo, top = min(exps), max(exps)
     if lo < 0 or top >= g.volume:
-        raise OutOfRange(f"encoded values outside [0, {g.volume})")
+        raise OutOfRange(f"encoded values outside [0, a volume of {g.volume.bit_length()} bits)")
     if top >= EXPONENT_LIMIT:
         raise BoundExceeded("an encoded value is not below 2^62")
     digits = []

@@ -33,16 +33,16 @@ TSP and min-plus are dense in the exponent: their memory grows with the
 spread of the encoded weights.  Steiner orders trees by a key built
 from `encoding.order_weights`, small integers that order the cover's
 bounded combinations as its generators do; the key is exact at any
-generator size, one int64 where the cover's scales separate and its
-enlarged box is not huge, and split into as many 61-bit int64 limbs as
-its sums need otherwise.  Every solver prices its largest table in bits
-where it builds it and raises BoundExceeded through `_refuse_over` above
-TABLE_BITS = 2^32 (512 MiB), before the table is allocated.  The terms
-stay int64 arrays up to `poly.select_optimum`, which ranks them by their
-order keys, the order weights' sums over their digits, and decodes the
-optimum alone; min-plus ranks its attainable sums by the same keys in one
-`encoding.order_keys` call.  numpy is imported inside the functions that
-use it.
+generator size, and held by the same rule: one int64 while the DP's
+bound on its values is below EXPONENT_LIMIT, else as many int64 limbs
+below EXPONENT_LIMIT as that bound needs.  Every solver prices its
+largest table in bits where it builds it and raises BoundExceeded
+through `_refuse_over` above TABLE_BITS = 2^32 (512 MiB), before the
+table is allocated.  The terms stay int64 arrays up to
+`poly.select_optimum`, which ranks them by their order keys, the order
+weights' sums over their digits, and decodes the optimum alone; min-plus
+ranks its attainable sums by the same keys in one `encoding.order_keys`
+call.  numpy is imported inside the functions that use it.
 """
 
 from dataclasses import dataclass, field
@@ -61,9 +61,9 @@ from .errors import (
 )
 from .oracle import clique_bf, maxcut_bf, minplus_naive, steiner_bf, tsp_bf
 
-# steiner's keys are int64 limbs of _LIMB bits; two limbs add below 2^62
-_LIMB = 61
-_LIMB_MASK = (1 << _LIMB) - 1
+# steiner's keys are int64 limbs below EXPONENT_LIMIT: two add without wrapping
+_LIMB = EXPONENT_LIMIT.bit_length() - 1
+_LIMB_MASK = EXPONENT_LIMIT - 1
 # the largest table any solver may build, in bits (512 MiB)
 TABLE_BITS = 2**32
 # maxcut lists 2^(n-1) cut sums: the most vertices it takes
@@ -642,19 +642,19 @@ def _limb_add(a, b):
     return total
 
 
-def _limb_min(x, axis):
-    """Minimum of the limb array x along `axis` of each limb's array."""
+def _limb_min(x):
+    """Minimum of the limb array x along axis 1 of each limb's array."""
     import numpy as np
 
     if len(x) == 1:
-        return x.min(axis=axis + 1)
+        return x.min(axis=2)
     lows = []
     for limb in x:
         if lows:  # keep the positions tied so far; the fill is above every limb
-            limb = np.where(last == lows[-1], limb, 1 << _LIMB)
-        lows.append(limb.min(axis=axis, keepdims=True))
+            limb = np.where(last == lows[-1], limb, EXPONENT_LIMIT)
+        lows.append(limb.min(axis=1, keepdims=True))
         last = limb
-    return np.stack(lows).squeeze(axis + 1)
+    return np.stack(lows).squeeze(2)
 
 
 def steiner_algebraic(inst, enc, egap):
@@ -670,9 +670,10 @@ def steiner_algebraic(inst, enc, egap):
     multiset, holds a tree of no larger key, and the optimum's encoding is
     its key mod R.  y is small wherever the cover's scales separate (every
     cover of dimension <= 2, and those of dimension 3 whose first generator
-    outweighs the rest of the box), and the sums then fit one 61-bit int64
-    limb unless egap's volume is large too; larger keys are split into as
-    many limbs as the largest sum needs.  Floyd-Warshall relaxes only the
+    outweighs the rest of the box).  The DP's values lie below a bound inf;
+    while inf < EXPONENT_LIMIT = 2^62 they run on one int64, any two adding
+    without wrapping, and otherwise on as many int64 limbs below
+    EXPONENT_LIMIT as inf needs.  Floyd-Warshall relaxes only the
     rows that reach its pivot, low-degree pivots first, so sparse graphs
     cost less than n^3; on one limb a pivot is one np.minimum, over the
     whole matrix in place once half the rows reach a pivot, and each DP
@@ -712,9 +713,10 @@ def steiner_algebraic(inst, enc, egap):
     key = {w: sum(a * l for a, l in zip(y, kappa_inv(egap, enc[w]))) * radix + enc[w]
            for w in {w for *_, w in edges}}
     # a DP value sums fewer than 2 * len(terms) paths of fewer than n edges,
-    # so `inf` lies above all; the limbs hold 2 * inf, Floyd-Warshall's sum
+    # so `inf` lies above all; each limb of inf is below EXPONENT_LIMIT, so
+    # the sum of two values never wraps
     inf = 2 * len(terms) * (n - 1) * max(key.values(), default=0) + 1
-    count = -(-(2 * inf).bit_length() // _LIMB)
+    count = -(-inf.bit_length() // _LIMB)
     k = len(terms) - 1
 
     def step(splits):  # subsets per DP block: bounds its (splits + n) x n sums
@@ -792,9 +794,8 @@ def steiner_algebraic(inst, enc, egap):
         for b in range(0, len(level), size):
             part = slice(b, b + size)
             # merge two sub-trees at one root, then re-root along shortest paths
-            merged = _limb_min(_limb_add(dp[:, firsts[part]], dp[:, seconds[part]]), 1)
-            dp[:, level[part]] = _limb_min(
-                _limb_add(merged[:, :, :, None], dist[:, None]), 1)
+            merged = _limb_min(_limb_add(dp[:, firsts[part]], dp[:, seconds[part]]))
+            dp[:, level[part]] = _limb_min(_limb_add(merged[:, :, :, None], dist[:, None]))
         del firsts, seconds  # before the next level's are formed
     best = sum(limb << _LIMB * j for j, limb in enumerate(dp[::-1, -1, root].tolist()))
     best %= radix
@@ -817,17 +818,16 @@ def _fft_len(m):
     return best
 
 
-def _selfconv_support(seq, bound):
+def _selfconv_support(seq):
     """Attainable (position sum, value sum) pairs as a (2n-1, 2*max(seq)+1) bool array.
 
     Entry [k, s] is True iff some i + j = k has seq[i] + seq[j] = s.  The
     0/1 indicator ind[i, seq[i]] is convolved with itself by a 2-D real
     FFT over an R x C grid, 2^a * 3^b lengths at least as long as the
     2n-1 position sums and 2*max(seq)+1 value sums, so no wrap-around
-    occurs.  `bound` only checks that every entry lies in [0, bound).
-    Counts are at most n and the float64 rounding error of the transform
-    is far below 0.5 at any size TABLE_BITS admits, so thresholding at 0.5
-    is exact.
+    occurs.  Counts are at most n and the float64 rounding error of the
+    transform is far below 0.5 at any size TABLE_BITS admits, so
+    thresholding at 0.5 is exact.
 
     One complex128 spectrum of R x (C/2+1) is transformed in place: its
     first n rows are filled from blocks of indicator rows, and the column
@@ -843,8 +843,6 @@ def _selfconv_support(seq, bound):
     import numpy as np
 
     n = len(seq)
-    if any(not 0 <= v < bound for v in seq):
-        raise BoundExceeded("encoded value outside [0, bound)")
     rows, cols = 2 * n - 1, 2 * max(seq) + 1
     height, width = _fft_len(rows), _fft_len(cols)
     _refuse_over(80 * height * width,
@@ -907,7 +905,7 @@ def minplus_selfconv_min(seq, bound, keys=None):
     pairs_win = n * n <= height * width or grid_bits > TABLE_BITS
     if pair_bits <= TABLE_BITS and pairs_win:
         return _pair_min(seq, top, keys).tolist()
-    support = _selfconv_support(seq, bound)
+    support = _selfconv_support(seq)
     # only attainable sums are guaranteed to be decodable, so evaluate
     # the keys just on columns that occur somewhere
     cols = _ranked(np.flatnonzero(support.any(axis=0)), keys)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from gapsolve import SOLVER_SPECS, enlarge, errors
+from gapsolve import SOLVER_SPECS, ProblemInstance, enlarge, errors
 import gapsolve.cli as cli
 
 from gapsolve.cli import main
@@ -733,6 +733,35 @@ def test_number_past_the_digit_limit_exit_2(argv, tmp_path, capsys):
     assert (code, out) == (2, ""), err
     assert "Traceback" not in err
     assert err.startswith("error: ") and "more than 4300 digits" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "tsp", "--n", "3", "--seed", "1"],
+    ["verify", "--sweep", "1", "--kind", "tsp", "--n", "4"],
+], ids=["gen", "verify-sweep"])
+def test_enumerated_volume_past_the_digit_limit_exit_2(argv, capsys):
+    # the GAP's volume, (10^4299 + 1)^2, has 8599 digits: the enumeration
+    # budget's refusal names its bit length, not its value
+    code, out, err = run(argv + ["--gap", "d=2 x=1,3 L=10^4299,10^4299"], capsys)
+    assert (code, out) == (2, ""), err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and "bits exceeds budget" in err
+
+
+@pytest.mark.parametrize("fields, body, message", [
+    (dict(kind="knapsack", n=2), "kind knapsack\nn 2\n", "unknown kind 'knapsack'"),
+    (dict(kind="steiner", n=2, terminals=(0,)), "kind steiner\nn 2\nterminals 0\n",
+     "steiner needs >= 2 terminals"),
+    (dict(kind="steiner", n=2, terminals=(0, 2)), "kind steiner\nn 2\nterminals 0 2\n",
+     "terminal out of range"),
+], ids=["kind", "one-terminal", "terminal-range"])
+def test_problem_instance_refusals_exit_1(fields, body, message, tmp_path, capsys):
+    # ProblemInstance refuses each one itself, and `solve` exits 1 on its file
+    with pytest.raises(errors.InvalidInstance, match=message):
+        ProblemInstance(edges=((0, 1, 1),), **fields)
+    path = tmp_path / "bad.txt"
+    path.write_text(f"problem\n{body}edges\n0 1 1\n")
+    assert run(["solve", str(path)], capsys) == (1, "", f"error: {message}\n")
 
 
 def test_analyze_volume_past_the_digit_limit_exit_2(tmp_path, capsys):

@@ -175,6 +175,16 @@ def test_true_values_limit_2_62():
             true_values(small, [1, bad])
 
 
+def test_out_of_range_on_a_volume_past_the_digit_limit():
+    # the volume, (10^4299 + 1)^3, has 12,898 digits: both refusals name
+    # bit lengths, so they raise OutOfRange, not int -> str's ValueError
+    g = Gap((1, 3, 5), (10**4299,) * 3)
+    with pytest.raises(OutOfRange, match="^encoded values outside"):
+        true_values(g, [-1])
+    with pytest.raises(OutOfRange, match="outside"):
+        kappa_inv(g, -1)
+
+
 @pytest.mark.parametrize("gens, bounds, exps, dtype", [
     # sum(x_i * B_i) = 2^63 - 1, the largest int64, is the value of the
     # last encoding, 5: every sum fits

@@ -317,13 +317,20 @@ def spy_limbs(monkeypatch):
 
 def test_steiner_benchmark_shapes_run_on_one_limb(monkeypatch):
     # steiner50t7's shape on G and on the 2^63-scale H: the order weights
-    # keep every key below 2^61, so the DP never adds more than one limb
+    # keep the DP's bound inf below 2^62, so it never adds more than one limb
     limbs = spy_limbs(monkeypatch)
     for gap in (Gap((10**12, 7), (1, 30)), Gap((2**63 + 29, 2**61 + 3), (3, 12))):
         inst = generate_instance("steiner", 50, gap, seed=1, density=0.2, n_terminals=7)
         limbs.clear()
         run_meta(inst)
         assert limbs and set(limbs) == {1}, gap
+    # the planted 3-dim cover at n = 100: the bound inf on its DP values has
+    # 61 bits, below EXPONENT_LIMIT = 2^62, so it too runs on one limb
+    inst = generate_instance("steiner", 100, Gap((10**9 + 7, 1000003, 13), (8, 8, 8)),
+                             seed=1, density=0.05, n_terminals=4)
+    limbs.clear()
+    run_meta(inst)
+    assert limbs and set(limbs) == {1}
     # a 3-dim cover whose first generator does not outweigh the rest keeps
     # 2^63-scale order weights, and its keys need limbs
     inst = generate_instance("steiner", 8, Gap((2**63 + 29, 2**62 + 7, 2**61 + 3), (1, 1, 1)),
@@ -379,9 +386,9 @@ def test_minplus_matches_naive_random():
         assert minplus_selfconv_min(seq, 64) == minplus_naive(seq)
 
 
-def attainable_sums(seq, bound):
+def attainable_sums(seq):
     """Attainable encoded sums per output index, one sorted list each."""
-    support = _selfconv_support(seq, bound)
+    support = _selfconv_support(seq)
     return [[int(s) for s in row.nonzero()[0]] for row in support]
 
 
@@ -444,13 +451,27 @@ def test_tsp_small_n_wide_spread_decodes_in_slot_bytes():
     assert peak < 8 * 10**6
 
 
+def test_tsp_counts_past_64_bits_refused_before_tables():
+    # K_22 of one weight: its 21! directed cycles through vertex 0 need 66
+    # bits, and nothing of a Held-Karp level may be allocated first
+    inst = ProblemInstance(kind="tsp", n=22, edges=complete_graph(22, [5]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoundExceeded, match="do not fit in 64 bits"):
+            tsp_algebraic(inst, {5: 5})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_minplus_bound_errors(monkeypatch):
     with pytest.raises(BoundExceeded):
         minplus_selfconv_min([5], 4)
     # sums reach 2 * (10^7 - 1): a 216 x 20155392 grid
     monkeypatch.setattr(solvers, "TABLE_BITS", 80 * 10**6)
     with pytest.raises(BoundExceeded, match="FFT grid of 216x20155392"):
-        _selfconv_support([0, 10**7 - 1] * 50, 10**7)
+        _selfconv_support([0, 10**7 - 1] * 50)
     # the pair table's rank lookup over 2 * 10^7 value sums passes it too
     with pytest.raises(BoundExceeded, match="pair table of 100x100 sums"):
         minplus_selfconv_min([0, 10**7 - 1] * 50, 10**7)
@@ -461,10 +482,10 @@ def test_minplus_grid_spans_sums_not_bound(monkeypatch):
     monkeypatch.setattr(solvers, "TABLE_BITS", 80 * 10**6)
     assert minplus_selfconv_min([1] * 100, 10**7) == minplus_naive([1] * 100)
     monkeypatch.setattr(solvers, "TABLE_BITS", 80 * 216 * 3)
-    assert _selfconv_support([1] * 100, 10**7).shape == (199, 3)
+    assert _selfconv_support([1] * 100).shape == (199, 3)
     monkeypatch.setattr(solvers, "TABLE_BITS", 80 * (216 * 3) - 1)
     with pytest.raises(BoundExceeded):
-        _selfconv_support([1] * 100, 10**7)
+        _selfconv_support([1] * 100)
 
 
 def test_minplus_exact_for_any_bound():
@@ -484,10 +505,10 @@ def test_minplus_support_peak_per_padded_slot():
     # plus 4 MB blocks must stay within 12 bytes per slot
     rng = random.Random(3)
     seq = [rng.randint(0, 2000) for _ in range(999)] + [2000]
-    _selfconv_support([0, 1, 2], 3)  # numpy's one-time FFT setup
+    _selfconv_support([0, 1, 2])  # numpy's one-time FFT setup
     tracemalloc.start()
     try:
-        support = _selfconv_support(seq, 4001)
+        support = _selfconv_support(seq)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -575,7 +596,8 @@ def test_tsp_peak_within_price(monkeypatch, cover, n):
     (Gap((10**12, 7), (1, 30)), 20, 0.5, 14),   # split tables above the DP table
     (Gap((10**12, 7), (1, 30)), 400, 0.006, 3),  # the n x n distances dominate
     (Gap((2**63 + 29, 2**62 + 7, 2**61 + 3), (1, 1, 1)), 12, 0.5, 10),  # two limbs
-], ids=["n100t8", "n200t12", "n20t14", "n400t3", "limbs"])
+    (Gap((10**9 + 7, 1000003, 13), (8, 8, 8)), 100, 0.05, 4),  # one limb below 2^62
+], ids=["n100t8", "n200t12", "n20t14", "n400t3", "limbs", "3dim-n100t4"])
 def test_steiner_peak_within_price(monkeypatch, gap, n, density, terminals):
     # the DP table, the subset bits, the Floyd-Warshall distances and a DP
     # level's split tables and block are priced together: at least the
@@ -624,10 +646,10 @@ def test_minplus_budget_counts_padded_grid(monkeypatch):
     # pair table of 3 x 3 sums fits either budget
     monkeypatch.setattr(solvers, "TABLE_BITS", 80 * 40)
     with pytest.raises(BoundExceeded):
-        _selfconv_support([0, 1, 4], 5)
+        _selfconv_support([0, 1, 4])
     assert minplus_selfconv_min([0, 1, 4], 5) == [0, 1, 2, 5, 8]
     monkeypatch.setattr(solvers, "TABLE_BITS", 80 * 54)
-    assert attainable_sums([0, 1, 4], 5) == [[0], [1], [2, 4], [5], [8]]
+    assert attainable_sums([0, 1, 4]) == [[0], [1], [2, 4], [5], [8]]
     assert minplus_selfconv_min([0, 1, 4], 5) == [0, 1, 2, 5, 8]
 
 
@@ -635,9 +657,9 @@ def spy_fft(monkeypatch):
     """Record the sequence length of every FFT-core call."""
     calls = []
 
-    def spy(seq, bound):
+    def spy(seq):
         calls.append(len(seq))
-        return _selfconv_support(seq, bound)
+        return _selfconv_support(seq)
 
     monkeypatch.setattr(solvers, "_selfconv_support", spy)
     return calls
@@ -683,7 +705,7 @@ def test_minplus_both_cores_match_naive_on_either_side():
         sides.add(n * n <= height * width)
         assert minplus_selfconv_min(seq, top + 1) == naive
         assert solvers._pair_min(seq, max(seq), None).tolist() == naive
-        assert [row[0] for row in attainable_sums(seq, top + 1)] == naive
+        assert [row[0] for row in attainable_sums(seq)] == naive
     assert sides == {True, False}
 
 
@@ -754,7 +776,7 @@ def test_minplus_pair_peak_within_price():
 
 
 def test_minplus_attainable_sets():
-    assert attainable_sums([1, 3], 8) == [[2], [4], [6]]
+    assert attainable_sums([1, 3]) == [[2], [4], [6]]
 
 
 def test_ewclique_invariant_holds_under_python_O():

@@ -57,11 +57,14 @@ def _read_instance(path):
         return parse_instance(fh.read())
 
 
+def _generate(args, gap, seed):
+    """The instance the generator flags of gen and verify --sweep ask for."""
+    return generate_instance(args.kind, args.n, gap, seed, density=args.density,
+                             k=args.k, n_terminals=args.terminals)
+
+
 def cmd_gen(args):
-    inst = generate_instance(
-        args.kind, args.n, parse_gap_spec(args.gap), args.seed,
-        density=args.density, k=args.k, n_terminals=args.terminals,
-    )
+    inst = _generate(args, parse_gap_spec(args.gap), args.seed)
     text = serialize_instance(inst, seed=args.seed)
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
@@ -153,45 +156,38 @@ def _verify_one(inst, args):
 
 def cmd_verify(args):
     if args.sweep < 0:
-        print(f"error: --sweep {args.sweep} is negative", file=sys.stderr)
-        return 1
+        raise ParseError(f"--sweep {args.sweep} is negative")
     if args.sweep:
         if not args.gap:
-            print("error: --sweep requires --gap", file=sys.stderr)
-            return 1
+            raise ParseError("--sweep requires --gap")
         gap = parse_gap_spec(args.gap)
-        failures = 0
-        for i in range(args.sweep):
-            inst = generate_instance(
-                args.kind, args.n, gap, args.seed + i,
-                density=args.density, k=args.k, n_terminals=args.terminals,
-            )
-            status, msg = _verify_one(inst, args)
-            print(f"[{i}] {status.upper()}: {msg}")
-            if status == "fail":
-                failures += 1
-        return 4 if failures else 0
-    if args.path is None:
-        print("error: verify needs an instance file or --sweep", file=sys.stderr)
-        return 1
-    status, msg = _verify_one(_file_instance(args), args)
-    print(f"{status.upper()}: {msg}")
-    return 4 if status == "fail" else 0
+        # a generator: each instance is made when the loop below reaches it
+        cases = ((f"[{i}] ", _generate(args, gap, args.seed + i)) for i in range(args.sweep))
+    elif args.path is None:
+        raise ParseError("verify needs an instance file or --sweep")
+    else:
+        cases = [("", _file_instance(args))]
+    failures = 0
+    for label, inst in cases:
+        status, msg = _verify_one(inst, args)
+        print(f"{label}{status.upper()}: {msg}")
+        failures += status == "fail"
+    return 4 if failures else 0
 
 
 def cmd_analyze(args):
     inst, _ = _read_instance(args.path)
     a = inst.weights
-    folds = [a, sumset(a, a)]  # folds[h - 1] is hA = (h-1)A + A
-    # 3A and 4A only while the |(h-1)A| * |A| sums fit --volume-budget
+    folds = [a]  # folds[h - 1] is hA = (h-1)A + A
+    # 2A, 3A and 4A only while the |(h-1)A| * |A| sums fit --volume-budget
     while len(folds) < 4 and len(folds[-1]) * len(a) <= args.volume_budget:
         folds.append(sumset(folds[-1], a))
+    sizes = [len(fold) for fold in folds] + ["skipped"] * (4 - len(folds))
     print(f"|A|        {len(a)}")
-    print(f"|A+A|      {len(folds[1])}")
-    print(f"C(A)       {Fraction(len(folds[1]), len(a))}")
+    print(f"|A+A|      {sizes[1]}")
+    print(f"C(A)       {Fraction(sizes[1], len(a)) if len(folds) > 1 else 'skipped'}")
     for h in range(1, 5):
-        size = len(folds[h - 1]) if h <= len(folds) else "skipped"
-        print(f"|{h}A|{' ' * (7 - len(str(h)))}{size}")
+        print(f"|{h}A|{' ' * (7 - len(str(h)))}{sizes[h - 1]}")
     gap = inst.gap
     if gap is None:
         try:

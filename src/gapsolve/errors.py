@@ -6,8 +6,9 @@ class GapsolveError(Exception):
 
 
 class ParseError(GapsolveError):
-    """An instance file or GAP spec breaks the format (exit 1).  Not a ValueError,
-    which `parse_gap_spec` would re-wrap with a second prefix."""
+    """An instance file, GAP spec or command-line flag breaks the format
+    (exit 1).  Not a ValueError, which `parse_gap_spec` would re-wrap with a
+    second prefix."""
 
 
 class InvalidInstance(GapsolveError, ValueError):

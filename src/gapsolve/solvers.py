@@ -384,14 +384,19 @@ def maxcut_algebraic(inst, enc):
     """Split-and-list over a 3-way vertex partition, on int64 tables.
 
     Vertices split into V1, V2, V3 of size <= ceil(n/3).  Part i's
-    assignments are the rows of two 0/1 matrices over all n vertices: X_i
-    marks the part's vertices on the cut side, Xc_i the rest of the part.
-    With W the encoded weight matrix, X_i W Xc_j^T + Xc_i W X_j^T is the
-    cut weight between parts i != j, and the row sums of (X_i W) * Xc_i are
-    part i's internal cut weights.  Vertex 0 is pinned outside the cut side
-    so each bipartition {S, V\\S} counts exactly once.  A broadcast adds
-    the three parts' tables into the 2^(n-1) cut sums, each of which lies
-    in [0, sum of enc].  Two ways count them:
+    assignments are the rows of a 0/1 matrix X_i over all n vertices that
+    marks the part's vertices on the cut side.  With W the encoded weight
+    matrix and d its row sums, a cut side x weighs x d - x W x^T, the weight
+    of its edges to the other side (R. Williams, TCS 2005), so over
+    x = x_1 + x_2 + x_3 it is the sum of the part terms x_i d - x_i W x_i^T
+    and the cross terms -2 x_i W x_j^T, i < j: three part-pair products,
+    and no table of the vertices off the cut side.  Vertex 0 is pinned
+    outside the cut side so each bipartition {S, V\\S} counts exactly once.
+    A broadcast adds the three parts' tables into the 2^(n-1) cut sums,
+    each of which lies in [0, w], w the sum of the encoded edge weights.
+    Every partial sum, the cross terms included, lies in [-2w, 2w], and
+    `_check_int64` (lambda = m) keeps w below 2^62, so 2w < 2^63 and int64
+    never wraps.  Two ways count the cut sums:
 
       histogram  one block of part-1 rows at a time, at most 2^22 sums, is
                  counted by np.bincount into one int64 histogram over that
@@ -404,8 +409,8 @@ def maxcut_algebraic(inst, enc):
     plus the part tables.  The histogram runs when it fits TABLE_BITS and
     has at most _SORT_BINS bins per cut sum (or the sort does not fit), so
     wide ranges over few cuts sort; BoundExceeded names both when neither
-    fits.  On a range of about 4 * 10^5 bins n = 26 takes about 0.2 s and
-    41 MiB, and n = 30 2.5-4 s and 60 MiB: time, not memory, bounds n on a
+    fits.  On a range of about 4 * 10^5 bins n = 26 takes about 0.14 s and
+    41 MiB, and n = 30 2.1-2.3 s and 59 MiB: time, not memory, bounds n on a
     small range, so n above MAXCUT_VERTICES = 30 is refused before
     anything is allocated.
     """
@@ -424,11 +429,8 @@ def maxcut_algebraic(inst, enc):
         rows = np.arange(1 << len(free))[:, None]
         cut = np.zeros((len(rows), n), dtype=np.int64)
         cut[:, free] = rows >> np.arange(len(free)) & 1
-        rest = np.zeros_like(cut)
-        rest[:, list(part)] = 1
-        rest -= cut
-        sides.append((cut, rest))
-    count0, count1, count2 = (len(cut) for cut, _ in sides)
+        sides.append(cut)
+    count0, count1, count2 = map(len, sides)
     cuts = count0 * count1 * count2
     bins = int(weight.sum()) // 2 + 1
     step = max(1, (1 << 22) // (count1 * count2))  # part-1 rows per block
@@ -440,14 +442,12 @@ def maxcut_algebraic(inst, enc):
                  f" and a sort ({sort_bits} bits)")
     hist = hist_bits <= TABLE_BITS and (bins <= _SORT_BINS * cuts or sort_bits > TABLE_BITS)
 
-    def between(i, j):
-        (xi, ci), (xj, cj) = sides[i], sides[j]
-        return xi @ weight @ cj.T + ci @ weight @ xj.T
-
-    int0, int1, int2 = ((x @ weight * c).sum(axis=1) for x, c in sides)
-    left = int0[:, None] + int1[None, :] + between(0, 1)   # s0 x s1
-    right = int2[None, :] + between(1, 2)                   # s1 x s2
-    across = between(0, 2)                                  # s0 x s2
+    x0, x1, x2 = sides
+    degree, cross = weight.sum(axis=1), -2 * weight
+    own0, own1, own2 = (x @ degree - (x @ weight * x).sum(axis=1) for x in sides)
+    left = own0[:, None] + own1[None, :] + x0 @ cross @ x1.T  # s0 x s1
+    right = own2[None, :] + x1 @ cross @ x2.T                 # s1 x s2
+    across = x0 @ cross @ x2.T                                # s0 x s2
 
     def block(r, rows):
         sums = left[r:r + rows, :, None] + right[None, :, :]
@@ -517,9 +517,9 @@ def build_auxiliary_graph(inst, enc):
     return combos, own, hedges
 
 
-def _bit_rows(size, *pairs):
+def _bit_rows(size, rows, cols):
     """size x ceil(size/64) uint64 words with bit c of row r set for each
-    (r, c) of the given (rows, cols) index arrays.
+    (r, c) of the index arrays rows and cols.
 
     Columns are packed in little bit order within bytes, so the bits of a
     word's uint8 view, unpacked in little bit order, are its 64 columns.
@@ -527,8 +527,7 @@ def _bit_rows(size, *pairs):
     import numpy as np
 
     flags = np.zeros((size, 64 * -(-size // 64)), dtype=bool)
-    for rows, cols in pairs:
-        flags[rows, cols] = True
+    flags[rows, cols] = True
     return np.packbits(flags, axis=1, bitorder="little").view(np.uint64)
 
 
@@ -559,13 +558,15 @@ def ewclique_algebraic(inst, enc):
     l.  The weights of (i, l) and (j, l) are read through an N x N int32
     matrix of kept-edge indices.  Two checks raise InvariantViolated:
     every triangle weight is even, and the listed triangles times
-    C(k,k/3)*C(2k/3,k/3)/6 equal H's triangle count, a third of the
-    popcounts of the ANDed rows of both ends of every H-edge in H's packed
-    full adjacency, independent of the listing.  The hedges are dropped
-    before the 4 bytes per N^2 of the index matrix are allocated, so the
-    peak is about 32 bytes per H-edge or 8 per kept edge plus 5 per N^2,
-    within the 8 bytes per N^2 `build_auxiliary_graph` prices while H has
-    at most about N^2 / 5 edges and N is above about 1000 (tracemalloc:
+    C(k,k/3)*C(2k/3,k/3)/6 equal H's triangle count, independent of the
+    listing: the popcounts of the ANDed rows of both ends of every H-edge
+    (i, j), in rows packed from all of H that hold each node's higher
+    neighbours, so each triangle i < j < l counts once, from (i, j)
+    (M. Latapy, TCS 2008).  The hedges are dropped before the 4 bytes per
+    N^2 of the index matrix are allocated, so the peak is about 32 bytes
+    per H-edge or 8 per kept edge plus 5 per N^2, within the 8 bytes per
+    N^2 `build_auxiliary_graph` prices while H has at most about N^2 / 5
+    edges and N is above about 1000 (tracemalloc:
     7.2-7.8 bytes per N^2 for k = 6 on G(n, 0.8), N = 1417 and 2033, which
     have N^2 / 5.3 H-edges; 4.6 on G(80, 0.5), N = 1602).
     """
@@ -578,7 +579,7 @@ def ewclique_algebraic(inst, enc):
     per_clique = comb(inst.k, kk) * comb(inst.k - kk, kk) // 6
     words = -(-size // 64)
     step = max(1, (1 << 15) // max(1, words))  # edges per 256 KB of words
-    full = _bit_rows(size, (first, second), (second, first))
+    higher = _bit_rows(size, first, second)
 
     def count_and_keep(s):
         """The popcounts of a block of edges, and the block's edges whose
@@ -586,17 +587,17 @@ def ewclique_algebraic(inst, enc):
         the consecutive thirds of each sorted clique.  A function, so no
         view of `hedges` outlives the loop and `del hedges` frees it."""
         i, j = first[s:s + step], second[s:s + step]
-        both = np.take(full, i, axis=0)
-        both &= np.take(full, j, axis=0)
+        both = np.take(higher, i, axis=0)
+        both &= np.take(higher, j, axis=0)
         return int(np.bitwise_count(both).sum()), np.flatnonzero(nodes[i, -1] < nodes[j, 0]) + s
 
     counted = [count_and_keep(s) for s in range(0, len(hw), step)]
-    in_h = sum(c for c, _ in counted) // 3
+    in_h = sum(c for c, _ in counted)
     kept = np.concatenate([hw[:0]] + [keep for _, keep in counted])
     first, second, hw = first[kept], second[kept], hw[kept]
-    del full, hedges, kept, counted
+    del higher, hedges, kept, counted
     # the kept edges (i, j), i < j, so a row holds the higher neighbours
-    upper = _bit_rows(size, (first, second))
+    upper = _bit_rows(size, first, second)
     index = np.zeros(size * size, dtype=np.int32)
     index[first * size + second] = np.arange(len(hw), dtype=np.int32)
     # each block of edges lists its triangles and counts their weights, so

@@ -121,6 +121,15 @@ def test_verify_without_file_or_sweep_exit_1(capsys):
     assert err.startswith("error: ") and out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--sweep", "-2", "--gap", "d=1 x=1 L=3"], "--sweep -2 is negative"),
+    (["verify", "--sweep", "2"], "--sweep requires --gap"),
+    (["verify"], "verify needs an instance file or --sweep"),
+], ids=["negative-sweep", "sweep-without-gap", "no-file-no-sweep"])
+def test_verify_bad_flags_exact_stderr(argv, message, capsys):
+    assert run(argv, capsys) == (1, "", f"error: {message}\n")
+
+
 SEVENS = ("problem\nkind tsp\nn 4\nedges\n"
           "0 1 7\n0 2 14\n0 3 21\n1 2 28\n1 3 35\n2 3 42\n")
 
@@ -318,6 +327,21 @@ def test_analyze_bounds_sumsets_by_volume_budget(tmp_path, capsys):
     assert "|A+A|      7260\n" in out
     assert "|3A|      295218\n" in out and "|4A|      skipped\n" in out
     assert out.endswith("gap        none found\n")  # the search fails
+
+
+def test_analyze_bounds_a_plus_a_by_volume_budget(tmp_path, capsys):
+    # |A| = 10, so A + A takes 100 sums: a budget of 99 skips every sumset
+    path = tmp_path / "ten.txt"
+    path.write_text("problem\nkind minplusconv\nsequence\n"
+                    + " ".join(str(3**i) for i in range(10)) + "\n")
+    code, out, _ = run(["analyze", str(path), "--volume-budget", "99"], capsys)
+    assert code == 0
+    assert out.startswith("|A|        10\n|A+A|      skipped\nC(A)       skipped\n"
+                          "|1A|      10\n|2A|      skipped\n|3A|      skipped\n"
+                          "|4A|      skipped\n")
+    code, out, _ = run(["analyze", str(path), "--volume-budget", "100"], capsys)
+    assert code == 0
+    assert "|A+A|      55\nC(A)       11/2\n" in out and "|2A|      55\n" in out
 
 
 def test_analyze_prints_cover_volume(tmp_path, capsys):

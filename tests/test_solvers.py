@@ -29,7 +29,7 @@ from gapsolve import (
     true_values,
     tsp_algebraic,
 )
-from gapsolve.errors import BoundExceeded, Disconnected, KNotDivisibleBy3
+from gapsolve.errors import BoundExceeded, Disconnected, InvariantViolated, KNotDivisibleBy3
 from gapsolve.instances import generate_instance
 import gapsolve.solvers as solvers
 from gapsolve.solvers import _selfconv_support
@@ -258,6 +258,30 @@ def test_clique_k6_counts_every_clique_of_k8():
     assert (value, count) == (ref.optimum, ref.count)
 
 
+def test_ewclique_triangle_count_invariant_fires(monkeypatch):
+    # the second _bit_rows call packs the kept edges the listing reads:
+    # with node 0's row cleared, the 210 cliques whose lowest third is
+    # node 0 = {0, 1} go unlisted, while the count from the first call,
+    # over all of H, still has C(12, 6) = 924 cliques of 15 triangles each
+    inst, enc = encoded_instance("ewclique", 12, Gap((10**12, 7), (1, 30)),
+                                 density=1.0, k=6)
+    calls = []
+    bit_rows = solvers._bit_rows
+
+    def drop_node_0(*args):
+        calls.append(bit_rows(*args))
+        if len(calls) == 2:
+            calls[1][0] = 0
+        return calls[-1]
+
+    monkeypatch.setattr(solvers, "_bit_rows", drop_node_0)
+    with pytest.raises(InvariantViolated) as exc:
+        ewclique_algebraic(inst, enc)
+    assert str(exc.value) == ("714 k-cliques listed, but H has 13860 triangles, "
+                              "not 15 per clique")
+    assert len(calls) == 2
+
+
 # --- Steiner -----------------------------------------------------------
 
 
@@ -409,6 +433,19 @@ def test_int64_cores_exact_below_2_62_and_raise_above(kind):
     assert as_dict(solve(inst, enc)) == expected
     with pytest.raises(BoundExceeded):
         solve(inst, {1: top + 1, 2: 0, 3: 0})
+
+
+def test_maxcut_partial_sums_reach_twice_the_weight_sum():
+    # two edges of (2^62 - 1) // 2 = 2^61 - 1 at vertex 1: their sum w is
+    # 2^62 - 2, the most _check_int64 lets through at m = 2; parts {0, 1}
+    # and {2, 3} each have a cut-side term of w, so two part terms add to
+    # 2w = 2^63 - 4 before the cross term -2w brings it back
+    top = (2**62 - 1) // 2
+    inst = ProblemInstance(kind="maxcut", n=6, edges=((1, 2, 1), (1, 3, 2)))
+    terms = maxcut_algebraic(inst, {1: top, 2: top})
+    assert as_dict(terms) == {0: 8, 2**61 - 1: 16, 2**62 - 2: 8}
+    ref = maxcut_bf(ProblemInstance(kind="maxcut", n=6, edges=((1, 2, top), (1, 3, top))))
+    assert (ref.optimum, ref.count) == (2**62 - 2, 8)
 
 
 

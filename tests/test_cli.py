@@ -823,3 +823,41 @@ def test_solve_encoding_past_the_digit_limit_exit_2(kind, tmp_path, capsys):
     assert err.startswith("error: ") and err.endswith("bits is not below 2^62\n")
     assert "Traceback" not in err
     assert time.perf_counter() - start < 5
+
+
+def _no_tour(inst):
+    raise errors.InfeasibleInstance("no tour")
+
+
+@pytest.mark.parametrize("oracle, verdict", [
+    (lambda inst: 16, "FAIL: meta=15 oracle=16"),
+    (_no_tour, "FAIL: feasibility disagrees (meta=True, oracle=False)"),
+], ids=["value", "feasibility"])
+def test_verify_mismatch_exit_4(oracle, verdict, tmp_path, capsys, monkeypatch):
+    # the one tour weighs 3 + 5 + 7
+    path = tmp_path / "t3.txt"
+    path.write_text("problem\nkind tsp\nn 3\nedges\n0 1 3\n0 2 5\n1 2 7\n")
+    monkeypatch.setitem(SOLVER_SPECS, "tsp", replace(SOLVER_SPECS["tsp"], oracle=oracle))
+    assert run(["verify", str(path)], capsys) == (4, verdict + "\n", "")
+
+
+def test_solve_text_prints_minplus_sequence(tmp_path, capsys):
+    path = tmp_path / "p.txt"
+    path.write_text("problem\nkind minplusconv\nsequence\n0 9000000\n"
+                    "gap\n1\n1\n9000000\n")
+    code, out, err = run(["solve", str(path)], capsys)
+    assert (code, err) == (0, "")
+    assert "sequence          0 9000000 18000000" in out.splitlines()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("edges\n0 1 2\n", "missing problem section"),
+    ("problem\nn 3\n", "problem section missing kind"),
+    ("problem\nkind tsp\nn 3\ngap\n1\n5\n", "gap section must be 3 lines: d, generators, bounds"),
+    ("problem\nkind tsp\nn 3\ngap\n2\n5\n3\n", "gap dimension mismatch"),
+    ("problem\nkind tsp\nn 3\nseed\n1\n2\n", "seed section must be a single line"),
+], ids=["no-problem", "no-kind", "gap-lines", "gap-dimension", "seed-lines"])
+def test_instance_file_section_errors_exit_1(text, message, tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert run(["solve", str(path)], capsys) == (1, "", f"error: {message}\n")

@@ -4,18 +4,20 @@ loops they replaced.
 `ref_parse_instance` is the per-line parser and `_RefInstance.__post_init__`
 the per-edge check that ran before the edges and sequence sections were
 converted with one split and the edge tuple checked column by column; both
-are kept here verbatim (renamed).  On a seeded corpus of every kind, with
-10^k tokens, comments, blank lines, CRLF line ends and injected faults, the
-package must return an equal instance, or raise the same error type with
-the same message: the first fault, in file order, wins.
+are kept here verbatim (renamed), save the integer-endpoint rule added to
+_RefInstance.  On a seeded corpus of every kind, with 10^k tokens, comments,
+blank lines, CRLF line ends and injected faults, the package must return an
+equal instance, or raise the same error type with the same message: the
+first fault, in file order, wins.
 """
 
 import random
 from dataclasses import astuple, dataclass
 
+import numpy as np
 import pytest
 
-from gapsolve import SOLVER_SPECS, Gap, ProblemInstance
+from gapsolve import SOLVER_SPECS, Gap, ProblemInstance, run_meta
 from gapsolve.errors import InvalidInstance, ParseError
 from gapsolve.instances import (
     SECTIONS,
@@ -28,6 +30,9 @@ from gapsolve.instances import (
 
 @dataclass(frozen=True)
 class _RefInstance(ProblemInstance):
+    """The per-edge check as it ran before the column check, plus one line:
+    the integer-endpoint rule, last in the loop, as the package checks it."""
+
     def __post_init__(self):
         if self.kind not in SOLVER_SPECS:
             raise InvalidInstance(f"unknown kind {self.kind!r}")
@@ -44,6 +49,9 @@ class _RefInstance(ProblemInstance):
             key = (min(u, v), max(u, v))
             if key in seen:
                 raise InvalidInstance(f"duplicate edge {key}")
+            if (type(u) is not int or type(v) is not int) and not (
+                    hasattr(type(u), "__index__") and hasattr(type(v), "__index__")):
+                raise InvalidInstance("edge endpoints must be integers")
             seen.add(key)
         if self.kind == "steiner":
             if len(self.terminals) < 2:
@@ -322,3 +330,24 @@ def test_edge_check_matches_the_loop():
         raised += expected[0] == "raised"
     # both outcomes occur often
     assert 600 < raised < 2400, raised
+
+
+ENDPOINT_KINDS = [("tsp", {}), ("maxcut", {}), ("ewclique", dict(k=3)),
+                  ("steiner", dict(terminals=(0, 2)))]
+
+
+@pytest.mark.parametrize("kind, fields", ENDPOINT_KINDS, ids=[k for k, _ in ENDPOINT_KINDS])
+def test_edge_endpoints_must_be_integers(kind, fields):
+    def instance(a):
+        return ProblemInstance(kind=kind, n=3, edges=((0, a, 5), (0, 2, 7), (1, 2, 4)),
+                               **fields)
+
+    # a float endpoint is refused, not truncated or left to crash a solver
+    for a in (1.5, 1.0):
+        with pytest.raises(InvalidInstance, match="^edge endpoints must be integers$"):
+            instance(a)
+    # numpy integers and bools are integers: solved as the int 1 is
+    expected = run_meta(instance(1)).optimum
+    assert expected == SOLVER_SPECS[kind].oracle(instance(1))
+    for a in (np.int64(1), True):
+        assert run_meta(instance(a)).optimum == expected

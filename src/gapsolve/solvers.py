@@ -25,7 +25,8 @@ The cores work on exponents as machine integers: max-cut on int64 part
 tables whose cut sums are counted in a histogram over [0, sum of enc],
 the k-clique auxiliary graph on int64 edge rows and adjacency rows packed
 64 nodes to a uint64 word, TSP on Held-Karp levels of numpy rows holding
-a path count per exponent, and min-plus on an n x 2n int32 table of
+a path count per exponent, each block of rows pulled from the rows it
+sums by one gather and one sum, and min-plus on an n x 2n int32 table of
 pair ranks or a float FFT grid, whichever is less work.
 Sums of at most lambda encoded weights stay below EXPONENT_LIMIT = 2^62,
 checked once per call (BoundExceeded above it), so int64 never wraps.
@@ -46,6 +47,7 @@ call.  numpy is imported inside the functions that use it.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
 
@@ -69,8 +71,18 @@ TABLE_BITS = 2**32
 MAXCUT_VERTICES = 30
 # maxcut sorts its cut sums when its histogram has more bins per cut sum
 _SORT_BINS = 4
-# tsp moves its Held-Karp rows a block of at most _TSP_BLOCK slots at a time
+# tsp gathers the links of its Held-Karp rows a block of at most _TSP_BLOCK slots
 _TSP_BLOCK = 1 << 18
+# tsp keeps the links of every n whose plan takes at most _TSP_PLAN bytes
+_TSP_PLAN = 1 << 20
+# tsp builds the links of larger n in chunks of at most _TSP_LINKS links
+_TSP_LINKS = 1 << 16
+
+
+def _integers(values):
+    """Whether every value is an integer by the `__index__` rule: ints,
+    bools and numpy integers are, floats are not."""
+    return all(hasattr(t, "__index__") for t in set(map(type, values)))
 
 
 @dataclass(frozen=True)
@@ -90,7 +102,7 @@ class ProblemInstance:
             raise InvalidInstance(f"unknown kind {self.kind!r}")
         if self.n < 0 or self.k < 0:
             raise InvalidInstance(f"n = {self.n} and k = {self.k} must be non-negative")
-        n, seen = self.n, set()
+        n, seen, integral = self.n, set(), True
         for u, v, w in self.edges:
             if u == v:
                 raise InvalidInstance("self-loops are not allowed")
@@ -101,9 +113,10 @@ class ProblemInstance:
             key = (u, v) if u < v else (v, u)
             if key in seen:
                 raise InvalidInstance(f"duplicate edge {key}")
-            if (type(u) is not int or type(v) is not int) and not (
-                    hasattr(type(u), "__index__") and hasattr(type(v), "__index__")):
-                raise InvalidInstance("edge endpoints must be integers")
+            if type(u) is not int or type(v) is not int or type(w) is not int:
+                if not _integers((u, v)):
+                    raise InvalidInstance("edge endpoints must be integers")
+                integral = integral and _integers((w,))
             seen.add(key)
         if self.kind == "steiner":
             if len(self.terminals) < 2:
@@ -114,6 +127,12 @@ class ProblemInstance:
             raise InvalidInstance("minplusconv needs a non-empty sequence")
         if any(v < 0 for v in self.sequence):
             raise InvalidInstance("weights must be non-negative")
+        # the integer rule for weights and terminals comes last, so a fault
+        # refused without it keeps its message
+        if not (integral and _integers(self.sequence)):
+            raise InvalidInstance("weights must be integers")
+        if not _integers(self.terminals):
+            raise InvalidInstance("terminals must be integers")
 
     @property
     def weights(self):
@@ -221,6 +240,47 @@ def _int64_edges(inst, enc, lam):
     return adj, weight
 
 
+def _tsp_links(n):
+    """For each level s = 2 .. n - 2, an iterator over the links into the
+    rows of level s + 1, a chunk of at most _TSP_LINKS links at a time.
+
+    Masks are ascending and rows mask-major: row j * s + q of level s + 1
+    ends at the q-th vertex u of its mask other than 0, and its s - 1 links
+    are the rows of level s for the mask without u, ending at each other
+    vertex v in ascending order.  A chunk is (first, pair, pred): the row
+    of level s + 1 it starts at, and rows x (s - 1) read-only arrays of the
+    edge codes v * n + u as uint16 and the linked rows of level s as int32.
+    """
+    import numpy as np
+
+    odd = np.arange(1, 1 << n, 2)
+    size = np.bitwise_count(odd)
+
+    def level(s):
+        masks, later = odd[size == s], odd[size == s + 1]
+        # the r-th link of row q ends at the r-th vertex other than the q-th
+        cols = np.arange(s - 1)
+        cols = cols + (cols >= np.arange(s)[:, None])
+        step = max(1, _TSP_LINKS // (s * (s - 1)))  # masks a chunk
+        for c in range(0, len(later), step):
+            part = later[c:c + step, None]
+            ends = np.nonzero(part >> np.arange(1, n) & 1)[1].reshape(-1, s) + 1
+            pair = (ends[:, cols] * n + ends[:, :, None]).astype(np.uint16).reshape(-1, s - 1)
+            base = np.searchsorted(masks, part ^ np.left_shift(1, ends)) * (s - 1)
+            pred = (base[:, :, None] + np.arange(s - 1)).astype(np.int32).reshape(-1, s - 1)
+            pair.flags.writeable = pred.flags.writeable = False
+            yield c * s, pair, pred
+
+    return map(level, range(2, n - 1))
+
+
+@lru_cache(maxsize=None)
+def _tsp_plan(n):
+    """`_tsp_links(n)` as tuples, kept for each n whose plan takes at most
+    _TSP_PLAN bytes, the only n it is called for."""
+    return tuple(tuple(chunks) for chunks in _tsp_links(n))
+
+
 def tsp_algebraic(inst, enc):
     """Held-Karp subset DP whose cells are dense generating functions.
 
@@ -237,30 +297,45 @@ def tsp_algebraic(inst, enc):
     A level is numpy rows, one per cell, of the smallest unsigned dtype
     holding (s-2)!: uint8 up to level 7, uint16 up to 10, uint32 up to 14.
     Level 2 has a row for each vertex v, with a 1 at slot enc(0, v) - w_min
-    where the edge (0, v) exists.  A row of level s + 1 is the sum of the
-    rows of its mask without its end vertex u, each moved by its edge to u;
-    one fancy add through a strided window of the new rows adds the r-th
-    such predecessor to every row at once, a block of at most _TSP_BLOCK
-    slots at a time.  Level n is never formed: the one level n - 1 mask
-    missing u goes on to u and back to 0, into a total whose dtype holds
-    (n-1)!, the directed Hamiltonian cycles through vertex 0.  Each
-    undirected tour is one of two such cycles of the same weight, so counts
-    are halved, and only the occupied slots of the total are read.  Returns
-    two empty arrays when no Hamiltonian cycle exists; refuses n > 21,
-    whose counts do not fit 64 bits.
+    where the edge (0, v) exists.  A row of level s + 1 is the sum of its
+    links, the rows of its mask without its end vertex u, each moved by its
+    edge to u, and is pulled from them.  A level that is a source keeps
+    `spread` zero slots before each row and one all-zero row after them,
+    so a strided window over it shows every row moved by every d in
+    0..spread, and a missing edge links to the zero row.  A block of new
+    rows, at most _TSP_BLOCK slots of links, is then one fancy gather of
+    its moved links and one np.sum into the rows, in the new level's dtype.
+    The links depend on n alone: `_tsp_plan` keeps them for each n whose
+    plan takes at most _TSP_PLAN = 1 MiB, n <= 13 (810 KB at n = 13, and
+    1.4 MB for all of them held at once).  That covers the n of every
+    benchmark workload and the n = 12, 13 scale rows, where repeated calls
+    at one n skip the link build (0.27 ms of a 1.8 ms `run_meta` at
+    n = 9); at n = 14 the plan would take 1.9 MB and a call without it
+    takes about 1.1x as long.  Larger n build their links a chunk of
+    _TSP_LINKS links at a time, so index memory stays small beside the
+    levels.  On G = ((10^12, 7), (1, 30)), complete graphs take 1.8 ms,
+    40 ms and 0.13 s through `run_meta` at n = 9, 12 and 13, against 3.3,
+    74 and 250 ms when each link was pushed into its row.  Level n is never
+    formed: the one level n - 1 mask missing u goes on to u and back to 0,
+    into a total whose dtype holds (n-1)!, the directed Hamiltonian cycles
+    through vertex 0.  Each undirected tour is one of two such cycles of
+    the same weight, so counts are halved, and only the occupied slots of
+    the total are read.  Returns two empty arrays when no Hamiltonian cycle
+    exists; refuses n > 21, whose counts do not fit 64 bits.
 
     A cell takes up to ((n-1) * spread + 1) slots, where spread is the
     largest encoded edge weight minus w_min, so memory grows with the
     spread, not with the number of distinct path weights.  2^(n-1) widest
     cells of bitlen((n-1)!) bits a slot, rounded up to whole bytes, are
     priced against TABLE_BITS before any cell is built.  The levels share
-    one allocation, level s in one of two parts by the parity of s, with a
-    block's source rows in a third, so a call allocates its rows once and
-    the allocator keeps their pages for the next call.  Complete graphs
-    peak at 0.5-0.8 of the price at n = 10..13 (tracemalloc), and the two
-    widest levels alone reach about 0.9 of it at n = 17..18 and 1.0 at
-    n = 19..21.  At n < 10 or a spread of a few slots, fixed index and block
-    temporaries of up to about 2 MB pass the price.
+    one allocation, level s in one of two parts by the parity of s, so a
+    call allocates its rows once and the allocator keeps their pages for
+    the next call.  Complete graphs peak at 0.67-0.83 of the price at
+    n = 10..13 (tracemalloc, plan kept), and the two widest levels with
+    their zero slots alone reach about 0.93-0.97 of it at n = 17..18 and
+    1.01-1.09 at n = 19..21, computed from the level sizes.  At n < 10 or
+    a spread of a few slots, fixed index and block temporaries of up to
+    about 2 MB pass the price.
     """
     import numpy as np
     from numpy.lib.stride_tricks import as_strided
@@ -280,78 +355,70 @@ def tsp_algebraic(inst, enc):
     shift = [[-1] * n for _ in range(n)]
     for u, v, w in inst.edges:
         shift[u][v] = shift[v][u] = enc[w] - w_min
-    odd = np.arange(1, 1 << n, 2)
-    size = np.bitwise_count(odd)
+    moved = spread - np.array(shift).ravel()  # by edge code v * n + u
+    # the plan holds sum over s of C(n-1, s) s (s-1) links of 6 bytes
+    links = (n - 1) * (n - 2) * ((1 << n - 3) - 1)
+    plan = _tsp_plan(n) if 6 * links <= _TSP_PLAN else _tsp_links(n)
 
-    def level(s):
-        """Level s's masks, ascending, and each one's vertices but 0, ascending."""
-        masks = odd[size == s]
-        ends = np.nonzero(masks[:, None] >> np.arange(1, n) & 1)[1] + 1
-        return masks, ends.astype(np.uint8).reshape(-1, s - 1)
-
-    # each level as (rows, slots, dtype), rows mask-major:
-    # row i * (s - 1) + r holds the paths to the r-th vertex of the i-th mask
+    # each level as (rows, slots, dtype), rows mask-major: row i * (s - 1) + r
+    # holds the paths to the r-th vertex of the i-th mask; a source level
+    # (s < n - 1) is stored with its zero slots and zero row
     shape = {s: (comb(n - 1, s - 1) * (s - 1), (s - 1) * spread + 1,
                  np.dtype(np.min_scalar_type(factorial(s - 2)))) for s in range(2, n)}
-    step = {s: max(1, _TSP_BLOCK // (s * (shape[s][1] + spread)))  # masks a block
-            for s in range(2, n - 1)}
-    # one allocation holds level s in part s % 2 and a block's source rows in
-    # part 2: allocating the levels one by one, the allocator handed their
-    # pages back after each call and faulted them in again on the next one
-    nbytes = [max([0] + [r * w * t.itemsize for s, (r, w, t) in shape.items() if s % 2 == h])
-              for h in (0, 1)]
-    nbytes.append(max([0] + [min(step[s] * s, shape[s + 1][0]) * shape[s][1]
-                             * shape[s][2].itemsize for s in step]))
-    start = np.cumsum([0] + [-(-b // 8) * 8 for b in nbytes]).tolist()
-    work = np.empty(start[-1], dtype=np.uint8)
+    stored = {s: (r + 1, w + spread) if s < n - 1 else (r, w)
+              for s, (r, w, _) in shape.items()}
+    # one allocation holds level s in part s % 2: allocating the levels one
+    # by one, the allocator handed their pages back after each call and
+    # faulted them in again on the next one
+    nbytes = [max([0] + [r * w * shape[s][2].itemsize for s, (r, w) in stored.items()
+                         if s % 2 == h]) for h in (0, 1)]
+    start = (0, -(-nbytes[0] // 8) * 8)
+    work = np.empty(start[1] + nbytes[1], dtype=np.uint8)
 
-    def carve(part, rows, s):
-        """`rows` rows of level s's slots and dtype, in part `part` of work."""
-        _, width, dtype = shape[s]
-        return work[start[part]:start[part] + rows * width * dtype.itemsize].view(
-            dtype).reshape(rows, width)
+    def carve(s):
+        """Level s as stored, its zero slots and zero row set, and its rows."""
+        (rows, slots), at = stored[s], start[s % 2]
+        table = work[at:at + rows * slots * shape[s][2].itemsize].view(
+            shape[s][2]).reshape(rows, slots)
+        if s == n - 1:
+            return table, table
+        table[:, :spread] = 0
+        table[-1] = 0
+        return table, table[:-1, spread:]
 
-    masks, mem = level(2)
-    table = carve(0, n - 1, 2)
-    table.fill(0)
+    table, rows = carve(2)
+    rows.fill(0)
     for v, d in enumerate(shift[0]):  # row v - 1: the edge from 0 to v
         if d >= 0:
-            table[v - 1, d] = 1
-    sh = np.array(shift)
-    for s in range(2, n - 1):
-        later, ends = level(s + 1)
-        # row j * s + q of level s + 1 ends at u = ends[j, q]; the rows of its
-        # mask without u start at pred[j, q], and the r-th of them ends at
-        # ends[j, cols[r, q]], the r-th vertex of ends[j] other than u
-        pred = np.searchsorted(masks, later[:, None] ^ np.left_shift(1, ends, dtype=np.int64))
-        pred = (pred * (s - 1)).astype(np.int32)
-        cols = np.arange(s - 1)[:, None]
-        cols = cols + (cols >= np.arange(s))
-        new = carve((s + 1) % 2, len(later) * s, s + 1)
-        new.fill(0)
-        # win[i, d]: row i's slots d, d + 1, ..., where a predecessor moved d
-        # slots lands; a move adds one predecessor to every row of a block
-        win = as_strided(new, (len(new), spread + 1, shape[s][1]),
-                         (new.strides[0],) + 2 * new.strides[1:])
-        for b in range(0, len(later), step[s]):
-            to, at = ends[b:b + step[s]], pred[b:b + step[s]]
-            rows = np.arange(b * s, b * s + to.size).reshape(-1, s)
-            for r in range(s - 1):
-                d = sh[to[:, cols[r]], to]
-                ok = d >= 0
-                out = carve(2, int(np.count_nonzero(ok)), s)
-                win[rows[ok], d[ok]] += np.take(table, at[ok] + r, axis=0, mode="clip", out=out)
-        table, masks, mem = new, later, ends
-    # level n folds into the closing: the one level n - 1 mask that misses
-    # u goes on to u and back to 0
+            rows[v - 1, d] = 1
+    for s, chunks in enumerate(plan, 2):
+        count, stride = shape[s][0], stored[s][1]
+        # window row at: the stride slots from flat[at]; row i moved d
+        # slots starts at i * stride + spread - d, the zero row at count * stride
+        flat = table.reshape(-1)
+        window = as_strided(flat, (count * stride + 1, stride), 2 * flat.strides)
+        # a link's window row is its row times `scale` plus `offset`
+        scale = np.where(moved <= spread, stride, 0)
+        offset = np.where(moved <= spread, moved, count * stride)
+        table, rows = carve(s + 1)
+        dtype = shape[s + 1][2]
+        step = max(1, _TSP_BLOCK // ((s - 1) * stride))  # rows a block
+        for first, pairs, preds in chunks:
+            for b in range(0, len(pairs), step):
+                pair = pairs[b:b + step]
+                at = preds[b:b + step] * np.take(scale, pair)
+                at += np.take(offset, pair)
+                np.sum(window[at], axis=1, dtype=dtype, out=rows[first + b:][:len(at)])
+    # level n folds into the closing: the i-th level n - 1 mask misses
+    # u = n - 1 - i, and goes on to u and back to 0
     span = shape[n - 1][1]
     total = np.zeros(n * spread + 1, dtype=np.min_scalar_type(factorial(n - 1)))
-    for i, (m, vs) in enumerate(zip(masks.tolist(), mem.tolist())):
-        u = ((1 << n) - 1 ^ m).bit_length() - 1
-        for r, v in enumerate(vs):
+    for i in range(n - 1):
+        u = n - 1 - i
+        for r, v in enumerate(v for v in range(1, n) if v != u):
             if shift[v][u] >= 0 and shift[u][0] >= 0:
                 d = shift[v][u] + shift[u][0]
-                total[d:d + span] += table[i * (n - 2) + r]
+                total[d:d + span] += rows[i * (n - 2) + r]
     hit = np.flatnonzero(total)
     return hit + n * w_min, total[hit].astype(np.int64) // 2
 

@@ -22,6 +22,7 @@ steiner's keys need several int64 limbs), and on the non-proper GAP
 import heapq
 import random
 import re
+from dataclasses import replace
 from functools import partial
 from itertools import combinations
 from math import comb, factorial
@@ -691,12 +692,20 @@ def assert_same_arrays(terms, expected):
 def tsp_with_stages(inst, enc):
     """tsp_algebraic's terms and the stages it ran: ("rows", dtype) for each
     level of numpy rows formed from the one before, from level 3 on, and
-    ("total", dtype) for the closing total."""
+    ("total", dtype) for the closing total.  A level starts at the strided
+    window over the level before it, and its dtype is the one its rows are
+    summed into."""
     stages = []
-    window, nonzero = stride_tricks.as_strided, np.flatnonzero
+    window, add_up, nonzero = stride_tricks.as_strided, np.sum, np.flatnonzero
+
+    def summed(links, *args, out, **kwargs):
+        stages[-1] = ("rows", out.dtype)
+        return add_up(links, *args, out=out, **kwargs)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(stride_tricks, "as_strided", lambda rows, *shape: (
-            stages.append(("rows", rows.dtype)), window(rows, *shape))[1])
+            stages.append(("rows", None)), window(rows, *shape))[1])
+        patch.setattr(np, "sum", summed)
         patch.setattr(np, "flatnonzero", lambda total: (
             stages.append(("total", total.dtype)), nonzero(total))[1])
         return tsp_algebraic(inst, enc), stages
@@ -716,14 +725,17 @@ def assert_same_tsp(inst, enc):
     return stages
 
 
+# a K6 holding vertex 0 and a K4 apart from it, on 10 vertices
+DIES_AT_6 = [(u, v) for u, v in combinations(range(10), 2) if (u < 6) == (v < 6)]
+
+
 def tsp_tail_cases(family):
     yield from (graph("tsp", family, n, density, 6)
                 for n in range(3, 12) for density in (0.6, 0.8, 1.0))
     yield graph("tsp", family, 10, 1.0, 7, edges=path_edges(10))  # no tour
     yield graph("tsp", family, 10, 1.0, 8, edges=[(0, v) for v in range(1, 10)])  # a star
     # every path dies at level 6: 0 lies in a K6, the other 4 vertices apart
-    yield graph("tsp", family, 10, 1.0, 9, edges=[
-        (u, v) for u, v in combinations(range(10), 2) if (u < 6) == (v < 6)])
+    yield graph("tsp", family, 10, 1.0, 9, edges=DIES_AT_6)
     # a K5 and a K4 joined by one edge: the paths cross it, and die at level 9
     yield graph("tsp", family, 9, 1.0, 10, edges=[
         (u, v) for u, v in combinations(range(9), 2) if (u < 5) == (v < 5)] + [(4, 5)])
@@ -741,6 +753,38 @@ def test_tsp_matches_bigint_kernel(family):
             ran.append(inst.n)
             assert [s for s, _ in stages] == ["rows"] * (inst.n - 3) + ["total"], inst
     assert (11 in ran) != (family == "3dim")
+
+
+@pytest.mark.parametrize("family", ["G", "H", "nonproper"])
+def test_tsp_links_in_chunks_match_bigint_kernel(family, monkeypatch):
+    # no plan kept, links built 5 at a time and rows gathered 64 slots of
+    # links at a time, so chunks and blocks end inside masks and levels
+    monkeypatch.setattr(solvers, "_TSP_PLAN", 0)
+    monkeypatch.setattr(solvers, "_TSP_LINKS", 5)
+    monkeypatch.setattr(solvers, "_TSP_BLOCK", 64)
+    for inst in tsp_tail_cases(family):
+        if inst.n <= 9:
+            assert_same_tsp(inst, encoded(inst)[1])
+
+
+def test_tsp_plan_reuse_carries_no_graph_state():
+    # n = 9, 10, 9 in turn: the second n = 9 call runs on the plan the
+    # first one left, on another graph, and the plans stay as built from n
+    k9 = graph("tsp", "G", 9, 1.0, 12)
+    calls = [k9, graph("tsp", "G", 10, 1.0, 9, edges=DIES_AT_6),
+             replace(k9, edges=tuple(e for i, e in enumerate(k9.edges) if i % 4))]
+    hits = solvers._tsp_plan.cache_info().hits
+    for inst in calls:
+        assert_same_tsp(inst, encoded(inst)[1])
+    assert solvers._tsp_plan.cache_info().hits > hits
+    for n in (9, 10):
+        kept, built = solvers._tsp_plan(n), solvers._tsp_plan.__wrapped__(n)
+        assert len(kept) == len(built) == n - 3
+        for chunks, fresh in zip(kept, built):
+            for (first, *links), (start, *expected) in zip(chunks, fresh, strict=True):
+                assert first == start
+                assert [a.tolist() for a in links] == [a.tolist() for a in expected]
+                assert not any(a.flags.writeable for a in links)
 
 
 @pytest.mark.parametrize("n, rows, total", [

@@ -4,11 +4,11 @@ loops they replaced.
 `ref_parse_instance` is the per-line parser and `_RefInstance.__post_init__`
 the per-edge check that ran before the edges and sequence sections were
 converted with one split and the edge tuple checked column by column; both
-are kept here verbatim (renamed), save the integer-endpoint rule added to
-_RefInstance.  On a seeded corpus of every kind, with 10^k tokens, comments,
-blank lines, CRLF line ends and injected faults, the package must return an
-equal instance, or raise the same error type with the same message: the
-first fault, in file order, wins.
+are kept here verbatim (renamed), save the integer-endpoint and
+integer-weight rules added to _RefInstance.  On a seeded corpus of every
+kind, with 10^k tokens, comments, blank lines, CRLF line ends and injected
+faults, the package must return an equal instance, or raise the same error
+type with the same message: the first fault, in file order, wins.
 """
 
 import random
@@ -30,8 +30,9 @@ from gapsolve.instances import (
 
 @dataclass(frozen=True)
 class _RefInstance(ProblemInstance):
-    """The per-edge check as it ran before the column check, plus one line:
-    the integer-endpoint rule, last in the loop, as the package checks it."""
+    """The per-edge check as it ran before the column check, plus the
+    integer-endpoint rule, last in the loop, and the integer-weight rule,
+    last of all, as the package checks them."""
 
     def __post_init__(self):
         if self.kind not in SOLVER_SPECS:
@@ -62,6 +63,8 @@ class _RefInstance(ProblemInstance):
             raise InvalidInstance("minplusconv needs a non-empty sequence")
         if any(v < 0 for v in self.sequence):
             raise InvalidInstance("weights must be non-negative")
+        if any(not hasattr(type(w), "__index__") for _, _, w in self.edges):
+            raise InvalidInstance("weights must be integers")
 
 
 def ref_parse_instance(text):
@@ -314,6 +317,7 @@ def edge_tuples(rng):
         edges[i] = rng.choice([
             (u, u, w), (u, n, w), (-1, v, w), (u, v, -w - 1), (v, u, w), (u, v),
             (u, v, w, 0), (float(u), v, w), (u, v + 0.5, w), (True, v, w),
+            (u, v, w + 0.5), (u, v, float(w)), (float(u), v, w + 0.5),
             (u, v, 2**70), (u, 2**70, w), (u, v, "w"), None, [u, v, w],
         ])
     return n, tuple(edges)
@@ -346,8 +350,41 @@ def test_edge_endpoints_must_be_integers(kind, fields):
     for a in (1.5, 1.0):
         with pytest.raises(InvalidInstance, match="^edge endpoints must be integers$"):
             instance(a)
+    # a float weight too, after the checks that already refused an edge
+    for w in (5.5, 5.0):
+        with pytest.raises(InvalidInstance, match="^weights must be integers$"):
+            ProblemInstance(kind=kind, n=3, edges=((0, 1, 5), (0, 2, w), (1, 2, 4)),
+                            **fields)
+    with pytest.raises(InvalidInstance, match="^weights must be non-negative$"):
+        ProblemInstance(kind=kind, n=3, edges=((0, 1, -5.5), (0, 2, 7)), **fields)
     # numpy integers and bools are integers: solved as the int 1 is
     expected = run_meta(instance(1)).optimum
     assert expected == SOLVER_SPECS[kind].oracle(instance(1))
     for a in (np.int64(1), True):
         assert run_meta(instance(a)).optimum == expected
+    weighted = ProblemInstance(kind=kind, n=3, edges=((0, 1, np.int64(5)), (0, 2, 7),
+                                                      (1, 2, 4)), **fields)
+    assert run_meta(weighted).optimum == run_meta(instance(1)).optimum
+
+
+def test_sequence_and_terminals_must_be_integers():
+    # a float entry or terminal is refused, not left to crash a solver or
+    # be solved as the int it equals
+    for sequence in ((1.5, 2), (1.0, 2), (2, np.float64(3))):
+        with pytest.raises(InvalidInstance, match="^weights must be integers$"):
+            ProblemInstance(kind="minplusconv", sequence=sequence)
+    edges = ((0, 1, 5), (1, 2, 4), (0, 2, 7))
+    for terminals in ((0, 1.5), (0, 2.0)):
+        with pytest.raises(InvalidInstance, match="^terminals must be integers$"):
+            ProblemInstance(kind="steiner", n=3, edges=edges, terminals=terminals)
+    # faults refused before keep their message
+    with pytest.raises(InvalidInstance, match="^weights must be non-negative$"):
+        ProblemInstance(kind="minplusconv", sequence=(1.5, -1))
+    with pytest.raises(InvalidInstance, match="^terminal out of range$"):
+        ProblemInstance(kind="steiner", n=3, edges=edges, terminals=(0.5, 3))
+    # bools and numpy integers are integers
+    plain = run_meta(ProblemInstance(kind="minplusconv", sequence=(3, 1))).stats["sequence"]
+    seq = ProblemInstance(kind="minplusconv", sequence=(3, True))
+    assert run_meta(seq).stats["sequence"] == plain
+    tree = ProblemInstance(kind="steiner", n=3, edges=edges, terminals=(np.int64(0), 2))
+    assert run_meta(tree).optimum == 7

@@ -627,6 +627,18 @@ def test_tsp_peak_within_price(monkeypatch, cover, n):
     assert bits / 16 <= peak <= bits / 8, peak * 8 / bits
 
 
+def test_tsp_small_spread_peak_near_price(monkeypatch):
+    # K_16 on a spread of 3 slots: no plan is kept at n = 16, and its links
+    # are built a chunk at a time in int32 and uint16, so fixed index and
+    # block temporaries stay within a tenth of the price (each level's
+    # links built whole pass it)
+    inst, enc = encoded_instance("tsp", 16, Gap((1,), (3,)))
+    tsp_algebraic(*encoded_instance("tsp", 9, Gap((3,), (9,))))  # numpy's one-time setup
+    terms, bits, peak = priced_peak(monkeypatch, lambda: tsp_algebraic(inst, enc))
+    assert sum(as_dict(terms).values()) == factorial(15) // 2
+    assert bits / 16 <= peak <= 1.1 * bits / 8, peak * 8 / bits
+
+
 @pytest.mark.parametrize("gap, n, density, terminals", [
     (Gap((10**12, 7), (1, 30)), 100, 0.03, 8),
     (Gap((10**12, 7), (1, 30)), 200, 0.015, 12),
